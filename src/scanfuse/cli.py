@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .kitti_io import (
     parse_class_map,
     parse_labels,
     parse_scan,
+    raw_to_train_table,
     write_labels,
     write_scan,
     write_sequence,
@@ -153,12 +155,7 @@ def _load_fusion_config(args) -> FusionConfig:
     values = load_kv_file(args.config) if args.config else {}
     config = fusion_config_from(values)
     if getattr(args, "window", None) is not None:
-        config = FusionConfig(
-            hard_classes=config.hard_classes,
-            window=args.window,
-            moving_threshold=config.moving_threshold,
-            registration=config.registration,
-        )
+        config = replace(config, window=args.window)
     return config
 
 
@@ -263,9 +260,7 @@ def _cmd_eval_miou(args) -> int:
     if not gt_files:
         raise ScanFuseError(f"no .label files under {gt_dir}")
 
-    lookup = np.full(65536, -1, dtype=np.int64)
-    for raw, train in train_ids.items():
-        lookup[raw] = train
+    lookup = raw_to_train_table(train_ids)
 
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     for gt_path in gt_files:

@@ -66,10 +66,13 @@ def fusion_config_from(values: dict[str, str]) -> FusionConfig:
             )
         except ValueError:
             raise InvalidConfig("config key 'hard_classes': not a comma list") from None
+    reg = base.registration
     registration = RegistrationConfig(
-        max_iterations=_get_int(values, "max_iterations", 50),
-        convergence_tol=_get_float(values, "convergence_tol", 1e-4),
-        max_correspondence_dist=_get_float(values, "max_correspondence_dist", 1.0),
+        max_iterations=_get_int(values, "max_iterations", reg.max_iterations),
+        convergence_tol=_get_float(values, "convergence_tol", reg.convergence_tol),
+        max_correspondence_dist=_get_float(
+            values, "max_correspondence_dist", reg.max_correspondence_dist
+        ),
     )
     return FusionConfig(
         hard_classes=hard,

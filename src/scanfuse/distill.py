@@ -75,19 +75,6 @@ class DistillConfig:
             raise InvalidConfig("betas must be four finite values")
 
 
-@dataclass(eq=False)
-class AffinityMatrix:
-    """Symmetric per-instance cosine-similarity matrix with unit diagonal."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        n, m = self.values.shape
-        if n != m:
-            raise ShapeError(f"affinity matrix must be square, got {self.values.shape}")
-
-
 def _as_matrix(x) -> np.ndarray:
     if isinstance(x, FeatureMap):
         return x.features
@@ -168,48 +155,30 @@ def soft_logits_kl_loss(
     return loss, grad
 
 
-def _normalized_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cosine_affinity(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unclipped cosine affinity U U^T plus the unit rows and norms the
+    gradient needs."""
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         raise NumericError("zero-norm feature row in instance set")
-    return rows / norms[:, None], norms
+    unit = rows / norms[:, None]
+    return unit @ unit.T, unit, norms
 
 
-def affinity_matrix(
-    features, instance_points, squared_norms: bool = False
-) -> AffinityMatrix:
-    """Pairwise similarity of one instance's feature rows.
-
-    Cosine similarity by default; ``squared_norms`` switches to the
-    squared-norm denominator variant for comparison studies (which gives up
-    the unit diagonal).
-    """
+def affinity_matrix(features, instance_points) -> np.ndarray:
+    """Symmetric cosine-similarity matrix of one instance's feature rows,
+    clipped to [-1, 1]."""
     rows = _as_matrix(features)
     idx = np.asarray(instance_points, dtype=np.int64).reshape(-1)
     if len(idx) < 2:
         raise DegenerateInstance(f"instance needs >= 2 points, got {len(idx)}")
-    if len(idx) and (idx.min() < 0 or idx.max() >= len(rows)):
+    if idx.min() < 0 or idx.max() >= len(rows):
         raise IndexError("instance point index out of range")
     sel = rows[idx]
     if not np.isfinite(sel).all():
         raise NumericError("non-finite feature rows")
-    if squared_norms:
-        norms = np.linalg.norm(sel, axis=1)
-        if np.any(norms == 0.0):
-            raise NumericError("zero-norm feature row in instance set")
-        values = (sel @ sel.T) / (norms[:, None] ** 2 * norms[None, :] ** 2)
-    else:
-        unit, _ = _normalized_rows(sel)
-        values = unit @ unit.T
-        values = np.clip(values, -1.0, 1.0)
-    values = (values + values.T) / 2.0
-    return AffinityMatrix(values)
-
-
-def _cosine_affinity_raw(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unclipped cosine affinity plus the pieces the gradient needs."""
-    unit, norms = _normalized_rows(sel)
-    return unit @ unit.T, unit, norms
+    values = np.clip(_cosine_affinity(sel)[0], -1.0, 1.0)
+    return (values + values.T) / 2.0
 
 
 def iaad_loss(
@@ -234,8 +203,8 @@ def iaad_loss(
             continue
         if idx.min() < 0 or idx.max() >= len(f_student):
             raise IndexError("instance point index out of range")
-        a_teacher, _, _ = _cosine_affinity_raw(f_teacher[idx])
-        a_student, unit, norms = _cosine_affinity_raw(f_student[idx])
+        a_teacher, _, _ = _cosine_affinity(f_teacher[idx])
+        a_student, unit, norms = _cosine_affinity(f_student[idx])
         diff = a_student - a_teacher
         n = len(idx)
         terms.append(math.fsum((diff * diff).ravel()) / (n * n))

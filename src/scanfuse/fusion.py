@@ -10,6 +10,7 @@ synchronized copy-paste augmentation of both branches.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -25,7 +26,7 @@ from .errors import (
     MissingLabels,
     NoOverlap,
 )
-from .geometry import RigidTransform, apply_points, compose, invert, rotation_about_z
+from .geometry import Frame, RigidTransform, apply_points, compose, invert, rotation_about_z
 from .kitti_io import (
     DEFAULT_HARD_CLASSES,
     LabelSet,
@@ -88,6 +89,7 @@ class FusedScan:
 
     The first ``n_current`` cloud rows are the student's input (the raw scan,
     then any pasted single-scan instances); the rest is teacher-only density.
+    Teacher row i is student row i for every i < ``n_current``.
     ``origin_index`` holds the relative scan (-1..-K) each appended point came
     from, 0 for pasted points.
     """
@@ -96,13 +98,11 @@ class FusedScan:
     labels: LabelSet
     n_current: int
     origin_index: np.ndarray
-    current_to_fused: np.ndarray
     registration_warnings: list[tuple[int, int]] = field(default_factory=list)
     pastes: list[PasteRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.origin_index = np.asarray(self.origin_index, dtype=np.int64).reshape(-1)
-        self.current_to_fused = np.asarray(self.current_to_fused, dtype=np.int64).reshape(-1)
         if self.n_current + len(self.origin_index) != len(self.cloud):
             raise ValueError("origin_index does not cover the appended region")
         if len(self.labels) != len(self.cloud):
@@ -207,27 +207,51 @@ def classify_motion(
     return Motion.STATIC
 
 
+def _rows(cloud: PointCloud, labels: LabelSet, idx) -> tuple[PointCloud, LabelSet]:
+    """The rows ``idx`` (indices or a slice) of a cloud and its labels."""
+    return (
+        PointCloud(cloud.points[idx], cloud.remission[idx], cloud.frame),
+        LabelSet(labels.semantic[idx], labels.instance[idx]),
+    )
+
+
+def _concat(
+    blocks: list[tuple[PointCloud, LabelSet]], frame: Frame
+) -> tuple[PointCloud, LabelSet]:
+    """Stack (cloud, labels) row blocks in order into one cloud and labels."""
+    if not blocks:
+        return PointCloud(np.empty((0, 3)), np.empty(0), frame), LabelSet([], [])
+    clouds, labels = zip(*blocks)
+    return (
+        PointCloud(
+            np.vstack([c.points for c in clouds]),
+            np.concatenate([c.remission for c in clouds]),
+            frame,
+        ),
+        LabelSet(
+            np.concatenate([lab.semantic for lab in labels]),
+            np.concatenate([lab.instance for lab in labels]),
+        ),
+    )
+
+
 def _fuse_instance(
     seq: SequenceData,
     scan_t: int,
     track: InstanceTrack,
     motion: Motion,
     config: FusionConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int]]]:
+) -> tuple[PointCloud, LabelSet, np.ndarray, list[tuple[int, int]]]:
     """Past-scan points of one instance mapped into the current sensor frame.
 
-    Returns (points, remission, semantic, instance, origin, warnings); the
-    arrays cover only appended points, never the current scan's own.
+    Returns (cloud, labels, origin, warnings); the rows cover only appended
+    points, never the current scan's own.
     """
     t_inv = invert(seq.poses[scan_t])
-    cur_idx = track.point_indices[-1]
-    cur_pts = seq.scans[scan_t].points[cur_idx]
+    cur_pts = seq.scans[scan_t].points[track.point_indices[-1]]
 
-    pts_parts: list[np.ndarray] = []
-    rem_parts: list[np.ndarray] = []
-    sem_parts: list[np.ndarray] = []
-    inst_parts: list[np.ndarray] = []
-    origin_parts: list[np.ndarray] = []
+    blocks: list[tuple[PointCloud, LabelSet]] = []
+    origins: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     warnings: list[tuple[int, int]] = []
 
     for s, idx in zip(track.scan_indices[:-1], track.point_indices[:-1]):
@@ -235,8 +259,8 @@ def _fuse_instance(
             continue
         labels_s = seq.labels[s]
         assert labels_s is not None  # guaranteed by gather_instance_track
-        rel = compose(t_inv, seq.poses[s])
-        pts = apply_points(rel, seq.scans[s].points[idx])
+        cloud, labels = _rows(seq.scans[s], labels_s, idx)
+        pts = apply_points(compose(t_inv, seq.poses[s]), cloud.points)
         if motion is Motion.MOVING and len(cur_pts) > 0:
             init = centroid_align(pts, cur_pts)
             try:
@@ -248,35 +272,38 @@ def _fuse_instance(
                 align = init
                 warnings.append((track.instance_id, s - scan_t))
             pts = apply_points(align, pts)
-        pts_parts.append(pts)
-        rem_parts.append(seq.scans[s].remission[idx])
-        sem_parts.append(labels_s.semantic[idx])
-        inst_parts.append(labels_s.instance[idx])
-        origin_parts.append(np.full(len(idx), s - scan_t, dtype=np.int64))
+        cloud.points = pts
+        blocks.append((cloud, labels))
+        origins.append(np.full(len(idx), s - scan_t, dtype=np.int64))
 
-    if not pts_parts:
-        empty = np.empty((0, 3))
-        return (
-            empty,
-            np.empty(0),
-            np.empty(0, dtype=np.uint16),
-            np.empty(0, dtype=np.uint16),
-            np.empty(0, dtype=np.int64),
-            warnings,
-        )
-    return (
-        np.vstack(pts_parts),
-        np.concatenate(rem_parts),
-        np.concatenate(sem_parts),
-        np.concatenate(inst_parts),
-        np.concatenate(origin_parts),
-        warnings,
-    )
+    cloud, labels = _concat(blocks, seq.scans[scan_t].frame)
+    return cloud, labels, np.concatenate(origins), warnings
 
 
 def _hard_instance_ids(labels: LabelSet, hard_classes: frozenset[int]) -> list[int]:
     mask = np.isin(labels.semantic, list(hard_classes)) & (labels.instance > 0)
     return [int(i) for i in np.unique(labels.instance[mask])]
+
+
+def _fused_instances(
+    seq: SequenceData, scan_t: int, config: FusionConfig
+) -> Iterator[
+    tuple[InstanceTrack, PointCloud, LabelSet, np.ndarray, list[tuple[int, int]]]
+]:
+    """The one track -> classify -> fuse loop behind ``fuse_scan`` and
+    ``build_instance_db``.
+
+    Yields, in instance-ID order, each kept hard-class instance of labelled
+    scan t: its track, then its appended (cloud, labels, origin, warnings).
+    """
+    labels_t = seq.labels[scan_t]
+    assert labels_t is not None
+    for iid in _hard_instance_ids(labels_t, config.hard_classes):
+        track = gather_instance_track(seq, scan_t, iid, config.window)
+        if track.class_id not in config.hard_classes:
+            continue
+        motion = classify_motion(track, seq.poses, config.moving_threshold)
+        yield track, *_fuse_instance(seq, scan_t, track, motion, config)
 
 
 def fuse_scan(
@@ -294,52 +321,20 @@ def fuse_scan(
     cur_labels = seq.labels[scan_t]
     assert cur_labels is not None
 
-    pts_parts: list[np.ndarray] = []
-    rem_parts: list[np.ndarray] = []
-    sem_parts: list[np.ndarray] = []
-    inst_parts: list[np.ndarray] = []
-    origin_parts: list[np.ndarray] = []
+    blocks = [(current, cur_labels)]
+    origins: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     warnings: list[tuple[int, int]] = []
-
-    for iid in _hard_instance_ids(cur_labels, config.hard_classes):
-        track = gather_instance_track(seq, scan_t, iid, config.window)
-        if track.class_id not in config.hard_classes:
-            continue
-        motion = classify_motion(track, seq.poses, config.moving_threshold)
-        pts, rem, sem, inst, origin, warns = _fuse_instance(
-            seq, scan_t, track, motion, config
-        )
-        if len(pts):
-            pts_parts.append(pts)
-            rem_parts.append(rem)
-            sem_parts.append(sem)
-            inst_parts.append(inst)
-            origin_parts.append(origin)
+    for _, cloud, labels, origin, warns in _fused_instances(seq, scan_t, config):
+        blocks.append((cloud, labels))
+        origins.append(origin)
         warnings.extend(warns)
 
-    n_current = len(current)
-    if pts_parts:
-        cloud = PointCloud(
-            np.vstack([current.points] + pts_parts),
-            np.concatenate([current.remission] + rem_parts),
-            current.frame,
-        )
-        labels = LabelSet(
-            np.concatenate([cur_labels.semantic] + sem_parts),
-            np.concatenate([cur_labels.instance] + inst_parts),
-        )
-        origin = np.concatenate(origin_parts)
-    else:
-        cloud = current.copy()
-        labels = cur_labels.copy()
-        origin = np.empty(0, dtype=np.int64)
-
+    cloud, labels = _concat(blocks, current.frame)
     return FusedScan(
         cloud=cloud,
         labels=labels,
-        n_current=n_current,
-        origin_index=origin,
-        current_to_fused=np.arange(n_current, dtype=np.int64),
+        n_current=len(current),
+        origin_index=np.concatenate(origins),
         registration_warnings=warnings,
     )
 
@@ -357,9 +352,13 @@ def naive_fusion_size(seq: SequenceData | SequenceIndex, scan_t: int, window: in
 # ---------------------------------------------------------------------------
 
 
-def _quantized(points: np.ndarray) -> np.ndarray:
+def _quantized(cloud: PointCloud) -> PointCloud:
     """Snap to the 32-bit on-disk precision so database round trips are exact."""
-    return np.asarray(points, dtype=np.float32).astype(np.float64)
+    return PointCloud(
+        cloud.points.astype(np.float32).astype(np.float64),
+        cloud.remission.astype(np.float32).astype(np.float64),
+        cloud.frame,
+    )
 
 
 @dataclass(eq=False)
@@ -466,39 +465,20 @@ def build_instance_db(
         if cur_labels is None:
             continue
         current = seq.scans[scan_t]
-        for iid in _hard_instance_ids(cur_labels, config.hard_classes):
-            track = gather_instance_track(seq, scan_t, iid, config.window)
-            if track.class_id not in config.hard_classes:
-                continue
-            motion = classify_motion(track, seq.poses, config.moving_threshold)
-            app_pts, app_rem, app_sem, app_inst, _, _ = _fuse_instance(
-                seq, scan_t, track, motion, config
+        for track, app_cloud, app_labels, _, _ in _fused_instances(seq, scan_t, config):
+            single_cloud, single_labels = _rows(
+                current, cur_labels, track.point_indices[-1]
             )
-            cur_idx = track.point_indices[-1]
-            single_cloud = PointCloud(
-                _quantized(current.points[cur_idx]),
-                _quantized(current.remission[cur_idx]),
-                current.frame,
-            )
-            single_labels = LabelSet(
-                cur_labels.semantic[cur_idx], cur_labels.instance[cur_idx]
-            )
-            fused_cloud = PointCloud(
-                _quantized(np.vstack([current.points[cur_idx], app_pts])),
-                _quantized(np.concatenate([current.remission[cur_idx], app_rem])),
-                current.frame,
-            )
-            fused_labels = LabelSet(
-                np.concatenate([cur_labels.semantic[cur_idx], app_sem]),
-                np.concatenate([cur_labels.instance[cur_idx], app_inst]),
+            fused_cloud, fused_labels = _concat(
+                [(single_cloud, single_labels), (app_cloud, app_labels)], current.frame
             )
             entries.append(
                 InstancePair(
-                    key=(seq.name, scan_t, iid),
+                    key=(seq.name, scan_t, track.instance_id),
                     class_id=track.class_id,
-                    single_cloud=single_cloud,
+                    single_cloud=_quantized(single_cloud),
                     single_labels=single_labels,
-                    fused_cloud=fused_cloud,
+                    fused_cloud=_quantized(fused_cloud),
                     fused_labels=fused_labels,
                 )
             )
@@ -506,6 +486,16 @@ def build_instance_db(
     if out_path is not None:
         db.save(out_path)
     return db
+
+
+def _placed(
+    cloud: PointCloud, labels: LabelSet, transform: RigidTransform, instance_id: int
+) -> tuple[PointCloud, LabelSet]:
+    """A database member moved by ``transform`` under a fresh instance ID."""
+    return (
+        PointCloud(apply_points(transform, cloud.points), cloud.remission, cloud.frame),
+        LabelSet(labels.semantic, np.full(len(labels), instance_id, dtype=np.uint16)),
+    )
 
 
 def sample_and_paste(
@@ -537,14 +527,8 @@ def sample_and_paste(
 
     next_id = int(scan.labels.instance.max()) + 1 if len(scan.labels) else 1
 
-    single_pts: list[np.ndarray] = []
-    single_rem: list[np.ndarray] = []
-    single_sem: list[np.ndarray] = []
-    single_inst: list[np.ndarray] = []
-    fused_pts: list[np.ndarray] = []
-    fused_rem: list[np.ndarray] = []
-    fused_sem: list[np.ndarray] = []
-    fused_inst: list[np.ndarray] = []
+    singles: list[tuple[PointCloud, LabelSet]] = []
+    fused: list[tuple[PointCloud, LabelSet]] = []
     records: list[PasteRecord] = []
 
     for _ in range(n):
@@ -559,16 +543,8 @@ def sample_and_paste(
         target = np.array([tx, ty, pivot[2]])
         transform = RigidTransform(rot, target - rot @ pivot)
 
-        placed_single = apply_points(transform, entry.single_cloud.points)
-        placed_fused = apply_points(transform, entry.fused_cloud.points)
-        single_pts.append(placed_single)
-        single_rem.append(entry.single_cloud.remission)
-        single_sem.append(entry.single_labels.semantic)
-        single_inst.append(np.full(len(placed_single), next_id, dtype=np.uint16))
-        fused_pts.append(placed_fused)
-        fused_rem.append(entry.fused_cloud.remission)
-        fused_sem.append(entry.fused_labels.semantic)
-        fused_inst.append(np.full(len(placed_fused), next_id, dtype=np.uint16))
+        singles.append(_placed(entry.single_cloud, entry.single_labels, transform, next_id))
+        fused.append(_placed(entry.fused_cloud, entry.fused_labels, transform, next_id))
         records.append(
             PasteRecord(
                 key=entry.key,
@@ -581,33 +557,23 @@ def sample_and_paste(
         next_id += 1
 
     nc = scan.n_current
-    points = np.vstack(
-        [scan.cloud.points[:nc]] + single_pts + [scan.cloud.points[nc:]] + fused_pts
+    cloud, labels = _concat(
+        [_rows(scan.cloud, scan.labels, slice(None, nc))]
+        + singles
+        + [_rows(scan.cloud, scan.labels, slice(nc, None))]
+        + fused,
+        scan.cloud.frame,
     )
-    remission = np.concatenate(
-        [scan.cloud.remission[:nc]]
-        + single_rem
-        + [scan.cloud.remission[nc:]]
-        + fused_rem
-    )
-    semantic = np.concatenate(
-        [scan.labels.semantic[:nc]] + single_sem + [scan.labels.semantic[nc:]] + fused_sem
-    )
-    instance = np.concatenate(
-        [scan.labels.instance[:nc]] + single_inst + [scan.labels.instance[nc:]] + fused_inst
-    )
-    n_pasted_fused = sum(len(p) for p in fused_pts)
+    n_pasted_fused = sum(len(c) for c, _ in fused)
     origin = np.concatenate(
         [scan.origin_index, np.zeros(n_pasted_fused, dtype=np.int64)]
     )
-    n_current = nc + sum(len(p) for p in single_pts)
 
     return FusedScan(
-        cloud=PointCloud(points, remission, scan.cloud.frame),
-        labels=LabelSet(semantic, instance),
-        n_current=n_current,
+        cloud=cloud,
+        labels=labels,
+        n_current=nc + sum(len(c) for c, _ in singles),
         origin_index=origin,
-        current_to_fused=np.arange(n_current, dtype=np.int64),
         registration_warnings=list(scan.registration_warnings),
         pastes=list(scan.pastes) + records,
     )

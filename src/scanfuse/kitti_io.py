@@ -312,8 +312,22 @@ def parse_class_map(text: str) -> dict[int, tuple[int, str]]:
             train_id = int(tokens[1])
         except ValueError as exc:
             raise InvalidConfig(f"class-map line {line_no}: {exc}") from None
+        if not 0 <= raw_id <= 0xFFFF:
+            raise InvalidConfig(
+                f"class-map line {line_no}: raw ID {raw_id} is outside the 16-bit range"
+            )
         mapping[raw_id] = (train_id, tokens[2])
     return mapping
+
+
+def raw_to_train_table(raw_to_train: dict[int, int]) -> np.ndarray:
+    """Lookup table over every 16-bit raw class ID; -1 marks unmapped IDs."""
+    table = np.full(0x10000, -1, dtype=np.int64)
+    for raw, train in raw_to_train.items():
+        if not 0 <= raw <= 0xFFFF:
+            raise InvalidConfig(f"raw class ID {raw} is outside the 16-bit range")
+        table[raw] = train
+    return table
 
 
 def write_class_map(mapping: dict[int, tuple[int, str]]) -> str:

@@ -4,8 +4,8 @@ Both branches share one architecture: an encoder of two dense+tanh layers and
 a head of one dense+tanh layer followed by a linear logits layer. The two
 feature tap points used for distillation are the encoder output and the
 pre-logits activation. Training is plain fixed-rate gradient descent; the
-teacher sees the fused cloud, the student the current scan, and teacher rows
-are matched to student rows through the fused scan's index map. Teacher
+teacher sees the fused cloud, the student the current scan, and teacher row
+i is student row i throughout the fused cloud's current-scan prefix. Teacher
 outputs are constants inside the distillation terms; the teacher itself
 trains through its own (weighted) segmentation loss.
 """
@@ -28,7 +28,7 @@ from .distill import (
 )
 from .errors import InvalidConfig, NumericError, ShapeError
 from .fusion import FusedScan
-from .kitti_io import DEFAULT_HARD_CLASSES, LabelSet, PointCloud
+from .kitti_io import DEFAULT_HARD_CLASSES, LabelSet, PointCloud, raw_to_train_table
 from .metrics import accumulate_confusion, miou
 
 # Inputs are meters at scene scale; shrink coordinates so tanh units start in
@@ -206,10 +206,7 @@ def _sgd(params: ToyNetParams, grads: ToyNetParams, lr: float) -> ToyNetParams:
 
 def remap_semantic(semantic: np.ndarray, class_to_index: dict[int, int]) -> np.ndarray:
     """Vectorized raw-class to train-class lookup; unmapped IDs are an error."""
-    table = np.full(65536, -1, dtype=np.int64)
-    for raw, idx in class_to_index.items():
-        table[raw] = idx
-    out = table[np.asarray(semantic, dtype=np.int64)]
+    out = raw_to_train_table(class_to_index)[np.asarray(semantic, dtype=np.int64)]
     if (out < 0).any():
         missing = sorted(set(np.asarray(semantic)[out < 0].tolist()))
         raise InvalidConfig(f"classes {missing} missing from the class map")
@@ -251,9 +248,6 @@ def compute_gradients(
             f"current scan ({n_cur}), labels ({len(labels)}) and fused prefix "
             f"({fused_scan.n_current}) must agree"
         )
-    index_map = fused_scan.current_to_fused
-    if len(index_map) != n_cur or index_map.max(initial=-1) >= len(fused_scan.cloud):
-        raise ShapeError("current_to_fused does not map the current scan")
 
     cfg = state.distill
     b1, b2, b3, b4 = cfg.betas
@@ -267,10 +261,10 @@ def compute_gradients(
     seg_s, d_logits_s = cross_entropy(student_out.logits.logits, targets_cur)
     seg_t, d_logits_t = cross_entropy(teacher_out.logits.logits, targets_fused)
 
-    # Teacher rows aligned 1:1 with student rows via the fused index map.
-    t_enc = teacher_out.feat_encoder.features[index_map]
-    t_head = teacher_out.feat_head.features[index_map]
-    t_logits = teacher_out.logits.logits[index_map]
+    # The fused cloud's first n_cur rows are the current scan, row for row.
+    t_enc = teacher_out.feat_encoder.features[:n_cur]
+    t_head = teacher_out.feat_head.features[:n_cur]
+    t_logits = teacher_out.logits.logits[:n_cur]
     s_enc = student_out.feat_encoder.features
     s_head = student_out.feat_head.features
     s_logits = student_out.logits.logits

@@ -54,7 +54,6 @@ def sparse_hard_instance_scene(
         ),
         n_current=len(cur_pts),
         origin_index=np.full(n_app, -1, dtype=np.int64),
-        current_to_fused=np.arange(len(cur_pts), dtype=np.int64),
     )
 
     rng_eval = np.random.default_rng(seed + 10_000)
@@ -112,5 +111,4 @@ def trivial_fused(scan: PointCloud, labels: LabelSet) -> FusedScan:
         labels=labels.copy(),
         n_current=len(scan),
         origin_index=np.empty(0, dtype=np.int64),
-        current_to_fused=np.arange(len(scan), dtype=np.int64),
     )

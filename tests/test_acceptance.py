@@ -288,7 +288,7 @@ def test_criterion_6_loss_correctness():
 
     for _ in range(1000):
         rows_f = rng.normal(size=(int(rng.integers(2, 10)), int(rng.integers(1, 7))))
-        a = affinity_matrix(rows_f, np.arange(len(rows_f))).values
+        a = affinity_matrix(rows_f, np.arange(len(rows_f)))
         assert np.abs(a - a.T).max() < 1e-9
         assert np.abs(np.diag(a) - 1.0).max() < 1e-9
         assert a.min() >= -1.0 and a.max() <= 1.0

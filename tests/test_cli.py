@@ -259,3 +259,28 @@ def test_eval_miou_cli(tmp_path, capsys):
     header, row = out.strip().splitlines()
     assert header.split()[1:] == ["road", "traffic-sign", "mIoU"]
     assert row.split()[1:] == ["50.0", "66.7", "58.3"]
+
+
+@pytest.mark.parametrize("raw_id", [-1, 70000])
+def test_eval_miou_class_map_id_outside_16_bits_is_data_error(tmp_path, capsys, raw_id):
+    from scanfuse.kitti_io import LabelSet
+
+    for name in ("gt", "pred"):
+        (tmp_path / name).mkdir()
+        labels = LabelSet(np.array([40, 65535], dtype=np.uint16), np.zeros(2, dtype=np.uint16))
+        (tmp_path / name / "000000.label").write_bytes(write_labels(labels))
+    classmap = tmp_path / "classes.txt"
+    classmap.write_text(f"40 0 road\n{raw_id} 1 negative\n")
+    code = main(
+        [
+            "eval-miou",
+            "--pred",
+            str(tmp_path / "pred"),
+            "--gt",
+            str(tmp_path / "gt"),
+            "--classmap",
+            str(classmap),
+        ]
+    )
+    assert code == 2
+    assert "16-bit" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from scanfuse.errors import EmptyDatabase, InstanceNotFound, MissingLabels
@@ -15,8 +17,14 @@ from scanfuse.fusion import (
     sample_and_paste,
 )
 from scanfuse.geometry import apply_points, compose, invert
+from scanfuse.kitti_io import LabelSet, PointCloud, SequenceData
 from scanfuse.registration import RegistrationConfig
-from scanfuse.synthetic import ObjectSpec, SyntheticConfig, make_synthetic_sequence
+from scanfuse.synthetic import (
+    ObjectSpec,
+    SyntheticConfig,
+    default_scene,
+    make_synthetic_sequence,
+)
 
 
 def mixed_scene(n_scans=5, yaw_rate=0.0):
@@ -122,7 +130,6 @@ def test_fuse_prefix_is_bit_identical(scene):
     current = scene.data.scans[4]
     assert np.array_equal(fused.cloud.points[: fused.n_current], current.points)
     assert np.array_equal(fused.cloud.remission[: fused.n_current], current.remission)
-    assert np.array_equal(fused.current_to_fused, np.arange(len(current)))
 
 
 def test_fuse_static_points_land_on_current_geometry(scene):
@@ -259,6 +266,50 @@ def test_db_fused_member_is_denser_than_single(scene):
         assert len(entry.fused_cloud) > len(entry.single_cloud)
 
 
+def shuffled_rows(seq: SequenceData, seed: int) -> SequenceData:
+    """The same sequence with each scan's rows in a fresh order, so an
+    instance's past-scan rows do not line up with its current-scan rows."""
+    rng = np.random.default_rng(seed)
+    scans, labels = [], []
+    for cloud, lab in zip(seq.scans, seq.labels):
+        order = rng.permutation(len(cloud))
+        scans.append(PointCloud(cloud.points[order], cloud.remission[order]))
+        labels.append(LabelSet(lab.semantic[order], lab.instance[order]))
+    return SequenceData(scans, labels, seq.poses, seq.calib, seq.name)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), window=st.integers(1, 4))
+def test_db_entries_are_fuse_scan_rows_of_their_instance(seed, window):
+    """Each pair is fuse_scan(t) restricted to its instance, in row order:
+    current-prefix rows of (iid, class), then appended rows of iid."""
+    seq = shuffled_rows(make_synthetic_sequence(default_scene(), seed).data, seed)
+    config = FusionConfig(window=window)
+    db = build_instance_db(seq, config)
+    assert db.entries
+    fused = {t: fuse_scan(seq, t, config) for t in range(len(seq))}
+    appended_in_db = dict.fromkeys(fused, 0)
+    for entry in db.entries:
+        _, t, iid = entry.key
+        f, nc = fused[t], fused[t].n_current
+        single = np.flatnonzero(
+            (f.labels.instance[:nc] == iid) & (f.labels.semantic[:nc] == entry.class_id)
+        )
+        rows = np.concatenate([single, nc + np.flatnonzero(f.labels.instance[nc:] == iid)])
+        for pair_cloud, pair_labels, idx in (
+            (entry.single_cloud, entry.single_labels, single),
+            (entry.fused_cloud, entry.fused_labels, rows),
+        ):
+            assert np.array_equal(pair_cloud.points, f.cloud.points[idx].astype(np.float32))
+            assert np.array_equal(
+                pair_cloud.remission, f.cloud.remission[idx].astype(np.float32)
+            )
+            assert np.array_equal(pair_labels.semantic, f.labels.semantic[idx])
+            assert np.array_equal(pair_labels.instance, f.labels.instance[idx])
+        appended_in_db[t] += len(rows) - len(single)
+    assert appended_in_db == {t: f.n_appended for t, f in fused.items()}
+
+
 # --- sample_and_paste -------------------------------------------------------
 
 
@@ -320,7 +371,6 @@ def test_paste_preserves_raw_scan_prefix(scene):
     db = build_instance_db(scene.data, FusionConfig())
     out = sample_and_paste(fused, db, 2, rng_seed=3)
     assert np.array_equal(out.cloud.points[: len(current)], current.points)
-    assert np.array_equal(out.current_to_fused, np.arange(out.n_current))
     # appended region stays hard-class only
     config = FusionConfig()
     assert set(out.labels.semantic[out.n_current :].tolist()) <= config.hard_classes

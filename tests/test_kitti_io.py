@@ -20,6 +20,7 @@ from scanfuse.kitti_io import (
     parse_labels,
     parse_poses,
     parse_scan,
+    raw_to_train_table,
     write_calib,
     write_class_map,
     write_labels,
@@ -225,6 +226,25 @@ def test_class_map_roundtrip():
 def test_class_map_rejects_short_lines():
     with pytest.raises(InvalidConfig):
         parse_class_map("40 0\n")
+
+
+@pytest.mark.parametrize("raw_id", [-1, 70000])
+def test_class_map_rejects_raw_ids_outside_16_bits(raw_id):
+    with pytest.raises(InvalidConfig):
+        parse_class_map(f"40 0 road\n{raw_id} 1 other\n")
+
+
+@pytest.mark.parametrize("raw_id", [-1, 0x10000])
+def test_raw_to_train_table_rejects_raw_ids_outside_16_bits(raw_id):
+    with pytest.raises(InvalidConfig):
+        raw_to_train_table({40: 0, raw_id: 1})
+
+
+def test_raw_to_train_table_marks_unmapped_ids():
+    table = raw_to_train_table({0: 2, 40: 0, 0xFFFF: 1})
+    assert table.shape == (0x10000,)
+    assert (table[0], table[40], table[0xFFFF]) == (2, 0, 1)
+    assert (table == -1).sum() == 0x10000 - 3
 
 
 # --- synthetic sequences ------------------------------------------------------
