@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .distill import (
     DistillConfig,
-    FeatureMap,
-    LogitMap,
     affinity_matrix,
     feature_distill_loss,
     iaad_loss,
@@ -35,7 +33,6 @@ from .fusion import (
     sample_and_paste,
 )
 from .geometry import (
-    Frame,
     RigidTransform,
     apply_points,
     apply_transform,
@@ -97,9 +94,7 @@ from .toynet import (
 __all__ = [
     "DEFAULT_HARD_CLASSES",
     "DistillConfig",
-    "FeatureMap",
     "ForwardResult",
-    "Frame",
     "FusedScan",
     "FusionConfig",
     "InstanceDatabase",
@@ -107,7 +102,6 @@ __all__ = [
     "InstancePair",
     "InstanceTrack",
     "LabelSet",
-    "LogitMap",
     "LossBreakdown",
     "Motion",
     "ObjectSpec",

@@ -2,7 +2,8 @@
 
 Used by the CLI for FusionConfig and DistillConfig; command-line flags
 override file values. The format is deliberately diffable: ``#`` comments,
-blank lines allowed, values parsed by the consumer.
+blank lines allowed, values parsed by the consumer; a key outside
+``RECOGNIZED_KEYS`` is an error, so a typo cannot fall back to a default.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ from .fusion import FusionConfig
 from .registration import RegistrationConfig
 
 
+# Every key fusion_config_from or distill_config_from reads (fusion, ICP,
+# losses); one file may carry all of them, since train-toy builds both
+# configs from it.
+RECOGNIZED_KEYS = frozenset(
+    {"hard_classes", "window", "moving_threshold"}
+    | {"max_iterations", "convergence_tol", "max_correspondence_dist"}
+    | {"smooth_l1_T", "temperature_P", "beta1", "beta2", "beta3", "beta4"}
+)
+
+
 def parse_kv_text(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -24,7 +35,10 @@ def parse_kv_text(text: str) -> dict[str, str]:
         if "=" not in stripped:
             raise InvalidConfig(f"config line {line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in RECOGNIZED_KEYS:
+            raise InvalidConfig(f"config line {line_no}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 

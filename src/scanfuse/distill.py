@@ -23,43 +23,6 @@ from .errors import (
 )
 
 
-@dataclass(eq=False)
-class FeatureMap:
-    """Per-point feature rows plus the cloud indices they correspond to."""
-
-    features: np.ndarray  # (N, f_c)
-    point_indices: np.ndarray  # (N,)
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise ShapeError(f"features must be 2-D, got shape {self.features.shape}")
-        self.point_indices = np.asarray(self.point_indices, dtype=np.int64).reshape(-1)
-        if len(self.point_indices) != len(self.features):
-            raise ShapeError(
-                f"{len(self.features)} feature rows vs "
-                f"{len(self.point_indices)} point indices"
-            )
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-
-@dataclass(eq=False)
-class LogitMap:
-    """Per-point pre-softmax logits."""
-
-    logits: np.ndarray  # (N, C)
-
-    def __post_init__(self) -> None:
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        if self.logits.ndim != 2:
-            raise ShapeError(f"logits must be 2-D, got shape {self.logits.shape}")
-
-    def __len__(self) -> int:
-        return len(self.logits)
-
-
 @dataclass
 class DistillConfig:
     smooth_l1_T: float = 1.0
@@ -67,20 +30,12 @@ class DistillConfig:
     betas: tuple[float, float, float, float] = (0.5, 0.01, 0.1, 0.1)
 
     def __post_init__(self) -> None:
-        if self.smooth_l1_T <= 0.0:
+        if not self.smooth_l1_T > 0.0:
             raise InvalidConfig("smooth_l1_T must be > 0")
-        if self.temperature_P <= 0.0:
+        if not self.temperature_P > 0.0:
             raise InvalidConfig("temperature_P must be > 0")
         if len(self.betas) != 4 or not all(math.isfinite(b) for b in self.betas):
             raise InvalidConfig("betas must be four finite values")
-
-
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, FeatureMap):
-        return x.features
-    if isinstance(x, LogitMap):
-        return x.logits
-    return np.asarray(x, dtype=np.float64)
 
 
 def _check_pair(teacher: np.ndarray, student: np.ndarray) -> None:
@@ -101,10 +56,10 @@ def feature_distill_loss(
     |d| - T/2 outside (the continuous completion). The gradient is taken
     with respect to the student features.
     """
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise InvalidConfig("threshold must be > 0")
-    f_teacher = _as_matrix(teacher)
-    f_student = _as_matrix(student)
+    f_teacher = np.asarray(teacher, dtype=np.float64)
+    f_student = np.asarray(student, dtype=np.float64)
     _check_pair(f_teacher, f_student)
     if f_teacher.size == 0:
         return 0.0, np.zeros_like(f_student)
@@ -120,13 +75,10 @@ def feature_distill_loss(
     return loss, grad
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, shifted by each row's max for stability."""
     shifted = z - z.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(z))
 
 
 def soft_logits_kl_loss(
@@ -138,16 +90,16 @@ def soft_logits_kl_loss(
     p * log(p / q) is averaged over all N*C cells. Gradient is analytic
     through the student softmax: (q - p) / (P * N * C).
     """
-    if temperature <= 0.0:
+    if not temperature > 0.0:
         raise InvalidConfig("temperature must be > 0")
-    z_teacher = _as_matrix(teacher)
-    z_student = _as_matrix(student)
+    z_teacher = np.asarray(teacher, dtype=np.float64)
+    z_student = np.asarray(student, dtype=np.float64)
     _check_pair(z_teacher, z_student)
     if z_teacher.size == 0:
         return 0.0, np.zeros_like(z_student)
 
-    log_p = _log_softmax(z_teacher / temperature)
-    log_q = _log_softmax(z_student / temperature)
+    log_p = log_softmax(z_teacher / temperature)
+    log_q = log_softmax(z_student / temperature)
     p = np.exp(log_p)
     count = z_teacher.size
     loss = math.fsum((p * (log_p - log_q)).ravel()) / count
@@ -168,7 +120,7 @@ def _cosine_affinity(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def affinity_matrix(features, instance_points) -> np.ndarray:
     """Symmetric cosine-similarity matrix of one instance's feature rows,
     clipped to [-1, 1]."""
-    rows = _as_matrix(features)
+    rows = np.asarray(features, dtype=np.float64)
     idx = np.asarray(instance_points, dtype=np.int64).reshape(-1)
     if len(idx) < 2:
         raise DegenerateInstance(f"instance needs >= 2 points, got {len(idx)}")
@@ -191,8 +143,8 @@ def iaad_loss(
     with fewer than two points contribute nothing. Gradient is analytic
     through the row normalization, with respect to the student features.
     """
-    f_teacher = _as_matrix(teacher)
-    f_student = _as_matrix(student)
+    f_teacher = np.asarray(teacher, dtype=np.float64)
+    f_student = np.asarray(student, dtype=np.float64)
     _check_pair(f_teacher, f_student)
 
     grad = np.zeros_like(f_student)
@@ -224,7 +176,7 @@ def total_loss(
     feature_term: float,
     logits_term: float,
     affinity_term: float,
-    betas: tuple[float, float, float, float] = (0.5, 0.01, 0.1, 0.1),
+    betas: tuple[float, float, float, float],
 ) -> float:
     """Combined objective: student segmentation plus weighted auxiliary terms."""
     values = (seg_student, seg_teacher, feature_term, logits_term, affinity_term)

@@ -26,7 +26,7 @@ from .errors import (
     MissingLabels,
     NoOverlap,
 )
-from .geometry import Frame, RigidTransform, apply_points, compose, invert, rotation_about_z
+from .geometry import RigidTransform, apply_points, compose, invert, rotation_about_z
 from .kitti_io import (
     DEFAULT_HARD_CLASSES,
     LabelSet,
@@ -57,9 +57,9 @@ class FusionConfig:
         self.hard_classes = frozenset(int(c) for c in self.hard_classes)
         if not self.hard_classes:
             raise InvalidConfig("hard_classes must be nonempty")
-        if self.window < 1:
+        if not self.window >= 1:
             raise InvalidConfig("window must be >= 1")
-        if self.moving_threshold < 0.0:
+        if not self.moving_threshold >= 0.0:
             raise InvalidConfig("moving_threshold must be >= 0")
 
 
@@ -116,7 +116,6 @@ class FusedScan:
         return PointCloud(
             self.cloud.points[: self.n_current].copy(),
             self.cloud.remission[: self.n_current].copy(),
-            self.cloud.frame,
         )
 
     def current_labels(self) -> LabelSet:
@@ -187,7 +186,7 @@ def gather_instance_track(
 def classify_motion(
     track: InstanceTrack,
     poses: list[RigidTransform],
-    moving_threshold: float = 0.2,
+    moving_threshold: float,
 ) -> Motion:
     """Moving iff the max world-frame centroid displacement per scan step
     exceeds the threshold. Tracks seen in fewer than two scans are static by
@@ -210,23 +209,20 @@ def classify_motion(
 def _rows(cloud: PointCloud, labels: LabelSet, idx) -> tuple[PointCloud, LabelSet]:
     """The rows ``idx`` (indices or a slice) of a cloud and its labels."""
     return (
-        PointCloud(cloud.points[idx], cloud.remission[idx], cloud.frame),
+        PointCloud(cloud.points[idx], cloud.remission[idx]),
         LabelSet(labels.semantic[idx], labels.instance[idx]),
     )
 
 
-def _concat(
-    blocks: list[tuple[PointCloud, LabelSet]], frame: Frame
-) -> tuple[PointCloud, LabelSet]:
+def _concat(blocks: list[tuple[PointCloud, LabelSet]]) -> tuple[PointCloud, LabelSet]:
     """Stack (cloud, labels) row blocks in order into one cloud and labels."""
     if not blocks:
-        return PointCloud(np.empty((0, 3)), np.empty(0), frame), LabelSet([], [])
+        return PointCloud(np.empty((0, 3)), np.empty(0)), LabelSet([], [])
     clouds, labels = zip(*blocks)
     return (
         PointCloud(
             np.vstack([c.points for c in clouds]),
             np.concatenate([c.remission for c in clouds]),
-            frame,
         ),
         LabelSet(
             np.concatenate([lab.semantic for lab in labels]),
@@ -276,7 +272,7 @@ def _fuse_instance(
         blocks.append((cloud, labels))
         origins.append(np.full(len(idx), s - scan_t, dtype=np.int64))
 
-    cloud, labels = _concat(blocks, seq.scans[scan_t].frame)
+    cloud, labels = _concat(blocks)
     return cloud, labels, np.concatenate(origins), warnings
 
 
@@ -329,7 +325,7 @@ def fuse_scan(
         origins.append(origin)
         warnings.extend(warns)
 
-    cloud, labels = _concat(blocks, current.frame)
+    cloud, labels = _concat(blocks)
     return FusedScan(
         cloud=cloud,
         labels=labels,
@@ -357,7 +353,6 @@ def _quantized(cloud: PointCloud) -> PointCloud:
     return PointCloud(
         cloud.points.astype(np.float32).astype(np.float64),
         cloud.remission.astype(np.float32).astype(np.float64),
-        cloud.frame,
     )
 
 
@@ -470,7 +465,7 @@ def build_instance_db(
                 current, cur_labels, track.point_indices[-1]
             )
             fused_cloud, fused_labels = _concat(
-                [(single_cloud, single_labels), (app_cloud, app_labels)], current.frame
+                [(single_cloud, single_labels), (app_cloud, app_labels)]
             )
             entries.append(
                 InstancePair(
@@ -493,7 +488,7 @@ def _placed(
 ) -> tuple[PointCloud, LabelSet]:
     """A database member moved by ``transform`` under a fresh instance ID."""
     return (
-        PointCloud(apply_points(transform, cloud.points), cloud.remission, cloud.frame),
+        PointCloud(apply_points(transform, cloud.points), cloud.remission),
         LabelSet(labels.semantic, np.full(len(labels), instance_id, dtype=np.uint16)),
     )
 
@@ -561,8 +556,7 @@ def sample_and_paste(
         [_rows(scan.cloud, scan.labels, slice(None, nc))]
         + singles
         + [_rows(scan.cloud, scan.labels, slice(nc, None))]
-        + fused,
-        scan.cloud.frame,
+        + fused
     )
     n_pasted_fused = sum(len(c) for c, _ in fused)
     origin = np.concatenate(

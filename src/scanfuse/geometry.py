@@ -1,4 +1,4 @@
-"""SE(3) rigid transforms and frame conversions.
+"""SE(3) rigid transforms.
 
 Rotations are stored as 3x3 matrices (matching the on-disk pose format),
 translations as 3-vectors in meters. All functions are pure and operate on
@@ -8,16 +8,8 @@ float64 arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
-
-
-class Frame(Enum):
-    """Coordinate frame a point cloud is expressed in."""
-
-    SENSOR = "sensor"
-    WORLD = "world"
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,20 +84,12 @@ def apply_points(t: RigidTransform, points: np.ndarray) -> np.ndarray:
     return points @ t.rotation.T + t.translation
 
 
-def apply_transform(t: RigidTransform, cloud, frame: Frame | None = None):
-    """Apply a transform to every point of a cloud.
-
-    Remission is carried through unchanged. The frame tag is kept unless the
-    caller passes an explicit ``frame`` (frame bookkeeping is a caller
-    convention, not something the math can infer).
-    """
+def apply_transform(t: RigidTransform, cloud):
+    """Apply a transform to every point of a cloud; remission is carried
+    through unchanged."""
     from .kitti_io import PointCloud  # local import to avoid a cycle
 
-    return PointCloud(
-        points=apply_points(t, cloud.points),
-        remission=cloud.remission.copy(),
-        frame=cloud.frame if frame is None else frame,
-    )
+    return PointCloud(apply_points(t, cloud.points), cloud.remission.copy())
 
 
 def rotation_about_z(angle: float) -> np.ndarray:

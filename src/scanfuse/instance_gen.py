@@ -24,9 +24,9 @@ class InstanceGenConfig:
     min_cluster_points: int = 5
 
     def __post_init__(self) -> None:
-        if self.stop_distance <= 0.0:
+        if not self.stop_distance > 0.0:
             raise InvalidConfig("stop_distance must be > 0")
-        if self.min_cluster_points < 1:
+        if not self.min_cluster_points >= 1:
             raise InvalidConfig("min_cluster_points must be >= 1")
 
 
@@ -47,6 +47,8 @@ def farthest_point_sample(points: np.ndarray, stop_distance: float) -> np.ndarra
     that max-min distance drops below ``stop_distance``, so any two returned
     keypoints are at least ``stop_distance`` apart.
     """
+    if not stop_distance > 0.0:
+        raise InvalidConfig("stop_distance must be > 0")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if len(points) == 0:
         raise EmptyInput("farthest_point_sample needs at least one point")

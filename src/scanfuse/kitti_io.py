@@ -26,7 +26,7 @@ from .errors import (
     MalformedPose,
     MalformedScan,
 )
-from .geometry import Frame, RigidTransform, compose, invert
+from .geometry import RigidTransform, compose, invert
 
 SCAN_RECORD_BYTES = 16  # 4 float32 per point
 LABEL_RECORD_BYTES = 4  # 1 uint32 per point
@@ -46,7 +46,6 @@ class PointCloud:
 
     points: np.ndarray
     remission: np.ndarray
-    frame: Frame = Frame.SENSOR
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -63,17 +62,15 @@ class PointCloud:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointCloud):
             return NotImplemented
-        return (
-            self.frame is other.frame
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.remission, other.remission)
+        return np.array_equal(self.points, other.points) and np.array_equal(
+            self.remission, other.remission
         )
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.points).all() and np.isfinite(self.remission).all())
 
     def copy(self) -> "PointCloud":
-        return PointCloud(self.points.copy(), self.remission.copy(), self.frame)
+        return PointCloud(self.points.copy(), self.remission.copy())
 
 
 @dataclass(eq=False)
@@ -186,7 +183,6 @@ def parse_scan(data: bytes) -> PointCloud:
     return PointCloud(
         points=raw[:, :3].astype(np.float64),
         remission=raw[:, 3].astype(np.float64),
-        frame=Frame.SENSOR,
     )
 
 

@@ -23,11 +23,11 @@ class RegistrationConfig:
     max_correspondence_dist: float = 1.0  # meters
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise InvalidConfig("max_iterations must be >= 1")
-        if self.convergence_tol <= 0.0:
+        if not self.convergence_tol > 0.0:
             raise InvalidConfig("convergence_tol must be > 0")
-        if self.max_correspondence_dist <= 0.0:
+        if not self.max_correspondence_dist > 0.0:
             raise InvalidConfig("max_correspondence_dist must be > 0")
 
 

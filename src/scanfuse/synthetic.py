@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .geometry import Frame, RigidTransform, apply_points, invert, rotation_about_z
+from .geometry import RigidTransform, apply_points, invert, rotation_about_z
 from .kitti_io import LabelSet, PointCloud, SequenceData
 
 
@@ -182,7 +182,7 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
         world = np.vstack(parts)
         world_per_scan.append(world)
         sensor_pts = apply_points(invert(poses[s]), world)
-        scans.append(PointCloud(sensor_pts, remission.copy(), Frame.SENSOR))
+        scans.append(PointCloud(sensor_pts, remission.copy()))
         labels.append(LabelSet(semantic.copy(), instance.copy()))
 
     truths: list[ObjectTruth] = []

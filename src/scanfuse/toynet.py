@@ -19,10 +19,9 @@ import numpy as np
 
 from .distill import (
     DistillConfig,
-    FeatureMap,
-    LogitMap,
     feature_distill_loss,
     iaad_loss,
+    log_softmax,
     soft_logits_kl_loss,
     total_loss,
 )
@@ -98,10 +97,13 @@ class ToyNetParams:
 
 @dataclass
 class ForwardResult:
-    feat_encoder: FeatureMap  # tap after the encoder stage
-    feat_head: FeatureMap  # tap before the logits layer
-    logits: LogitMap
-    cache: dict
+    """Per-point activations of one forward pass, rows parallel to the cloud."""
+
+    x: np.ndarray  # network input
+    h1: np.ndarray
+    encoder: np.ndarray  # feature tap after the encoder stage
+    head: np.ndarray  # feature tap before the logits layer
+    logits: np.ndarray
 
 
 @dataclass
@@ -127,7 +129,7 @@ class TrainState:
 
 
 def forward(params: ToyNetParams, cloud: PointCloud) -> ForwardResult:
-    """Deterministic per-point evaluation; cache keeps backprop intermediates."""
+    """Deterministic per-point evaluation, keeping what backprop needs."""
     x = np.column_stack([cloud.points * COORD_SCALE, cloud.remission])
     h1 = np.tanh(x @ params.w1 + params.b1)
     h2 = np.tanh(h1 @ params.w2 + params.b2)
@@ -135,25 +137,19 @@ def forward(params: ToyNetParams, cloud: PointCloud) -> ForwardResult:
     z = h3 @ params.w4 + params.b4
     if not np.isfinite(z).all():
         raise NumericError("non-finite activations in forward pass")
-    indices = np.arange(len(cloud), dtype=np.int64)
-    return ForwardResult(
-        feat_encoder=FeatureMap(h2, indices),
-        feat_head=FeatureMap(h3, indices),
-        logits=LogitMap(z),
-        cache={"x": x, "h1": h1, "h2": h2, "h3": h3},
-    )
+    return ForwardResult(x=x, h1=h1, encoder=h2, head=h3, logits=z)
 
 
 def _backward(
     params: ToyNetParams,
-    cache: dict,
+    out: ForwardResult,
     d_logits: np.ndarray,
     d_h2_extra: np.ndarray | None = None,
     d_h3_extra: np.ndarray | None = None,
 ) -> ToyNetParams:
     """Backprop upstream gradients (on logits and, optionally, the two feature
     taps) into parameter gradients."""
-    x, h1, h2, h3 = cache["x"], cache["h1"], cache["h2"], cache["h3"]
+    x, h1, h2, h3 = out.x, out.h1, out.encoder, out.head
 
     gw4 = h3.T @ d_logits
     gb4 = d_logits.sum(axis=0)
@@ -189,8 +185,7 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
         return 0.0, np.zeros_like(logits)
     if targets.min() < 0 or targets.max() >= logits.shape[1]:
         raise InvalidConfig("target class outside the logits range")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = log_softmax(logits)
     n = len(targets)
     loss = float(-log_probs[np.arange(n), targets].mean())
     grad = np.exp(log_probs)
@@ -258,16 +253,16 @@ def compute_gradients(
     targets_cur = remap_semantic(labels.semantic, state.class_to_index)
     targets_fused = remap_semantic(fused_scan.labels.semantic, state.class_to_index)
 
-    seg_s, d_logits_s = cross_entropy(student_out.logits.logits, targets_cur)
-    seg_t, d_logits_t = cross_entropy(teacher_out.logits.logits, targets_fused)
+    seg_s, d_logits_s = cross_entropy(student_out.logits, targets_cur)
+    seg_t, d_logits_t = cross_entropy(teacher_out.logits, targets_fused)
 
     # The fused cloud's first n_cur rows are the current scan, row for row.
-    t_enc = teacher_out.feat_encoder.features[:n_cur]
-    t_head = teacher_out.feat_head.features[:n_cur]
-    t_logits = teacher_out.logits.logits[:n_cur]
-    s_enc = student_out.feat_encoder.features
-    s_head = student_out.feat_head.features
-    s_logits = student_out.logits.logits
+    t_enc = teacher_out.encoder[:n_cur]
+    t_head = teacher_out.head[:n_cur]
+    t_logits = teacher_out.logits[:n_cur]
+    s_enc = student_out.encoder
+    s_head = student_out.head
+    s_logits = student_out.logits
 
     hard_idx, instances = distill_rows(labels, state.hard_classes)
 
@@ -309,11 +304,11 @@ def compute_gradients(
         d_h3_extra += b4 * g_iaad
 
     student_grads = _backward(
-        state.student, student_out.cache, d_logits, d_h2_extra, d_h3_extra
+        state.student, student_out, d_logits, d_h2_extra, d_h3_extra
     )
     teacher_grads = None
     if b1 != 0.0:
-        teacher_grads = _backward(state.teacher, teacher_out.cache, b1 * d_logits_t)
+        teacher_grads = _backward(state.teacher, teacher_out, b1 * d_logits_t)
     return breakdown, student_grads, teacher_grads
 
 
@@ -349,14 +344,14 @@ def supervised_step(
     """Distillation-free baseline: one cross-entropy step on a single scan."""
     out = forward(params, scan)
     targets = remap_semantic(labels.semantic, class_to_index)
-    loss, d_logits = cross_entropy(out.logits.logits, targets)
-    grads = _backward(params, out.cache, d_logits)
+    loss, d_logits = cross_entropy(out.logits, targets)
+    grads = _backward(params, out, d_logits)
     return _sgd(params, grads, learning_rate), loss
 
 
 def predict(params: ToyNetParams, cloud: PointCloud) -> np.ndarray:
     """Per-point argmax class indices."""
-    return np.argmax(forward(params, cloud).logits.logits, axis=1)
+    return np.argmax(forward(params, cloud).logits, axis=1)
 
 
 def evaluate(

@@ -142,6 +142,43 @@ def test_fuse_flags_override_config_file(seq_dir, tmp_path):
     assert origins_b == {-1, -2}
 
 
+@pytest.mark.parametrize("line", ["moving_threshold = nan", "windw = 1"])
+def test_fuse_nan_value_or_unknown_key_is_data_error(seq_dir, tmp_path, capsys, line):
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "fused"
+    code = main(
+        ["fuse", "--seq", str(seq_dir), "--scan", "4", "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 2
+    assert not (tmp_path / "fused.bin").exists()
+
+
+def test_train_toy_nan_config_value_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("smooth_l1_T = nan\n")
+    assert main(["train-toy", "--steps", "1", "--scans", "3", "--config", str(cfg)]) == 2
+    assert "smooth_l1_T" in capsys.readouterr().err
+
+
+def test_gen_instances_nan_stop_distance_is_data_error(seq_dir, tmp_path, capsys):
+    code = main(
+        [
+            "gen-instances",
+            str(seq_dir / "velodyne" / "000004.bin"),
+            str(seq_dir / "labels" / "000004.label"),
+            "--class",
+            "81",
+            "--stop-distance",
+            "nan",
+            "--out",
+            str(tmp_path / "updated.label"),
+        ]
+    )
+    assert code == 2
+    assert "stop_distance" in capsys.readouterr().err
+
+
 def test_gen_instances_cli(tmp_path, capsys):
     config = SyntheticConfig(
         n_scans=1,

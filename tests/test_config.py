@@ -1,9 +1,17 @@
+from functools import partial
+
 import pytest
 
-from scanfuse.config import distill_config_from, fusion_config_from
+from scanfuse.config import (
+    distill_config_from,
+    fusion_config_from,
+    load_kv_file,
+    parse_kv_text,
+)
 from scanfuse.distill import DistillConfig
 from scanfuse.errors import InvalidConfig
 from scanfuse.fusion import FusionConfig
+from scanfuse.instance_gen import InstanceGenConfig
 from scanfuse.registration import RegistrationConfig
 
 
@@ -70,3 +78,54 @@ def test_each_distill_key_overrides_only_its_field(key, value, expected):
 def test_malformed_values_are_invalid_config(build, values):
     with pytest.raises(InvalidConfig):
         build(values)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (partial(InstanceGenConfig, target_class=81), "stop_distance"),
+        (partial(InstanceGenConfig, target_class=81), "min_cluster_points"),
+        (FusionConfig, "window"),
+        (FusionConfig, "moving_threshold"),
+        (RegistrationConfig, "max_iterations"),
+        (RegistrationConfig, "convergence_tol"),
+        (RegistrationConfig, "max_correspondence_dist"),
+        (DistillConfig, "smooth_l1_T"),
+        (DistillConfig, "temperature_P"),
+    ],
+)
+def test_nan_field_is_invalid_config(make, field):
+    with pytest.raises(InvalidConfig, match=field):
+        make(**{field: float("nan")})
+
+
+def test_unknown_key_is_invalid_config():
+    with pytest.raises(InvalidConfig, match="windw"):
+        parse_kv_text("window = 2\nwindw = 1\n")
+
+
+def test_one_file_carries_every_fusion_and_distill_key(tmp_path):
+    path = tmp_path / "train.cfg"
+    path.write_text(
+        "# train-toy reads one file for both configs\n"
+        "hard_classes = 18, 81\n"
+        "window = 2\n"
+        "moving_threshold = 0.5\n"
+        "max_iterations = 7\n"
+        "convergence_tol = 0.01\n"
+        "max_correspondence_dist = 2.5\n"
+        "smooth_l1_T = 2\n"
+        "temperature_P = 3\n"
+        "beta1 = 0.7\n"
+        "beta2 = 0.2\n"
+        "beta3 = 0.3\n"
+        "beta4 = 0.4\n"
+    )
+    values = load_kv_file(path)
+    assert fusion_config_from(values) == FusionConfig(
+        hard_classes={18, 81},
+        window=2,
+        moving_threshold=0.5,
+        registration=RegistrationConfig(7, 0.01, 2.5),
+    )
+    assert distill_config_from(values) == DistillConfig(2.0, 3.0, (0.7, 0.2, 0.3, 0.4))

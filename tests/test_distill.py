@@ -82,6 +82,13 @@ def test_feature_loss_rejects_non_finite():
 # --- soft logits KL -------------------------------------------------------
 
 
+@pytest.mark.parametrize("loss", [feature_distill_loss, soft_logits_kl_loss])
+def test_nan_loss_parameter_is_invalid_config(loss):
+    rows = np.ones((2, 3))
+    with pytest.raises(InvalidConfig):
+        loss(rows, rows, float("nan"))
+
+
 def test_kl_zero_at_equality():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(6, 4))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from scanfuse.geometry import (
-    Frame,
     RigidTransform,
     apply_points,
     apply_transform,
@@ -89,14 +88,6 @@ def test_apply_transform_quarter_turn():
     t = RigidTransform(rotation_about_z(np.pi / 2), np.zeros(3))
     out = apply_transform(t, cloud)
     assert np.abs(out.points - [[0.0, 1.0, 0.0]]).max() < 1e-12
-
-
-def test_apply_transform_frame_override():
-    cloud = PointCloud(np.zeros((1, 3)), np.zeros(1), Frame.SENSOR)
-    out = apply_transform(RigidTransform.identity(), cloud, frame=Frame.WORLD)
-    assert out.frame is Frame.WORLD
-    kept = apply_transform(RigidTransform.identity(), cloud)
-    assert kept.frame is Frame.SENSOR
 
 
 def test_transforms_are_isometries():

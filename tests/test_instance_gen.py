@@ -71,6 +71,13 @@ def test_fps_empty_input():
         farthest_point_sample(np.empty((0, 3)), 1.0)
 
 
+@pytest.mark.parametrize("stop_distance", [0.0, -1.0, float("nan")])
+def test_fps_rejects_stop_distance_not_above_zero(stop_distance):
+    points = np.array([[0.0, 0, 0], [1.0, 0, 0], [10.0, 0, 0]])
+    with pytest.raises(InvalidConfig):
+        farthest_point_sample(points, stop_distance)
+
+
 def test_fps_pairwise_distances_at_least_stop_distance():
     rng = np.random.default_rng(21)
     for _ in range(20):

@@ -10,7 +10,7 @@ from scanfuse.errors import (
     MalformedPose,
     MalformedScan,
 )
-from scanfuse.geometry import Frame, RigidTransform, rotation_about_z
+from scanfuse.geometry import RigidTransform, rotation_about_z
 from scanfuse.kitti_io import (
     LabelSet,
     PointCloud,
@@ -46,7 +46,6 @@ def test_parse_scan_single_point():
     assert len(cloud) == 1
     assert np.array_equal(cloud.points, [[1.0, 2.0, 3.0]])
     assert np.array_equal(cloud.remission, [0.5])
-    assert cloud.frame is Frame.SENSOR
 
 
 def test_parse_scan_empty():

@@ -41,7 +41,7 @@ def test_forward_zero_weights_zero_logits():
     rng = np.random.default_rng(0)
     cloud = PointCloud(rng.uniform(-10, 10, size=(13, 3)), rng.uniform(0, 1, 13))
     out = forward(params, cloud)
-    assert np.array_equal(out.logits.logits, np.zeros((13, 3)))
+    assert np.array_equal(out.logits, np.zeros((13, 3)))
 
 
 def test_forward_hand_computed_tiny_net():
@@ -63,9 +63,9 @@ def test_forward_hand_computed_tiny_net():
     h3 = np.tanh(h2 * 1.5 + 0.05)
     expected = np.array([h3[0] * 1.0 + 0.0, h3[0] * -1.0 + 0.3])
     out = forward(params, cloud)
-    assert np.abs(out.logits.logits[0] - expected).max() < 1e-15
-    assert np.abs(out.feat_encoder.features[0] - h2).max() < 1e-15
-    assert np.abs(out.feat_head.features[0] - h3).max() < 1e-15
+    assert np.abs(out.logits[0] - expected).max() < 1e-15
+    assert np.abs(out.encoder[0] - h2).max() < 1e-15
+    assert np.abs(out.head[0] - h3).max() < 1e-15
 
 
 def test_forward_is_permutation_equivariant():
@@ -76,8 +76,8 @@ def test_forward_is_permutation_equivariant():
     permuted = PointCloud(cloud.points[perm], cloud.remission[perm])
     out = forward(params, cloud)
     out_p = forward(params, permuted)
-    assert np.array_equal(out.logits.logits[perm], out_p.logits.logits)
-    assert np.array_equal(out.feat_head.features[perm], out_p.feat_head.features)
+    assert np.array_equal(out.logits[perm], out_p.logits)
+    assert np.array_equal(out.head[perm], out_p.head)
 
 
 # --- train_step -------------------------------------------------------
