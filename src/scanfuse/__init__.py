@@ -35,7 +35,6 @@ from .fusion import (
 from .geometry import (
     RigidTransform,
     apply_points,
-    apply_transform,
     compose,
     invert,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "accumulate_confusion",
     "affinity_matrix",
     "apply_points",
-    "apply_transform",
     "build_instance_db",
     "centroid_align",
     "classify_motion",

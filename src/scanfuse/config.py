@@ -3,7 +3,8 @@
 Used by the CLI for FusionConfig and DistillConfig; command-line flags
 override file values. The format is deliberately diffable: ``#`` comments,
 blank lines allowed, values parsed by the consumer; a key outside
-``RECOGNIZED_KEYS`` is an error, so a typo cannot fall back to a default.
+``RECOGNIZED_KEYS`` or a key set twice is an error, so a typo cannot fall
+back to a default and a stray line cannot silently win.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ RECOGNIZED_KEYS = frozenset(
 
 def parse_kv_text(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    seen_at: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -38,6 +40,11 @@ def parse_kv_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in RECOGNIZED_KEYS:
             raise InvalidConfig(f"config line {line_no}: unknown key {key!r}")
+        if key in seen_at:
+            raise InvalidConfig(
+                f"config line {line_no}: key {key!r} already set on line {seen_at[key]}"
+            )
+        seen_at[key] = line_no
         values[key] = value.strip()
     return values
 

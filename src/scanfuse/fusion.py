@@ -25,6 +25,7 @@ from .errors import (
     InvalidConfig,
     MissingLabels,
     NoOverlap,
+    ScanFuseError,
 )
 from .geometry import RigidTransform, apply_points, compose, invert, rotation_about_z
 from .kitti_io import (
@@ -77,8 +78,6 @@ class InstanceTrack:
 @dataclass
 class PasteRecord:
     key: tuple[str, int, int]
-    yaw: float
-    target_xy: tuple[float, float]
     transform: RigidTransform
     new_instance_id: int
 
@@ -358,14 +357,29 @@ def _quantized(cloud: PointCloud) -> PointCloud:
 
 @dataclass(eq=False)
 class InstancePair:
-    """One instance as seen in a single scan and in its fused form."""
+    """One instance in its fused form, in the ``FusedScan`` layout.
+
+    The first ``n_single`` rows of ``fused_cloud``/``fused_labels`` are the
+    instance as seen in scan ``key[1]`` alone (the student's view); the rest
+    are its points appended from past scans (teacher-only density).
+    """
 
     key: tuple[str, int, int]  # (sequence, scan, instance)
     class_id: int
-    single_cloud: PointCloud
-    single_labels: LabelSet
     fused_cloud: PointCloud
     fused_labels: LabelSet
+    n_single: int
+
+    @property
+    def single_cloud(self) -> PointCloud:
+        """The single-scan member: a view of the first ``n_single`` rows."""
+        cloud = self.fused_cloud
+        return PointCloud(cloud.points[: self.n_single], cloud.remission[: self.n_single])
+
+    @property
+    def single_labels(self) -> LabelSet:
+        labels = self.fused_labels
+        return LabelSet(labels.semantic[: self.n_single], labels.instance[: self.n_single])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InstancePair):
@@ -373,8 +387,7 @@ class InstancePair:
         return (
             self.key == other.key
             and self.class_id == other.class_id
-            and self.single_cloud == other.single_cloud
-            and self.single_labels == other.single_labels
+            and self.n_single == other.n_single
             and self.fused_cloud == other.fused_cloud
             and self.fused_labels == other.fused_labels
         )
@@ -393,7 +406,8 @@ class InstanceDatabase:
         return self.entries == other.entries
 
     def save(self, path: str | Path) -> None:
-        """Persist as one directory per entry plus a manifest of keys."""
+        """Persist as one directory per entry (``fused.bin``, ``fused.label``)
+        plus a manifest of ``seq scan instance class_id n_single dirname``."""
         path = Path(path)
         try:
             path.mkdir(parents=True, exist_ok=True)
@@ -403,14 +417,10 @@ class InstanceDatabase:
                 dirname = f"{seq_name}_{scan:06d}_{instance:06d}"
                 entry_dir = path / dirname
                 entry_dir.mkdir(exist_ok=True)
-                (entry_dir / "single.bin").write_bytes(write_scan(entry.single_cloud))
-                (entry_dir / "single.label").write_bytes(
-                    write_labels(entry.single_labels)
-                )
                 (entry_dir / "fused.bin").write_bytes(write_scan(entry.fused_cloud))
                 (entry_dir / "fused.label").write_bytes(write_labels(entry.fused_labels))
                 manifest_lines.append(
-                    f"{seq_name} {scan} {instance} {entry.class_id} {dirname}"
+                    f"{seq_name} {scan} {instance} {entry.class_id} {entry.n_single} {dirname}"
                 )
             (path / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")
         except OSError as exc:
@@ -423,21 +433,29 @@ class InstanceDatabase:
         if not manifest.is_file():
             raise FileNotFoundError(f"no manifest.txt under {path}")
         entries: list[InstancePair] = []
-        for line in manifest.read_text().splitlines():
+        for line_no, line in enumerate(manifest.read_text().splitlines(), start=1):
             if not line.strip():
                 continue
-            seq_name, scan, instance, class_id, dirname = line.split()
+            where = f"{manifest} line {line_no} {line!r}"
+            fields = line.split()
+            if len(fields) != 6:
+                raise ScanFuseError(f"{where}: expected 6 fields, got {len(fields)}")
+            seq_name, *numbers, dirname = fields
+            try:
+                scan, instance, class_id, n_single = (int(v) for v in numbers)
+            except ValueError:
+                raise ScanFuseError(f"{where}: non-integer field") from None
             entry_dir = path / dirname
+            cloud = parse_scan((entry_dir / "fused.bin").read_bytes())
+            if not 1 <= n_single <= len(cloud):
+                raise ScanFuseError(f"{where}: n_single outside 1..{len(cloud)}")
             entries.append(
                 InstancePair(
-                    key=(seq_name, int(scan), int(instance)),
-                    class_id=int(class_id),
-                    single_cloud=parse_scan((entry_dir / "single.bin").read_bytes()),
-                    single_labels=parse_labels(
-                        (entry_dir / "single.label").read_bytes()
-                    ),
-                    fused_cloud=parse_scan((entry_dir / "fused.bin").read_bytes()),
+                    key=(seq_name, scan, instance),
+                    class_id=class_id,
+                    fused_cloud=cloud,
                     fused_labels=parse_labels((entry_dir / "fused.label").read_bytes()),
+                    n_single=n_single,
                 )
             )
         return cls(entries=entries)
@@ -461,20 +479,17 @@ def build_instance_db(
             continue
         current = seq.scans[scan_t]
         for track, app_cloud, app_labels, _, _ in _fused_instances(seq, scan_t, config):
-            single_cloud, single_labels = _rows(
-                current, cur_labels, track.point_indices[-1]
-            )
-            fused_cloud, fused_labels = _concat(
-                [(single_cloud, single_labels), (app_cloud, app_labels)]
+            single = track.point_indices[-1]
+            cloud, labels = _concat(
+                [_rows(current, cur_labels, single), (app_cloud, app_labels)]
             )
             entries.append(
                 InstancePair(
                     key=(seq.name, scan_t, track.instance_id),
                     class_id=track.class_id,
-                    single_cloud=_quantized(single_cloud),
-                    single_labels=single_labels,
-                    fused_cloud=_quantized(fused_cloud),
-                    fused_labels=fused_labels,
+                    fused_cloud=_quantized(cloud),
+                    fused_labels=labels,
+                    n_single=len(single),
                 )
             )
     db = InstanceDatabase(entries=entries)
@@ -498,11 +513,12 @@ def sample_and_paste(
 ) -> FusedScan:
     """Paste ``n`` database pairs into a fused scan, synchronized.
 
-    Each draw picks one entry and one shared transform (random yaw about the
-    instance centroid plus a planar move within the current scene bounds);
-    the single-scan member lands in the student-visible region, the fused
-    member in the appended region, both under the same transform and a fresh
-    instance ID.
+    Each draw picks one entry and one transform (random yaw about the
+    single-scan centroid plus a planar move within the current scene bounds)
+    and moves the entry's fused rows under a fresh instance ID. The first
+    ``n_single`` of them land in the student-visible region, the rest in the
+    appended region, so the teacher sees each pasted row once, as it does
+    for the real instances of ``fuse_scan``.
     """
     if n < 0:
         raise InvalidConfig("n must be >= 0")
@@ -523,7 +539,7 @@ def sample_and_paste(
     next_id = int(scan.labels.instance.max()) + 1 if len(scan.labels) else 1
 
     singles: list[tuple[PointCloud, LabelSet]] = []
-    fused: list[tuple[PointCloud, LabelSet]] = []
+    appended: list[tuple[PointCloud, LabelSet]] = []
     records: list[PasteRecord] = []
 
     for _ in range(n):
@@ -538,16 +554,11 @@ def sample_and_paste(
         target = np.array([tx, ty, pivot[2]])
         transform = RigidTransform(rot, target - rot @ pivot)
 
-        singles.append(_placed(entry.single_cloud, entry.single_labels, transform, next_id))
-        fused.append(_placed(entry.fused_cloud, entry.fused_labels, transform, next_id))
+        cloud, labels = _placed(entry.fused_cloud, entry.fused_labels, transform, next_id)
+        singles.append(_rows(cloud, labels, slice(None, entry.n_single)))
+        appended.append(_rows(cloud, labels, slice(entry.n_single, None)))
         records.append(
-            PasteRecord(
-                key=entry.key,
-                yaw=yaw,
-                target_xy=(tx, ty),
-                transform=transform,
-                new_instance_id=next_id,
-            )
+            PasteRecord(key=entry.key, transform=transform, new_instance_id=next_id)
         )
         next_id += 1
 
@@ -556,11 +567,11 @@ def sample_and_paste(
         [_rows(scan.cloud, scan.labels, slice(None, nc))]
         + singles
         + [_rows(scan.cloud, scan.labels, slice(nc, None))]
-        + fused
+        + appended
     )
-    n_pasted_fused = sum(len(c) for c, _ in fused)
+    n_pasted_appended = sum(len(c) for c, _ in appended)
     origin = np.concatenate(
-        [scan.origin_index, np.zeros(n_pasted_fused, dtype=np.int64)]
+        [scan.origin_index, np.zeros(n_pasted_appended, dtype=np.int64)]
     )
 
     return FusedScan(

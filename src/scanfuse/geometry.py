@@ -84,14 +84,6 @@ def apply_points(t: RigidTransform, points: np.ndarray) -> np.ndarray:
     return points @ t.rotation.T + t.translation
 
 
-def apply_transform(t: RigidTransform, cloud):
-    """Apply a transform to every point of a cloud; remission is carried
-    through unchanged."""
-    from .kitti_io import PointCloud  # local import to avoid a cycle
-
-    return PointCloud(apply_points(t, cloud.points), cloud.remission.copy())
-
-
 def rotation_about_z(angle: float) -> np.ndarray:
     """3x3 rotation by ``angle`` radians about the +z axis."""
     c, s = np.cos(angle), np.sin(angle)

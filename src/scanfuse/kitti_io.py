@@ -25,6 +25,7 @@ from .errors import (
     MalformedLabel,
     MalformedPose,
     MalformedScan,
+    ScanFuseError,
 )
 from .geometry import RigidTransform, compose, invert
 
@@ -212,24 +213,29 @@ def write_labels(labels: LabelSet) -> bytes:
     return labels.packed().astype("<u4").tobytes()
 
 
-def _parse_pose_line(line: str, line_no: int) -> RigidTransform:
-    tokens = line.split()
+def _parse_3x4(
+    tokens: list[str], error: type[ScanFuseError], where: str
+) -> RigidTransform:
+    """A rigid transform from 12 row-major 3x4 values; ``error`` names ``where``."""
     if len(tokens) != 12:
-        raise MalformedPose(
-            f"pose line {line_no}: expected 12 values, got {len(tokens)}"
-        )
+        raise error(f"{where}: expected 12 values, got {len(tokens)}")
     try:
         values = [float(t) for t in tokens]
     except ValueError as exc:
-        raise MalformedPose(f"pose line {line_no}: {exc}") from None
+        raise error(f"{where}: {exc}") from None
     m = np.array(values, dtype=np.float64).reshape(3, 4)
     t = RigidTransform(m[:, :3], m[:, 3])
     if t.rigidity_error() > 1e-4:
-        raise MalformedPose(
-            f"pose line {line_no}: rotation not orthonormal "
+        raise error(
+            f"{where}: rotation not orthonormal "
             f"(error {t.rigidity_error():.3e} > 1e-4)"
         )
     return t
+
+
+def _format_3x4(t: RigidTransform) -> str:
+    m = np.hstack([t.rotation, t.translation.reshape(3, 1)])
+    return " ".join(repr(float(v)) for v in m.reshape(-1))
 
 
 def parse_poses(text: str, calib: RigidTransform) -> list[RigidTransform]:
@@ -244,7 +250,7 @@ def parse_poses(text: str, calib: RigidTransform) -> list[RigidTransform]:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        cam_pose = _parse_pose_line(line, line_no)
+        cam_pose = _parse_3x4(line.split(), MalformedPose, f"pose line {line_no}")
         poses.append(compose(calib_inv, compose(cam_pose, calib)))
     return poses
 
@@ -254,37 +260,20 @@ def write_poses(poses: list[RigidTransform], calib: RigidTransform) -> str:
     calib_inv = invert(calib)
     lines = []
     for pose in poses:
-        cam = compose(calib, compose(pose, calib_inv))
-        m = np.hstack([cam.rotation, cam.translation.reshape(3, 1)])
-        lines.append(" ".join(repr(float(v)) for v in m.reshape(-1)))
+        lines.append(_format_3x4(compose(calib, compose(pose, calib_inv))))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_calib(text: str) -> RigidTransform:
     """Extract the velodyne-to-camera transform from a calib file."""
     for line in text.splitlines():
-        if not line.startswith("Tr:"):
-            continue
-        tokens = line[3:].split()
-        if len(tokens) != 12:
-            raise MalformedCalib(f"Tr line has {len(tokens)} values, expected 12")
-        try:
-            values = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise MalformedCalib(str(exc)) from None
-        m = np.array(values, dtype=np.float64).reshape(3, 4)
-        t = RigidTransform(m[:, :3], m[:, 3])
-        if t.rigidity_error() > 1e-4:
-            raise MalformedCalib(
-                f"calib rotation not orthonormal (error {t.rigidity_error():.3e})"
-            )
-        return t
+        if line.startswith("Tr:"):
+            return _parse_3x4(line[3:].split(), MalformedCalib, "calib Tr line")
     raise MalformedCalib("no line starting with 'Tr:' found")
 
 
 def write_calib(calib: RigidTransform) -> str:
-    m = np.hstack([calib.rotation, calib.translation.reshape(3, 1)])
-    return "Tr: " + " ".join(repr(float(v)) for v in m.reshape(-1)) + "\n"
+    return "Tr: " + _format_3x4(calib) + "\n"
 
 
 def parse_class_map(text: str) -> dict[int, tuple[int, str]]:

@@ -142,7 +142,14 @@ def test_fuse_flags_override_config_file(seq_dir, tmp_path):
     assert origins_b == {-1, -2}
 
 
-@pytest.mark.parametrize("line", ["moving_threshold = nan", "windw = 1"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "moving_threshold = nan",
+        "windw = 1",
+        pytest.param("window = 1\nwindow = 3", id="duplicate-key"),
+    ],
+)
 def test_fuse_nan_value_or_unknown_key_is_data_error(seq_dir, tmp_path, capsys, line):
     cfg = tmp_path / "fusion.cfg"
     cfg.write_text(line + "\n")
@@ -227,10 +234,9 @@ def test_build_augdb_cli(seq_dir, tmp_path, capsys):
     assert code == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert len(manifest) > 0
-    # on-disk layout: one directory per entry with the four members
+    # on-disk layout: one directory per entry holding the fused rows
     first_dir = out / manifest[0].split()[-1]
-    for member in ["single.bin", "single.label", "fused.bin", "fused.label"]:
-        assert (first_dir / member).is_file()
+    assert sorted(p.name for p in first_dir.iterdir()) == ["fused.bin", "fused.label"]
 
 
 def test_loss_check_cli(capsys):

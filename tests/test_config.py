@@ -104,6 +104,11 @@ def test_unknown_key_is_invalid_config():
         parse_kv_text("window = 2\nwindw = 1\n")
 
 
+def test_duplicate_key_is_invalid_config_naming_both_lines():
+    with pytest.raises(InvalidConfig, match=r"line 3: key 'window' already set on line 1"):
+        parse_kv_text("window = 1\n# the same key again\nwindow = 3\n")
+
+
 def test_one_file_carries_every_fusion_and_distill_key(tmp_path):
     path = tmp_path / "train.cfg"
     path.write_text(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from scanfuse.errors import EmptyDatabase, InstanceNotFound, MissingLabels
+from scanfuse.errors import EmptyDatabase, InstanceNotFound, MissingLabels, ScanFuseError
 from scanfuse.fusion import (
     FusionConfig,
     InstanceDatabase,
@@ -259,6 +259,27 @@ def test_db_roundtrips_through_disk(scene, tmp_path):
     assert InstanceDatabase.load(tmp_path / "augdb") == db
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda fields, rows: fields[:-1], "expected 6 fields, got 5"),
+        (lambda fields, rows: fields + ["extra"], "expected 6 fields, got 7"),
+        (lambda fields, rows: fields[:3] + ["81.0"] + fields[4:], "non-integer field"),
+        (lambda fields, rows: fields[:4] + ["x"] + fields[5:], "non-integer field"),
+        (lambda fields, rows: fields[:4] + ["0"] + fields[5:], "n_single outside"),
+        (lambda fields, rows: fields[:4] + [str(rows + 1)] + fields[5:], "n_single outside"),
+    ],
+)
+def test_db_load_rejects_a_bad_manifest_line(scene, tmp_path, edit, message):
+    db = build_instance_db(scene.data, FusionConfig(), tmp_path / "augdb")
+    manifest = tmp_path / "augdb" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines[1] = " ".join(edit(lines[1].split(), len(db.entries[1].fused_cloud)))
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScanFuseError, match=f"line 2 .*{message}"):
+        InstanceDatabase.load(tmp_path / "augdb")
+
+
 def test_db_fused_member_is_denser_than_single(scene):
     db = build_instance_db(scene.data, FusionConfig())
     latest = [e for e in db.entries if e.key[1] == 4]
@@ -335,13 +356,40 @@ def test_paste_members_share_one_transform(scene):
     record = out.pastes[0]
     entry = next(e for e in db.entries if e.key == record.key)
 
+    moved = apply_points(record.transform, entry.fused_cloud.points)
     pasted_single = out.cloud.points[fused.n_current : out.n_current]
-    expected_single = apply_points(record.transform, entry.single_cloud.points)
-    assert np.array_equal(pasted_single, expected_single)
+    assert np.array_equal(pasted_single, moved[: entry.n_single])
 
-    pasted_fused = out.cloud.points[out.n_current + fused.n_appended :]
-    expected_fused = apply_points(record.transform, entry.fused_cloud.points)
-    assert np.array_equal(pasted_fused, expected_fused)
+    pasted_appended = out.cloud.points[out.n_current + fused.n_appended :]
+    assert np.array_equal(pasted_appended, moved[entry.n_single :])
+
+
+def test_each_pasted_instance_adds_its_fused_rows_once(scene):
+    """A pasted pair contributes len(fused_cloud) rows, as a real instance of
+    fuse_scan does: n_single to the student prefix, the rest after the old
+    appended region, all moved by the record's transform."""
+    fused = fuse_scan(scene.data, 4, FusionConfig())
+    db = build_instance_db(scene.data, FusionConfig())
+    out = sample_and_paste(fused, db, 6, rng_seed=11)
+    entries = {e.key: e for e in db.entries}
+    pasted = [entries[r.key] for r in out.pastes]
+    assert any(len(e.fused_cloud) > e.n_single for e in pasted)
+    assert len(out.cloud) == len(fused.cloud) + sum(len(e.fused_cloud) for e in pasted)
+    assert out.n_current == fused.n_current + sum(e.n_single for e in pasted)
+
+    tail_start = out.n_current + fused.n_appended
+    for record, entry in zip(out.pastes, pasted):
+        rows = np.flatnonzero(out.labels.instance == record.new_instance_id)
+        head, tail = rows[: entry.n_single], rows[entry.n_single :]
+        assert len(rows) == len(entry.fused_cloud)
+        assert fused.n_current <= head.min() and head.max() < out.n_current
+        assert len(tail) == 0 or tail.min() >= tail_start
+        moved = apply_points(record.transform, entry.fused_cloud.points)
+        assert np.array_equal(out.cloud.points[head], moved[: entry.n_single])
+        assert np.array_equal(out.cloud.points[tail], moved[entry.n_single :])
+        assert np.array_equal(out.cloud.remission[rows], entry.fused_cloud.remission)
+        assert np.array_equal(out.labels.semantic[rows], entry.fused_labels.semantic)
+    assert not out.origin_index[tail_start - out.n_current :].any()
 
 
 def test_paste_is_deterministic(scene):

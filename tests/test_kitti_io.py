@@ -208,6 +208,19 @@ def test_parse_calib_missing_tr_line():
         parse_calib("P0: 1 0 0 0 0 1 0 0 0 0 1 0\n")
 
 
+@pytest.mark.parametrize(
+    "tr, message",
+    [
+        ("1 0 0 0.5 0 1 0 0 0 0 1", "expected 12 values, got 11"),
+        ("1 0 0 0.5 0 1 0 0 0 0 1 x", "could not convert"),
+        ("1 0.01 0 0.5 0 1 0 0 0 0 1 0", "not orthonormal"),
+    ],
+)
+def test_parse_calib_malformed_tr_line(tr, message):
+    with pytest.raises(MalformedCalib, match=message):
+        parse_calib(f"Tr: {tr}\n")
+
+
 def test_calib_text_roundtrip():
     calib = RigidTransform(rotation_about_z(0.1), np.array([0.1, 0.2, 0.3]))
     assert write_calib(parse_calib(write_calib(calib))) == write_calib(calib)
