@@ -51,6 +51,7 @@ from .kitti_io import (
     PointCloud,
     SequenceData,
     SequenceIndex,
+    instance_rows,
     load_sequence_index,
     parse_calib,
     parse_class_map,
@@ -136,6 +137,7 @@ __all__ = [
     "generate_instance_ids",
     "iaad_loss",
     "icp_register",
+    "instance_rows",
     "invert",
     "load_sequence_index",
     "make_synthetic_sequence",

@@ -182,7 +182,8 @@ def _cmd_fuse(args) -> int:
 def _cmd_build_augdb(args) -> int:
     index = load_sequence_index(args.seq)
     config = _load_fusion_config(args)
-    db = build_instance_db(index, config, args.out)
+    db = build_instance_db(index, config)
+    db.save(args.out)
     print(f"stored {len(db)} instance pairs in {args.out}", file=sys.stderr)
     return 0
 

@@ -34,6 +34,7 @@ from .kitti_io import (
     PointCloud,
     SequenceData,
     SequenceIndex,
+    instance_rows,
     parse_labels,
     parse_scan,
     write_labels,
@@ -130,55 +131,42 @@ def _as_data(seq: SequenceData | SequenceIndex) -> SequenceData:
     return seq
 
 
-def _instance_class_at(labels: LabelSet, instance_id: int) -> int:
-    """Majority semantic class of an instance (ties: lowest class ID)."""
-    mask = labels.instance == instance_id
-    if not mask.any():
-        raise InstanceNotFound(f"instance {instance_id} has no points in this scan")
-    classes, counts = np.unique(labels.semantic[mask], return_counts=True)
-    return int(classes[np.argmax(counts)])
+def _window(seq: SequenceData, scan_t: int, window: int) -> range:
+    """Scans [t-K, t] of scan t's fusion window; each must be labelled."""
+    scans = range(max(0, scan_t - window), scan_t + 1)
+    for s in scans:
+        if seq.labels[s] is None:
+            raise MissingLabels(f"scan {s} inside the fusion window has no labels")
+    return scans
 
 
 def gather_instance_track(
-    seq: SequenceData | SequenceIndex,
+    seq: SequenceData,
+    rows: dict[int, dict[int, np.ndarray]],
     scan_t: int,
-    instance_id: int,
+    label: int,
     window: int,
 ) -> InstanceTrack:
-    """Collect an instance's point indices over [t-K, t].
+    """Collect the rows of one instance over [t-K, t].
 
-    The instance's class is taken from the current scan; membership in past
-    scans requires both the instance ID and that class, so ID collisions
-    across classes do not pollute the track.
+    ``label`` is the instance's packed ``(instance << 16) | semantic`` label
+    and ``rows[s]`` is ``instance_rows(seq.labels[s])`` for each scan s of
+    the window, so an ID shared by two classes is two instances.
     """
-    seq = _as_data(seq)
-    if not 0 <= scan_t < len(seq):
-        raise IndexError(f"scan {scan_t} out of range for sequence of {len(seq)}")
-    labels_t = seq.labels[scan_t]
-    if labels_t is None:
-        raise MissingLabels(f"scan {scan_t} has no labels")
-    class_id = _instance_class_at(labels_t, instance_id)
-
+    if label not in rows[scan_t]:
+        raise InstanceNotFound(f"instance label {label:#x} has no points in scan {scan_t}")
     scan_indices = list(range(max(0, scan_t - window), scan_t + 1))
-    point_indices: list[np.ndarray] = []
-    centroids: list[np.ndarray | None] = []
-    for s in scan_indices:
-        labels_s = seq.labels[s]
-        if labels_s is None:
-            raise MissingLabels(f"scan {s} has no labels")
-        idx = np.flatnonzero(
-            (labels_s.instance == instance_id) & (labels_s.semantic == class_id)
-        )
-        point_indices.append(idx)
-        centroids.append(
-            seq.scans[s].points[idx].mean(axis=0) if len(idx) else None
-        )
+    absent = np.empty(0, dtype=np.intp)
+    point_indices = [rows[s].get(label, absent) for s in scan_indices]
     return InstanceTrack(
-        instance_id=int(instance_id),
-        class_id=class_id,
+        instance_id=label >> 16,
+        class_id=label & 0xFFFF,
         scan_indices=scan_indices,
         point_indices=point_indices,
-        sensor_centroids=centroids,
+        sensor_centroids=[
+            seq.scans[s].points[idx].mean(axis=0) if len(idx) else None
+            for s, idx in zip(scan_indices, point_indices)
+        ],
     )
 
 
@@ -252,9 +240,7 @@ def _fuse_instance(
     for s, idx in zip(track.scan_indices[:-1], track.point_indices[:-1]):
         if len(idx) == 0:
             continue
-        labels_s = seq.labels[s]
-        assert labels_s is not None  # guaranteed by gather_instance_track
-        cloud, labels = _rows(seq.scans[s], labels_s, idx)
+        cloud, labels = _rows(seq.scans[s], seq.labels[s], idx)
         pts = apply_points(compose(t_inv, seq.poses[s]), cloud.points)
         if motion is Motion.MOVING and len(cur_pts) > 0:
             init = centroid_align(pts, cur_pts)
@@ -275,28 +261,26 @@ def _fuse_instance(
     return cloud, labels, np.concatenate(origins), warnings
 
 
-def _hard_instance_ids(labels: LabelSet, hard_classes: frozenset[int]) -> list[int]:
-    mask = np.isin(labels.semantic, list(hard_classes)) & (labels.instance > 0)
-    return [int(i) for i in np.unique(labels.instance[mask])]
-
-
 def _fused_instances(
-    seq: SequenceData, scan_t: int, config: FusionConfig
+    seq: SequenceData,
+    rows: dict[int, dict[int, np.ndarray]],
+    scan_t: int,
+    config: FusionConfig,
 ) -> Iterator[
     tuple[InstanceTrack, PointCloud, LabelSet, np.ndarray, list[tuple[int, int]]]
 ]:
     """The one track -> classify -> fuse loop behind ``fuse_scan`` and
     ``build_instance_db``.
 
-    Yields, in instance-ID order, each kept hard-class instance of labelled
-    scan t: its track, then its appended (cloud, labels, origin, warnings).
+    ``rows`` indexes every scan of scan t's window (see
+    ``gather_instance_track``). Yields, in packed-label order, each
+    hard-class instance of scan t: its track, then its appended (cloud,
+    labels, origin, warnings).
     """
-    labels_t = seq.labels[scan_t]
-    assert labels_t is not None
-    for iid in _hard_instance_ids(labels_t, config.hard_classes):
-        track = gather_instance_track(seq, scan_t, iid, config.window)
-        if track.class_id not in config.hard_classes:
+    for label in rows[scan_t]:
+        if label & 0xFFFF not in config.hard_classes:
             continue
+        track = gather_instance_track(seq, rows, scan_t, label, config.window)
         motion = classify_motion(track, seq.poses, config.moving_threshold)
         yield track, *_fuse_instance(seq, scan_t, track, motion, config)
 
@@ -308,18 +292,13 @@ def fuse_scan(
     seq = _as_data(seq)
     if not 0 <= scan_t < len(seq):
         raise IndexError(f"scan {scan_t} out of range for sequence of {len(seq)}")
-    for s in range(max(0, scan_t - config.window), scan_t + 1):
-        if seq.labels[s] is None:
-            raise MissingLabels(f"scan {s} inside the fusion window has no labels")
+    rows = {s: instance_rows(seq.labels[s]) for s in _window(seq, scan_t, config.window)}
 
     current = seq.scans[scan_t]
-    cur_labels = seq.labels[scan_t]
-    assert cur_labels is not None
-
-    blocks = [(current, cur_labels)]
+    blocks = [(current, seq.labels[scan_t])]
     origins: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     warnings: list[tuple[int, int]] = []
-    for _, cloud, labels, origin, warns in _fused_instances(seq, scan_t, config):
+    for _, cloud, labels, origin, warns in _fused_instances(seq, rows, scan_t, config):
         blocks.append((cloud, labels))
         origins.append(origin)
         warnings.extend(warns)
@@ -414,7 +393,7 @@ class InstanceDatabase:
             manifest_lines = []
             for entry in self.entries:
                 seq_name, scan, instance = entry.key
-                dirname = f"{seq_name}_{scan:06d}_{instance:06d}"
+                dirname = f"{seq_name}_{scan:06d}_{instance:06d}_{entry.class_id:06d}"
                 entry_dir = path / dirname
                 entry_dir.mkdir(exist_ok=True)
                 (entry_dir / "fused.bin").write_bytes(write_scan(entry.fused_cloud))
@@ -447,38 +426,37 @@ class InstanceDatabase:
                 raise ScanFuseError(f"{where}: non-integer field") from None
             entry_dir = path / dirname
             cloud = parse_scan((entry_dir / "fused.bin").read_bytes())
+            labels = parse_labels((entry_dir / "fused.label").read_bytes())
+            if len(labels) != len(cloud):
+                raise ScanFuseError(
+                    f"{where}: {len(labels)} label records for {len(cloud)} points"
+                )
             if not 1 <= n_single <= len(cloud):
                 raise ScanFuseError(f"{where}: n_single outside 1..{len(cloud)}")
             entries.append(
-                InstancePair(
-                    key=(seq_name, scan, instance),
-                    class_id=class_id,
-                    fused_cloud=cloud,
-                    fused_labels=parse_labels((entry_dir / "fused.label").read_bytes()),
-                    n_single=n_single,
-                )
+                InstancePair((seq_name, scan, instance), class_id, cloud, labels, n_single)
             )
         return cls(entries=entries)
 
 
 def build_instance_db(
-    seq: SequenceData | SequenceIndex,
-    config: FusionConfig,
-    out_path: str | Path | None = None,
+    seq: SequenceData | SequenceIndex, config: FusionConfig
 ) -> InstanceDatabase:
     """Store every hard-class instance occurrence with its fused counterpart.
 
-    Coordinates are quantized to the on-disk 32-bit precision so that
-    ``load(save(db)) == db`` holds exactly.
+    Each labelled scan is indexed once and every window holding it shares
+    that index; a labelled scan whose window holds an unlabelled one raises
+    ``MissingLabels``, as in ``fuse_scan``. Coordinates are quantized to the
+    on-disk 32-bit precision so that ``load(save(db)) == db`` holds exactly.
     """
     seq = _as_data(seq)
+    rows = {s: instance_rows(lab) for s, lab in enumerate(seq.labels) if lab is not None}
     entries: list[InstancePair] = []
-    for scan_t in range(len(seq)):
-        cur_labels = seq.labels[scan_t]
-        if cur_labels is None:
-            continue
-        current = seq.scans[scan_t]
-        for track, app_cloud, app_labels, _, _ in _fused_instances(seq, scan_t, config):
+    for scan_t in rows:
+        _window(seq, scan_t, config.window)
+        current, cur_labels = seq.scans[scan_t], seq.labels[scan_t]
+        instances = _fused_instances(seq, rows, scan_t, config)
+        for track, app_cloud, app_labels, _, _ in instances:
             single = track.point_indices[-1]
             cloud, labels = _concat(
                 [_rows(current, cur_labels, single), (app_cloud, app_labels)]
@@ -492,10 +470,7 @@ def build_instance_db(
                     n_single=len(single),
                 )
             )
-    db = InstanceDatabase(entries=entries)
-    if out_path is not None:
-        db.save(out_path)
-    return db
+    return InstanceDatabase(entries=entries)
 
 
 def _placed(

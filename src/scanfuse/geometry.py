@@ -40,22 +40,12 @@ class RigidTransform:
         m[:3, 3] = self.translation
         return m
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "RigidTransform":
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got {m.shape}")
-        return cls(m[:3, :3], m[:3, 3])
-
     def rigidity_error(self) -> float:
         """Max of orthonormality residual and |det - 1|."""
         r = self.rotation
         ortho = float(np.abs(r.T @ r - np.eye(3)).max())
         det = abs(float(np.linalg.det(r)) - 1.0)
         return max(ortho, det)
-
-    def is_rigid(self, tol: float = 1e-9) -> bool:
-        return self.rigidity_error() <= tol
 
     def allclose(self, other: "RigidTransform", tol: float = 1e-9) -> bool:
         return bool(

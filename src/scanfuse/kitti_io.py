@@ -67,9 +67,6 @@ class PointCloud:
             self.remission, other.remission
         )
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.points).all() and np.isfinite(self.remission).all())
-
     def copy(self) -> "PointCloud":
         return PointCloud(self.points.copy(), self.remission.copy())
 
@@ -211,6 +208,21 @@ def parse_labels(data: bytes) -> LabelSet:
 def write_labels(labels: LabelSet) -> bytes:
     """Serialize a LabelSet to packed uint32 bytes."""
     return labels.packed().astype("<u4").tobytes()
+
+
+def instance_rows(labels: LabelSet) -> dict[int, np.ndarray]:
+    """Ascending row indices of each instance of a scan, keyed by its packed
+    label ``(instance << 16) | semantic``; keys ascend.
+
+    An instance is one packed label with instance ID != 0; rows with
+    instance 0 belong to no instance.
+    """
+    rows = np.flatnonzero(labels.instance != 0)
+    # two stable (16-bit radix) sorts: by semantic, then by instance
+    rows = rows[np.argsort(labels.semantic[rows], kind="stable")]
+    rows = rows[np.argsort(labels.instance[rows], kind="stable")]
+    keys, starts = np.unique(labels.packed()[rows], return_index=True)
+    return dict(zip(keys.tolist(), np.split(rows, starts[1:])))
 
 
 def _parse_3x4(

@@ -70,13 +70,6 @@ class ObjectTruth:
 class SceneTruth:
     objects: list[ObjectTruth]
     ground_count: int
-    world_points: list[np.ndarray]  # per scan, (N, 3) world-frame points
-
-    def by_instance(self, instance_id: int) -> ObjectTruth:
-        for obj in self.objects:
-            if obj.instance_id == instance_id:
-                return obj
-        raise KeyError(f"no object with instance ID {instance_id}")
 
 
 @dataclass
@@ -167,7 +160,6 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
 
     scans: list[PointCloud] = []
     labels: list[LabelSet] = []
-    world_per_scan: list[np.ndarray] = []
     centroids = np.zeros((len(config.objects), config.n_scans, 3))
     for s in range(config.n_scans):
         parts = [ground_world]
@@ -179,9 +171,7 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
             world_pts = offsets[j] @ rot.T + center_s
             centroids[j, s] = world_pts.mean(axis=0)
             parts.append(world_pts)
-        world = np.vstack(parts)
-        world_per_scan.append(world)
-        sensor_pts = apply_points(invert(poses[s]), world)
+        sensor_pts = apply_points(invert(poses[s]), np.vstack(parts))
         scans.append(PointCloud(sensor_pts, remission.copy()))
         labels.append(LabelSet(semantic.copy(), instance.copy()))
 
@@ -208,11 +198,7 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
         calib=RigidTransform.identity(),
         name=config.name,
     )
-    truth = SceneTruth(
-        objects=truths,
-        ground_count=config.ground_points,
-        world_points=world_per_scan,
-    )
+    truth = SceneTruth(objects=truths, ground_count=config.ground_points)
     return SyntheticSequence(data=data, truth=truth)
 
 

@@ -27,7 +27,13 @@ from .distill import (
 )
 from .errors import InvalidConfig, NumericError, ShapeError
 from .fusion import FusedScan
-from .kitti_io import DEFAULT_HARD_CLASSES, LabelSet, PointCloud, raw_to_train_table
+from .kitti_io import (
+    DEFAULT_HARD_CLASSES,
+    LabelSet,
+    PointCloud,
+    instance_rows,
+    raw_to_train_table,
+)
 from .metrics import accumulate_confusion, miou
 
 # Inputs are meters at scene scale; shrink coordinates so tanh units start in
@@ -211,17 +217,14 @@ def remap_semantic(semantic: np.ndarray, class_to_index: dict[int, int]) -> np.n
 def distill_rows(
     labels: LabelSet, hard_classes: frozenset[int]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Hard-class row indices plus per-instance index sets for affinity terms."""
-    hard_list = list(hard_classes)
-    hard_mask = np.isin(labels.semantic, hard_list)
-    hard_idx = np.flatnonzero(hard_mask)
-    instances: list[np.ndarray] = []
-    for iid in np.unique(labels.instance[hard_mask]):
-        if iid == 0:
-            continue
-        members = np.flatnonzero(hard_mask & (labels.instance == iid))
-        if len(members) >= 2:
-            instances.append(members)
+    """Hard-class row indices plus the affinity sets: the rows of each
+    hard-class instance (see ``instance_rows``) with at least 2 of them."""
+    hard_idx = np.flatnonzero(np.isin(labels.semantic, list(hard_classes)))
+    instances = [
+        members
+        for label, members in instance_rows(labels).items()
+        if label & 0xFFFF in hard_classes and len(members) >= 2
+    ]
     return hard_idx, instances
 
 
@@ -359,7 +362,6 @@ def evaluate(
     scans: list[PointCloud],
     labels: list[LabelSet],
     class_to_index: dict[int, int],
-    ignore: frozenset[int] = frozenset(),
 ) -> tuple[np.ndarray, float]:
     """Per-class IoU and mIoU of the net's predictions over given scans."""
     n_classes = params.n_classes
@@ -367,5 +369,5 @@ def evaluate(
     for scan, lab in zip(scans, labels):
         pred = predict(params, scan)
         gt = remap_semantic(lab.semantic, class_to_index)
-        accumulate_confusion(pred, gt, n_classes, ignore=ignore, out=cm)
+        accumulate_confusion(pred, gt, n_classes, ignore=frozenset(), out=cm)
     return miou(cm)

@@ -6,6 +6,7 @@ import numpy as np
 
 from scanfuse.fusion import FusedScan
 from scanfuse.kitti_io import LabelSet, PointCloud
+from scanfuse.synthetic import ObjectSpec, SyntheticConfig, make_synthetic_sequence
 
 
 def sparse_hard_instance_scene(
@@ -72,6 +73,34 @@ def sparse_hard_instance_scene(
         np.zeros(n_ground + 100, dtype=np.uint16),
     )
     return current, labels, fused, eval_cloud, eval_labels
+
+
+def shared_id_scene(seed: int = 3):
+    """5 scans of a static sign (81) and a moving truck (18), 30 points each,
+    both carrying instance ID 5."""
+    config = SyntheticConfig(
+        n_scans=5,
+        ground_points=80,
+        points_per_object=30,
+        objects=[
+            ObjectSpec(
+                shape="cylinder",
+                class_id=81,
+                center=(8.0, 3.0, 1.0),
+                size=(0.4, 1.2),
+                instance_id=5,
+            ),
+            ObjectSpec(
+                shape="box",
+                class_id=18,
+                center=(6.0, -4.0, 1.2),
+                size=(3.0, 2.0, 1.8),
+                velocity=(0.5, 0.0, 0.0),
+                instance_id=5,
+            ),
+        ],
+    )
+    return make_synthetic_sequence(config, seed)
 
 
 def balanced_two_class_scene(seed: int, n: int = 200):

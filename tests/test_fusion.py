@@ -17,7 +17,7 @@ from scanfuse.fusion import (
     sample_and_paste,
 )
 from scanfuse.geometry import apply_points, compose, invert
-from scanfuse.kitti_io import LabelSet, PointCloud, SequenceData
+from scanfuse.kitti_io import LabelSet, PointCloud, SequenceData, instance_rows
 from scanfuse.registration import RegistrationConfig
 from scanfuse.synthetic import (
     ObjectSpec,
@@ -25,6 +25,8 @@ from scanfuse.synthetic import (
     default_scene,
     make_synthetic_sequence,
 )
+
+from scenes import shared_id_scene
 
 
 def mixed_scene(n_scans=5, yaw_rate=0.0):
@@ -54,46 +56,61 @@ def scene():
     return make_synthetic_sequence(mixed_scene(), seed=11)
 
 
+@pytest.fixture(scope="module")
+def rows(scene):
+    """The instance index of every scan of ``scene``."""
+    return {s: instance_rows(labels) for s, labels in enumerate(scene.data.labels)}
+
+
+def packed(obj) -> int:
+    """The packed (instance, class) label of a synthetic object."""
+    return (obj.instance_id << 16) | obj.class_id
+
+
 # --- gather_instance_track -------------------------------------------------------
 
 
-def test_gather_full_track(scene):
+def test_gather_full_track(scene, rows):
     truck = scene.truth.objects[1]
-    track = gather_instance_track(scene.data, 4, truck.instance_id, window=4)
+    track = gather_instance_track(scene.data, rows, 4, packed(truck), window=4)
     assert track.scan_indices == [0, 1, 2, 3, 4]
     assert all(len(idx) == 50 for idx in track.point_indices)
-    assert track.class_id == 18
+    assert (track.instance_id, track.class_id) == (truck.instance_id, 18)
 
 
-def test_gather_instance_only_in_current_scan(scene):
-    track = gather_instance_track(scene.data, 0, scene.truth.objects[0].instance_id, 4)
+def test_gather_instance_only_in_current_scan(scene, rows):
+    track = gather_instance_track(scene.data, rows, 0, packed(scene.truth.objects[0]), 4)
     assert track.scan_indices == [0]
     assert len(track.point_indices[0]) == 50
 
 
-def test_gather_unknown_instance(scene):
+def test_gather_unknown_instance(scene, rows):
+    truck = scene.truth.objects[1]
     with pytest.raises(InstanceNotFound):
-        gather_instance_track(scene.data, 4, 999, window=4)
+        gather_instance_track(scene.data, rows, 4, (999 << 16) | 18, window=4)
+    # the truck's ID under another class is another (absent) instance
+    with pytest.raises(InstanceNotFound):
+        gather_instance_track(scene.data, rows, 4, (truck.instance_id << 16) | 81, window=4)
 
 
 # --- classify_motion -------------------------------------------------------
 
 
-def test_moving_box_is_classified_moving(scene):
+def test_moving_box_is_classified_moving(scene, rows):
     truck = scene.truth.objects[1]
-    track = gather_instance_track(scene.data, 4, truck.instance_id, 4)
+    track = gather_instance_track(scene.data, rows, 4, packed(truck), 4)
     assert classify_motion(track, scene.data.poses, 0.2) is Motion.MOVING
 
 
-def test_static_sign_is_classified_static(scene):
+def test_static_sign_is_classified_static(scene, rows):
     sign = scene.truth.objects[0]
-    track = gather_instance_track(scene.data, 4, sign.instance_id, 4)
+    track = gather_instance_track(scene.data, rows, 4, packed(sign), 4)
     assert classify_motion(track, scene.data.poses, 0.2) is Motion.STATIC
 
 
-def test_single_scan_track_is_static(scene):
+def test_single_scan_track_is_static(scene, rows):
     truck = scene.truth.objects[1]
-    track = gather_instance_track(scene.data, 0, truck.instance_id, 4)
+    track = gather_instance_track(scene.data, rows, 0, packed(truck), 4)
     assert classify_motion(track, scene.data.poses, 0.2) is Motion.STATIC
 
 
@@ -196,6 +213,13 @@ def test_fuse_missing_labels(scene):
     data.labels[2] = None
     with pytest.raises(MissingLabels):
         fuse_scan(data, 4, FusionConfig())
+    # build_instance_db keeps the same window rule for every labelled scan,
+    # also one without hard instances
+    with pytest.raises(MissingLabels):
+        build_instance_db(data, FusionConfig())
+    data.labels[3] = LabelSet(np.zeros(len(data.scans[3])), np.zeros(len(data.scans[3])))
+    with pytest.raises(MissingLabels, match="scan 2"):
+        build_instance_db(data, FusionConfig(window=1))
 
 
 def test_fuse_no_overlap_falls_back_with_warning():
@@ -255,7 +279,8 @@ def test_build_db_empty_without_hard_points():
 
 
 def test_db_roundtrips_through_disk(scene, tmp_path):
-    db = build_instance_db(scene.data, FusionConfig(), tmp_path / "augdb")
+    db = build_instance_db(scene.data, FusionConfig())
+    db.save(tmp_path / "augdb")
     assert InstanceDatabase.load(tmp_path / "augdb") == db
 
 
@@ -271,13 +296,50 @@ def test_db_roundtrips_through_disk(scene, tmp_path):
     ],
 )
 def test_db_load_rejects_a_bad_manifest_line(scene, tmp_path, edit, message):
-    db = build_instance_db(scene.data, FusionConfig(), tmp_path / "augdb")
+    db = build_instance_db(scene.data, FusionConfig())
+    db.save(tmp_path / "augdb")
     manifest = tmp_path / "augdb" / "manifest.txt"
     lines = manifest.read_text().splitlines()
     lines[1] = " ".join(edit(lines[1].split(), len(db.entries[1].fused_cloud)))
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(ScanFuseError, match=f"line 2 .*{message}"):
         InstanceDatabase.load(tmp_path / "augdb")
+
+
+def test_db_load_rejects_a_short_label_file(scene, tmp_path):
+    db = build_instance_db(scene.data, FusionConfig())
+    db.save(tmp_path / "augdb")
+    dirname = (tmp_path / "augdb" / "manifest.txt").read_text().splitlines()[1].split()[-1]
+    label_file = tmp_path / "augdb" / dirname / "fused.label"
+    label_file.write_bytes(label_file.read_bytes()[:-4])
+    n = len(db.entries[1].fused_cloud)
+    with pytest.raises(ScanFuseError, match=f"line 2 .*{n - 1} label records for {n} points"):
+        InstanceDatabase.load(tmp_path / "augdb")
+
+
+def test_an_id_shared_by_two_classes_is_two_instances(tmp_path):
+    """A sign (81) and a truck (18) both carry ID 5: each is fused and stored
+    on its own."""
+    seq = shared_id_scene()
+    config = FusionConfig(window=4)
+    fused = fuse_scan(seq.data, 4, config)
+    appended = fused.labels.semantic[fused.n_current :]
+    assert (appended == 81).sum() == 4 * 30
+    assert (appended == 18).sum() == 4 * 30
+    sign = seq.truth.objects[0]
+    appended_sign = fused.cloud.points[fused.n_current :][appended == 81]
+    dists, _ = cKDTree(seq.data.scans[4].points[sign.indices()]).query(appended_sign)
+    assert dists.max() < 1e-6
+
+    db = build_instance_db(seq.data, config)
+    assert sorted((e.key[1], e.class_id) for e in db.entries) == [
+        (t, c) for t in range(5) for c in (18, 81)
+    ]
+    for entry in db.entries:
+        assert set(entry.fused_labels.semantic.tolist()) == {entry.class_id}
+        assert entry.n_single == 30
+    db.save(tmp_path / "augdb")
+    assert InstanceDatabase.load(tmp_path / "augdb") == db
 
 
 def test_db_fused_member_is_denser_than_single(scene):

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scanfuse.errors import (
     InvalidConfig,
@@ -14,6 +16,7 @@ from scanfuse.geometry import RigidTransform, rotation_about_z
 from scanfuse.kitti_io import (
     LabelSet,
     PointCloud,
+    instance_rows,
     load_sequence_index,
     parse_calib,
     parse_class_map,
@@ -120,6 +123,27 @@ def test_labelset_packing_invariant():
     packed = labels.packed()
     assert packed[0] == (1 << 16) | 10
     assert packed[1] == (7 << 16) | 81
+
+
+ids_16bit = st.sampled_from([0, 1, 2, 5, 0xFFFF])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ids_16bit, ids_16bit), max_size=40))
+@example([])  # empty scan
+@example([(0, 40), (0, 81), (0, 0xFFFF)])  # no row belongs to an instance
+@example([(0xFFFF, 0xFFFF), (1, 81), (1, 18), (0, 81)])  # one-row instances
+def test_instance_rows_groups_rows_by_packed_label(rows):
+    labels = LabelSet([sem for _, sem in rows], [inst for inst, _ in rows])
+    packed = labels.packed()
+    in_instance = np.flatnonzero(labels.instance != 0)
+    groups = instance_rows(labels)
+    assert list(groups) == sorted(set(packed[in_instance].tolist()))
+    for key, idx in groups.items():
+        assert np.array_equal(idx, np.flatnonzero(packed == key))
+        assert np.all(np.diff(idx) > 0)
+    covered = np.concatenate([np.empty(0, dtype=np.intp), *groups.values()])
+    assert np.array_equal(np.sort(covered), in_instance)
 
 
 def test_parallel_arrays_must_agree_in_length():

@@ -11,13 +11,19 @@ from scanfuse.toynet import (
     ToyNetParams,
     TrainState,
     compute_gradients,
+    distill_rows,
     evaluate,
     forward,
     supervised_step,
     train_step,
 )
 
-from scenes import balanced_two_class_scene, separable_two_class_scene, trivial_fused
+from scenes import (
+    balanced_two_class_scene,
+    separable_two_class_scene,
+    shared_id_scene,
+    trivial_fused,
+)
 
 
 def tiny_state(teacher_seed, student_seed, class_to_index, hard, lr=0.05, hidden=8):
@@ -166,6 +172,15 @@ def test_end_to_end_student_gradients_match_finite_differences():
             flat[i] = orig
             flat_fd[i] = (hi - lo) / (2 * step)
         assert gradient_scale_error(analytic, fd) < 1e-3
+
+
+def test_distill_rows_splits_an_id_shared_by_two_classes():
+    seq = shared_id_scene()
+    labels = seq.data.labels[4]
+    hard_idx, instances = distill_rows(labels, frozenset({18, 81}))
+    assert len(hard_idx) == 60
+    assert [len(rows) for rows in instances] == [30, 30]
+    assert [set(labels.semantic[rows].tolist()) for rows in instances] == [{18}, {81}]
 
 
 def test_train_step_rejects_misaligned_map():
