@@ -169,7 +169,7 @@ def _cmd_fuse(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(str(prefix) + ".bin").write_bytes(write_scan(fused.cloud))
     Path(str(prefix) + ".label").write_bytes(write_labels(fused.labels))
-    origins = "\n".join(str(int(v)) for v in fused.origin_index)
+    origins = "\n".join(map(str, fused.origin_index.tolist()))
     Path(str(prefix) + ".origins.txt").write_text(origins + ("\n" if origins else ""))
     print(
         f"fused scan {args.scan}: {fused.n_current} current + "

@@ -3,9 +3,11 @@
 Three losses: smooth-L1 feature matching, temperature-softened KL on logits,
 and instance-aware affinity matching on per-instance cosine-similarity
 matrices. Each returns (loss, gradient wrt the student input); the teacher
-side is treated as constant. Loss scalars are reduced with exact summation
-(math.fsum) so identical row permutations of both inputs leave the value
-bit-identical.
+side is treated as constant. Loss scalars are sums taken over the values in
+ascending order: a row permutation of both inputs permutes the summed values
+but not their sorted order, so the loss is bit-identical under any row
+permutation. The sum is not exactly rounded: NumPy's pairwise summation
+errs by at most about log2(n) rounding units of the sum of magnitudes.
 """
 
 from __future__ import annotations
@@ -47,6 +49,11 @@ def _check_pair(teacher: np.ndarray, student: np.ndarray) -> None:
         raise NumericError("non-finite values in loss inputs")
 
 
+def _sorted_sum(values) -> float:
+    """Sum of ``values`` in ascending order, the same bits for any input order."""
+    return float(np.sort(values, axis=None).sum())
+
+
 def feature_distill_loss(
     teacher, student, threshold: float = 1.0
 ) -> tuple[float, np.ndarray]:
@@ -70,7 +77,7 @@ def feature_distill_loss(
         inside, diff * diff / (2.0 * threshold), np.abs(diff) - threshold / 2.0
     )
     count = f_teacher.size
-    loss = math.fsum(contrib.ravel()) / count
+    loss = _sorted_sum(contrib) / count
     grad = np.where(inside, -diff / threshold, -np.sign(diff)) / count
     return loss, grad
 
@@ -102,7 +109,7 @@ def soft_logits_kl_loss(
     log_q = log_softmax(z_student / temperature)
     p = np.exp(log_p)
     count = z_teacher.size
-    loss = math.fsum((p * (log_p - log_q)).ravel()) / count
+    loss = _sorted_sum(p * (log_p - log_q)) / count
     grad = (np.exp(log_q) - p) / (temperature * count)
     return loss, grad
 
@@ -155,11 +162,17 @@ def iaad_loss(
             continue
         if idx.min() < 0 or idx.max() >= len(f_student):
             raise IndexError("instance point index out of range")
+        # Members in the byte order of their (teacher, student) rows, not in
+        # row order: BLAS may round U U^T differently for permuted rows.
+        # (Zero-width rows have no bytes to order and fail the norm check.)
+        pairs = np.hstack([f_teacher[idx], f_student[idx]])
+        if pairs.size:
+            idx = idx[np.argsort(pairs.view(f"V{pairs[0].nbytes}").ravel(), kind="stable")]
         a_teacher, _, _ = _cosine_affinity(f_teacher[idx])
         a_student, unit, norms = _cosine_affinity(f_student[idx])
         diff = a_student - a_teacher
         n = len(idx)
-        terms.append(math.fsum((diff * diff).ravel()) / (n * n))
+        terms.append(_sorted_sum(diff * diff) / (n * n))
         # d(loss)/d(A_s) = 2 D / n^2; A_s = U U^T with symmetric D gives
         # d(loss)/d(U) = 4 D U / n^2, then back through the normalization.
         g_unit = (4.0 / (n * n)) * diff @ unit
@@ -167,7 +180,7 @@ def iaad_loss(
             :, None
         ]
         np.add.at(grad, idx, g_rows)
-    return math.fsum(terms), grad
+    return _sorted_sum(terms), grad
 
 
 def total_loss(

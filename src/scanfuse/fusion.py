@@ -35,8 +35,10 @@ from .kitti_io import (
     SequenceData,
     SequenceIndex,
     instance_rows,
+    pack_label,
     parse_labels,
     parse_scan,
+    unpack_label,
     write_labels,
     write_scan,
 )
@@ -78,7 +80,7 @@ class InstanceTrack:
 
 @dataclass
 class PasteRecord:
-    key: tuple[str, int, int]
+    key: tuple[str, int, int]  # the pasted InstancePair's key
     transform: RigidTransform
     new_instance_id: int
 
@@ -158,9 +160,10 @@ def gather_instance_track(
     scan_indices = list(range(max(0, scan_t - window), scan_t + 1))
     absent = np.empty(0, dtype=np.intp)
     point_indices = [rows[s].get(label, absent) for s in scan_indices]
+    instance_id, class_id = unpack_label(label)
     return InstanceTrack(
-        instance_id=label >> 16,
-        class_id=label & 0xFFFF,
+        instance_id=instance_id,
+        class_id=class_id,
         scan_indices=scan_indices,
         point_indices=point_indices,
         sensor_centroids=[
@@ -278,7 +281,7 @@ def _fused_instances(
     labels, origin, warnings).
     """
     for label in rows[scan_t]:
-        if label & 0xFFFF not in config.hard_classes:
+        if unpack_label(label)[1] not in config.hard_classes:
             continue
         track = gather_instance_track(seq, rows, scan_t, label, config.window)
         motion = classify_motion(track, seq.poses, config.moving_threshold)
@@ -341,13 +344,18 @@ class InstancePair:
     The first ``n_single`` rows of ``fused_cloud``/``fused_labels`` are the
     instance as seen in scan ``key[1]`` alone (the student's view); the rest
     are its points appended from past scans (teacher-only density).
+    ``key[2]`` is the instance's packed label, so two instances sharing an
+    ID in one scan have distinct keys.
     """
 
-    key: tuple[str, int, int]  # (sequence, scan, instance)
-    class_id: int
+    key: tuple[str, int, int]  # (sequence, scan, packed label)
     fused_cloud: PointCloud
     fused_labels: LabelSet
     n_single: int
+
+    @property
+    def class_id(self) -> int:
+        return unpack_label(self.key[2])[1]
 
     @property
     def single_cloud(self) -> PointCloud:
@@ -365,7 +373,6 @@ class InstancePair:
             return NotImplemented
         return (
             self.key == other.key
-            and self.class_id == other.class_id
             and self.n_single == other.n_single
             and self.fused_cloud == other.fused_cloud
             and self.fused_labels == other.fused_labels
@@ -392,14 +399,15 @@ class InstanceDatabase:
             path.mkdir(parents=True, exist_ok=True)
             manifest_lines = []
             for entry in self.entries:
-                seq_name, scan, instance = entry.key
-                dirname = f"{seq_name}_{scan:06d}_{instance:06d}_{entry.class_id:06d}"
+                seq_name, scan, label = entry.key
+                instance, class_id = unpack_label(label)
+                dirname = f"{seq_name}_{scan:06d}_{instance:06d}_{class_id:06d}"
                 entry_dir = path / dirname
                 entry_dir.mkdir(exist_ok=True)
                 (entry_dir / "fused.bin").write_bytes(write_scan(entry.fused_cloud))
                 (entry_dir / "fused.label").write_bytes(write_labels(entry.fused_labels))
                 manifest_lines.append(
-                    f"{seq_name} {scan} {instance} {entry.class_id} {entry.n_single} {dirname}"
+                    f"{seq_name} {scan} {instance} {class_id} {entry.n_single} {dirname}"
                 )
             (path / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")
         except OSError as exc:
@@ -424,6 +432,8 @@ class InstanceDatabase:
                 scan, instance, class_id, n_single = (int(v) for v in numbers)
             except ValueError:
                 raise ScanFuseError(f"{where}: non-integer field") from None
+            if not (0 <= instance <= 0xFFFF and 0 <= class_id <= 0xFFFF):
+                raise ScanFuseError(f"{where}: instance or class_id outside 0..65535")
             entry_dir = path / dirname
             cloud = parse_scan((entry_dir / "fused.bin").read_bytes())
             labels = parse_labels((entry_dir / "fused.label").read_bytes())
@@ -434,7 +444,9 @@ class InstanceDatabase:
             if not 1 <= n_single <= len(cloud):
                 raise ScanFuseError(f"{where}: n_single outside 1..{len(cloud)}")
             entries.append(
-                InstancePair((seq_name, scan, instance), class_id, cloud, labels, n_single)
+                InstancePair(
+                    (seq_name, scan, pack_label(instance, class_id)), cloud, labels, n_single
+                )
             )
         return cls(entries=entries)
 
@@ -463,8 +475,7 @@ def build_instance_db(
             )
             entries.append(
                 InstancePair(
-                    key=(seq.name, scan_t, track.instance_id),
-                    class_id=track.class_id,
+                    key=(seq.name, scan_t, pack_label(track.instance_id, track.class_id)),
                     fused_cloud=_quantized(cloud),
                     fused_labels=labels,
                     n_single=len(single),

@@ -71,6 +71,17 @@ class PointCloud:
         return PointCloud(self.points.copy(), self.remission.copy())
 
 
+def pack_label(instance, semantic):
+    """The packed label ``(instance << 16) | semantic`` of uint16-range
+    values, for Python ints or uint32 arrays."""
+    return (instance << 16) | semantic
+
+
+def unpack_label(label):
+    """``(instance, semantic)`` of a packed label; inverse of ``pack_label``."""
+    return label >> 16, label & 0xFFFF
+
+
 @dataclass(eq=False)
 class LabelSet:
     """Per-point semantic class and instance ID, parallel to a PointCloud.
@@ -102,7 +113,7 @@ class LabelSet:
         )
 
     def packed(self) -> np.ndarray:
-        return (self.instance.astype(np.uint32) << 16) | self.semantic.astype(np.uint32)
+        return pack_label(self.instance.astype(np.uint32), self.semantic.astype(np.uint32))
 
     def copy(self) -> "LabelSet":
         return LabelSet(self.semantic.copy(), self.instance.copy())
@@ -198,11 +209,8 @@ def parse_labels(data: bytes) -> LabelSet:
         raise MalformedLabel(
             f"label length {len(data)} is not a multiple of {LABEL_RECORD_BYTES}"
         )
-    packed = np.frombuffer(data, dtype="<u4")
-    return LabelSet(
-        semantic=(packed & 0xFFFF).astype(np.uint16),
-        instance=(packed >> 16).astype(np.uint16),
-    )
+    instance, semantic = unpack_label(np.frombuffer(data, dtype="<u4"))
+    return LabelSet(semantic=semantic.astype(np.uint16), instance=instance.astype(np.uint16))
 
 
 def write_labels(labels: LabelSet) -> bytes:

@@ -33,6 +33,7 @@ from .kitti_io import (
     PointCloud,
     instance_rows,
     raw_to_train_table,
+    unpack_label,
 )
 from .metrics import accumulate_confusion, miou
 
@@ -223,7 +224,7 @@ def distill_rows(
     instances = [
         members
         for label, members in instance_rows(labels).items()
-        if label & 0xFFFF in hard_classes and len(members) >= 2
+        if unpack_label(label)[1] in hard_classes and len(members) >= 2
     ]
     return hard_idx, instances
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
 from scanfuse.distill import (
     DistillConfig,
@@ -292,6 +293,57 @@ def test_losses_invariant_under_row_permutation():
         inverse[perm] = np.arange(n)
         ia1 = iaad_loss(t[perm], s[perm], [inverse[np.arange(n)]])[0]
         assert ia0 == ia1
+
+
+def _fsum_losses(t, s, instances):
+    """math.fsum references of the three losses, each with the sum of the
+    magnitudes of the values it reduces."""
+    d = t - s
+    contrib = np.where(np.abs(d) < 1.0, d * d / 2.0, np.abs(d) - 0.5).ravel()
+    log_p, log_q = log_softmax(t, axis=1), log_softmax(s, axis=1)
+    cells = (np.exp(log_p) * (log_p - log_q)).ravel()
+    terms = []
+    for idx in instances:
+        u_t = t[idx] / np.linalg.norm(t[idx], axis=1, keepdims=True)
+        u_s = s[idx] / np.linalg.norm(s[idx], axis=1, keepdims=True)
+        diff = (u_s @ u_s.T - u_t @ u_t.T).ravel()
+        terms.append(math.fsum(diff * diff) / len(idx) ** 2)
+    return [
+        (math.fsum(contrib) / contrib.size, math.fsum(np.abs(contrib)) / contrib.size),
+        (math.fsum(cells) / cells.size, math.fsum(np.abs(cells)) / cells.size),
+        (math.fsum(terms), math.fsum(terms)),
+    ]
+
+
+def test_losses_invariant_under_row_permutation_at_benchmark_sizes():
+    """A 3600x16 feature/logit pair and IAAD on 10 instances of 150 rows, as
+    in one train-distill step: shuffling the rows (instance members kept in
+    ascending row order, as ``instance_rows`` gives them) and the order of
+    the instance list leaves every loss bit-identical, and each is within
+    1e-12 of the sum of magnitudes of its math.fsum reference."""
+    rng = np.random.default_rng(23)
+    n, w = 3600, 16
+    t = rng.normal(size=(n, w))
+    s = t + 0.7 * rng.normal(size=(n, w))
+    instances = list(rng.permutation(n)[:1500].reshape(10, 150))
+    instances = [np.sort(idx) for idx in instances]
+
+    losses = [
+        feature_distill_loss(t, s)[0],
+        soft_logits_kl_loss(t, s)[0],
+        iaad_loss(t, s, instances)[0],
+    ]
+    for _ in range(4):
+        perm = rng.permutation(n)
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[perm] = np.arange(n)
+        perm_instances = [np.sort(inverse[instances[k]]) for k in rng.permutation(10)]
+        assert feature_distill_loss(t[perm], s[perm])[0] == losses[0]
+        assert soft_logits_kl_loss(t[perm], s[perm])[0] == losses[1]
+        assert iaad_loss(t[perm], s[perm], perm_instances)[0] == losses[2]
+
+    for loss, (reference, magnitude) in zip(losses, _fsum_losses(t, s, instances)):
+        assert abs(loss - reference) <= 1e-12 * magnitude
 
 
 def test_gradient_verification_suite():

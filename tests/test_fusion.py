@@ -293,6 +293,8 @@ def test_db_roundtrips_through_disk(scene, tmp_path):
         (lambda fields, rows: fields[:4] + ["x"] + fields[5:], "non-integer field"),
         (lambda fields, rows: fields[:4] + ["0"] + fields[5:], "n_single outside"),
         (lambda fields, rows: fields[:4] + [str(rows + 1)] + fields[5:], "n_single outside"),
+        (lambda fields, rows: fields[:2] + ["65536"] + fields[3:], "outside 0..65535"),
+        (lambda fields, rows: fields[:3] + ["-1"] + fields[4:], "outside 0..65535"),
     ],
 )
 def test_db_load_rejects_a_bad_manifest_line(scene, tmp_path, edit, message):
@@ -342,6 +344,26 @@ def test_an_id_shared_by_two_classes_is_two_instances(tmp_path):
     assert InstanceDatabase.load(tmp_path / "augdb") == db
 
 
+def test_db_key_names_one_entry_when_an_id_is_shared():
+    """Keys carry the packed label, so on the shared-ID scene the 10 entries
+    have 10 keys and each paste record names the entry it pasted."""
+    seq = shared_id_scene()
+    config = FusionConfig(window=4)
+    db = build_instance_db(seq.data, config)
+    assert len({e.key for e in db.entries}) == len(db) == 10
+    for entry in db.entries:
+        assert entry.key[2] == (5 << 16) | entry.class_id
+
+    out = sample_and_paste(fuse_scan(seq.data, 4, config), db, 12, rng_seed=3)
+    pasted_classes = set()
+    for record in out.pastes:
+        (entry,) = [e for e in db.entries if e.key == record.key]
+        rows = out.labels.instance == record.new_instance_id
+        assert set(out.labels.semantic[rows].tolist()) == {entry.class_id}
+        pasted_classes.add(entry.class_id)
+    assert pasted_classes == {18, 81}
+
+
 def test_db_fused_member_is_denser_than_single(scene):
     db = build_instance_db(scene.data, FusionConfig())
     latest = [e for e in db.entries if e.key[1] == 4]
@@ -373,7 +395,8 @@ def test_db_entries_are_fuse_scan_rows_of_their_instance(seed, window):
     fused = {t: fuse_scan(seq, t, config) for t in range(len(seq))}
     appended_in_db = dict.fromkeys(fused, 0)
     for entry in db.entries:
-        _, t, iid = entry.key
+        _, t, label = entry.key
+        iid = label >> 16
         f, nc = fused[t], fused[t].n_current
         single = np.flatnonzero(
             (f.labels.instance[:nc] == iid) & (f.labels.semantic[:nc] == entry.class_id)
