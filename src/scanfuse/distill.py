@@ -3,11 +3,16 @@
 Three losses: smooth-L1 feature matching, temperature-softened KL on logits,
 and instance-aware affinity matching on per-instance cosine-similarity
 matrices. Each returns (loss, gradient wrt the student input); the teacher
-side is treated as constant. Loss scalars are sums taken over the values in
-ascending order: a row permutation of both inputs permutes the summed values
-but not their sorted order, so the loss is bit-identical under any row
-permutation. The sum is not exactly rounded: NumPy's pairwise summation
-errs by at most about log2(n) rounding units of the sum of magnitudes.
+side is treated as constant.
+
+Every loss is bit-identical under any row permutation of both inputs. The
+feature and KL losses, and IAAD's total over its per-instance terms, sum
+their values in ascending order: a row permutation permutes the summed
+values but not their sorted order. Each IAAD instance instead takes its
+members in the byte order of their (teacher, student) rows, so its affinity
+matrices, and a plain sum over one of them, do not depend on the input row
+order. No sum is exactly rounded: NumPy's pairwise summation errs by at most
+about log2(n) rounding units of the sum of magnitudes.
 """
 
 from __future__ import annotations
@@ -49,9 +54,14 @@ def _check_pair(teacher: np.ndarray, student: np.ndarray) -> None:
         raise NumericError("non-finite values in loss inputs")
 
 
-def _sorted_sum(values) -> float:
-    """Sum of ``values`` in ascending order, the same bits for any input order."""
-    return float(np.sort(values, axis=None).sum())
+def _sorted_sum(values: np.ndarray) -> float:
+    """Sum of ``values`` in ascending order, the same bits for any input order.
+
+    Sorts ``values`` in place; every caller passes a temporary.
+    """
+    flat = values.ravel()
+    flat.sort()
+    return float(flat.sum())
 
 
 def feature_distill_loss(
@@ -84,8 +94,10 @@ def feature_distill_loss(
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax, shifted by each row's max for stability."""
-    shifted = z - z.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = z - z.max(axis=1, keepdims=True)
+    lse = np.exp(out).sum(axis=1, keepdims=True)
+    out -= np.log(lse, out=lse)
+    return out
 
 
 def soft_logits_kl_loss(
@@ -172,7 +184,7 @@ def iaad_loss(
         a_student, unit, norms = _cosine_affinity(f_student[idx])
         diff = a_student - a_teacher
         n = len(idx)
-        terms.append(_sorted_sum(diff * diff) / (n * n))
+        terms.append(float((diff * diff).sum()) / (n * n))
         # d(loss)/d(A_s) = 2 D / n^2; A_s = U U^T with symmetric D gives
         # d(loss)/d(U) = 4 D U / n^2, then back through the normalization.
         g_unit = (4.0 / (n * n)) * diff @ unit
@@ -180,7 +192,7 @@ def iaad_loss(
             :, None
         ]
         np.add.at(grad, idx, g_rows)
-    return _sorted_sum(terms), grad
+    return _sorted_sum(np.array(terms)), grad
 
 
 def total_loss(

@@ -8,6 +8,10 @@ teacher sees the fused cloud, the student the current scan, and teacher row
 i is student row i throughout the fused cloud's current-scan prefix. Teacher
 outputs are constants inside the distillation terms; the teacher itself
 trains through its own (weighted) segmentation loss.
+
+The per-step numerics update their large (N, H) and (N, C) arrays in place
+rather than allocating a new one per operation. ``forward`` and the backward
+pass never write into an array a caller passed or still holds.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .kitti_io import (
     LabelSet,
     PointCloud,
     instance_rows,
-    raw_to_train_table,
     unpack_label,
 )
 from .metrics import accumulate_confusion, miou
@@ -135,16 +138,33 @@ class TrainState:
     rng_seed: int = 0
 
 
+def _dense_tanh(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = h @ w
+    a += b
+    return np.tanh(a, out=a)
+
+
 def forward(params: ToyNetParams, cloud: PointCloud) -> ForwardResult:
     """Deterministic per-point evaluation, keeping what backprop needs."""
-    x = np.column_stack([cloud.points * COORD_SCALE, cloud.remission])
-    h1 = np.tanh(x @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    h3 = np.tanh(h2 @ params.w3 + params.b3)
-    z = h3 @ params.w4 + params.b4
+    x = np.empty((len(cloud), 4))
+    np.multiply(cloud.points, COORD_SCALE, out=x[:, :3])
+    x[:, 3] = cloud.remission
+    h1 = _dense_tanh(x, params.w1, params.b1)
+    h2 = _dense_tanh(h1, params.w2, params.b2)
+    h3 = _dense_tanh(h2, params.w3, params.b3)
+    z = h3 @ params.w4
+    z += params.b4
     if not np.isfinite(z).all():
         raise NumericError("non-finite activations in forward pass")
     return ForwardResult(x=x, h1=h1, encoder=h2, head=h3, logits=z)
+
+
+def _tanh_grad(d_h: np.ndarray, h: np.ndarray, t: np.ndarray) -> None:
+    """Back through h = tanh(a): scales d_h by 1 - h^2 in place, with t (shaped
+    like h) as scratch."""
+    np.multiply(h, h, out=t)
+    np.subtract(1.0, t, out=t)
+    d_h *= t
 
 
 def _backward(
@@ -155,30 +175,34 @@ def _backward(
     d_h3_extra: np.ndarray | None = None,
 ) -> ToyNetParams:
     """Backprop upstream gradients (on logits and, optionally, the two feature
-    taps) into parameter gradients."""
+    taps) into parameter gradients. Reads but never writes its arguments."""
     x, h1, h2, h3 = out.x, out.h1, out.encoder, out.head
+    # Each d_k holds d(loss)/d(h_k) until _tanh_grad turns it, in place, into
+    # the gradient wrt that layer's pre-activation. Three (N, H) buffers
+    # serve all layers: d1 reuses d3's.
+    t = np.empty_like(h3)
 
     gw4 = h3.T @ d_logits
     gb4 = d_logits.sum(axis=0)
-    d_h3 = d_logits @ params.w4.T
+    d3 = d_logits @ params.w4.T
     if d_h3_extra is not None:
-        d_h3 = d_h3 + d_h3_extra
-    d_a3 = d_h3 * (1.0 - h3 * h3)
+        d3 += d_h3_extra
+    _tanh_grad(d3, h3, t)
 
-    gw3 = h2.T @ d_a3
-    gb3 = d_a3.sum(axis=0)
-    d_h2 = d_a3 @ params.w3.T
+    gw3 = h2.T @ d3
+    gb3 = d3.sum(axis=0)
+    d2 = d3 @ params.w3.T
     if d_h2_extra is not None:
-        d_h2 = d_h2 + d_h2_extra
-    d_a2 = d_h2 * (1.0 - h2 * h2)
+        d2 += d_h2_extra
+    _tanh_grad(d2, h2, t)
 
-    gw2 = h1.T @ d_a2
-    gb2 = d_a2.sum(axis=0)
-    d_h1 = d_a2 @ params.w2.T
-    d_a1 = d_h1 * (1.0 - h1 * h1)
+    gw2 = h1.T @ d2
+    gb2 = d2.sum(axis=0)
+    d1 = np.matmul(d2, params.w2.T, out=d3)
+    _tanh_grad(d1, h1, t)
 
-    gw1 = x.T @ d_a1
-    gb1 = d_a1.sum(axis=0)
+    gw1 = x.T @ d1
+    gb1 = d1.sum(axis=0)
     return ToyNetParams(gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4)
 
 
@@ -192,12 +216,14 @@ def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
         return 0.0, np.zeros_like(logits)
     if targets.min() < 0 or targets.max() >= logits.shape[1]:
         raise InvalidConfig("target class outside the logits range")
-    log_probs = log_softmax(logits)
     n = len(targets)
-    loss = float(-log_probs[np.arange(n), targets].mean())
-    grad = np.exp(log_probs)
-    grad[np.arange(n), targets] -= 1.0
-    return loss, grad / n
+    rows = np.arange(n)
+    grad = log_softmax(logits)
+    loss = float(-grad[rows, targets].mean())
+    np.exp(grad, out=grad)
+    grad[rows, targets] -= 1.0
+    grad /= n
+    return loss, grad
 
 
 def _sgd(params: ToyNetParams, grads: ToyNetParams, lr: float) -> ToyNetParams:
@@ -207,8 +233,18 @@ def _sgd(params: ToyNetParams, grads: ToyNetParams, lr: float) -> ToyNetParams:
 
 
 def remap_semantic(semantic: np.ndarray, class_to_index: dict[int, int]) -> np.ndarray:
-    """Vectorized raw-class to train-class lookup; unmapped IDs are an error."""
-    out = raw_to_train_table(class_to_index)[np.asarray(semantic, dtype=np.int64)]
+    """Vectorized lookup of 16-bit raw class IDs (``LabelSet.semantic``) to
+    train classes; unmapped IDs are an error.
+
+    The table runs up to the largest mapped raw ID, plus one slot of -1 that
+    every larger ID reads.
+    """
+    raw = np.fromiter(class_to_index, dtype=np.int64, count=len(class_to_index))
+    if raw.size and (raw.min() < 0 or raw.max() > 0xFFFF):
+        raise InvalidConfig("raw class IDs must lie in the 16-bit range")
+    table = np.full(raw.max(initial=-1) + 2, -1, dtype=np.int64)
+    table[raw] = np.fromiter(class_to_index.values(), dtype=np.int64, count=len(raw))
+    out = table.take(semantic, mode="clip")
     if (out < 0).any():
         missing = sorted(set(np.asarray(semantic)[out < 0].tolist()))
         raise InvalidConfig(f"classes {missing} missing from the class map")
@@ -257,7 +293,7 @@ def compute_gradients(
     targets_cur = remap_semantic(labels.semantic, state.class_to_index)
     targets_fused = remap_semantic(fused_scan.labels.semantic, state.class_to_index)
 
-    seg_s, d_logits_s = cross_entropy(student_out.logits, targets_cur)
+    seg_s, d_logits = cross_entropy(student_out.logits, targets_cur)
     seg_t, d_logits_t = cross_entropy(teacher_out.logits, targets_fused)
 
     # The fused cloud's first n_cur rows are the current scan, row for row.
@@ -291,11 +327,11 @@ def compute_gradients(
         total=total_loss(seg_s, seg_t, fd, sld, iaad, cfg.betas),
     )
 
-    d_logits = d_logits_s
+    # The cross-entropy gradients are this function's own temporaries, so the
+    # distillation terms and the teacher weight go into them in place.
     d_h2_extra = None
     d_h3_extra = None
     if b3 != 0.0 and len(hard_idx):
-        d_logits = d_logits.copy()
         d_logits[hard_idx] += b3 * g_sld
     if b2 != 0.0 and len(hard_idx):
         d_h2_extra = np.zeros_like(s_enc)
@@ -312,7 +348,8 @@ def compute_gradients(
     )
     teacher_grads = None
     if b1 != 0.0:
-        teacher_grads = _backward(state.teacher, teacher_out, b1 * d_logits_t)
+        d_logits_t *= b1
+        teacher_grads = _backward(state.teacher, teacher_out, d_logits_t)
     return breakdown, student_grads, teacher_grads
 
 

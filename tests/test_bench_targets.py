@@ -1,9 +1,11 @@
-"""The benchmark's traced names still bind to functions under ``src/``.
+"""The benchmark's hooks into ``src/`` and its numeric gate still hold.
 
 ``perfbench/tracing.py`` wraps each ``scanfuse`` function named in its
 ``TARGETS``; a renamed or deleted one would leave its per-layer metrics
-silently at 0. The full benchmark tests (``python3 -m pytest -q
-perfbench/tests``) catch that too, but run for many seconds.
+silently at 0. The train-distill workload fails a run whose last step's
+total loss strays from ``perfbench/reference.py`` by more than its
+``REL_TOL``. The full benchmark tests (``python3 -m pytest -q
+perfbench/tests``) catch both too, but run for many seconds.
 """
 
 import sys
@@ -11,7 +13,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import reference  # noqa: E402
 import tracing  # noqa: E402
+
+from scanfuse.distill import DistillConfig  # noqa: E402
+from scanfuse.fusion import (  # noqa: E402
+    FusionConfig,
+    build_instance_db,
+    fuse_scan,
+    sample_and_paste,
+)
+from scanfuse.synthetic import default_scene, make_synthetic_sequence  # noqa: E402
+from scanfuse.toynet import ToyNetParams, TrainState, train_step  # noqa: E402
 
 
 def test_every_traced_target_exists():
@@ -21,3 +34,26 @@ def test_every_traced_target_exists():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_train_step_total_matches_the_benchmark_reference():
+    seq = make_synthetic_sequence(default_scene(n_scans=5, points_per_object=30), seed=3)
+    config = FusionConfig(window=2)
+    db = build_instance_db(seq.data, config)
+    pasted = sample_and_paste(fuse_scan(seq.data, 4, config), db, 3, rng_seed=4)
+    labels = pasted.current_labels()
+    state = TrainState(
+        teacher=ToyNetParams.init(5, 8, 3),
+        student=ToyNetParams.init(6, 8, 3),
+        step=0,
+        learning_rate=1e-2,
+        distill=DistillConfig(),
+        class_to_index={40: 0, 81: 1, 18: 2},
+        hard_classes=frozenset({81, 18}),
+    )
+    assert all(b != 0.0 for b in state.distill.betas)
+
+    _, losses = train_step(state, pasted.current_cloud(), pasted, labels)
+    assert min(losses.feature, losses.logits, losses.affinity) > 0.0
+    expected = reference.total_loss(state, pasted, labels)
+    assert abs(losses.total - expected) <= reference.REL_TOL * abs(expected)

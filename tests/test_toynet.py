@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from scanfuse.distill import DistillConfig, gradient_scale_error
+from scanfuse.distill import (
+    DistillConfig,
+    finite_difference_gradient,
+    gradient_scale_error,
+)
 from scanfuse.errors import ShapeError
 from scanfuse.fusion import FusionConfig, fuse_scan
 from scanfuse.kitti_io import LabelSet, PointCloud
@@ -172,6 +176,60 @@ def test_end_to_end_student_gradients_match_finite_differences():
             flat[i] = orig
             flat_fd[i] = (hi - lo) / (2 * step)
         assert gradient_scale_error(analytic, fd) < 1e-3
+
+
+def test_end_to_end_teacher_gradients_match_finite_differences():
+    config = default_scene(n_scans=3, points_per_object=8)
+    config.ground_points = 20
+    seq = make_synthetic_sequence(config, seed=10)
+    fused = fuse_scan(seq.data, 2, FusionConfig(window=2))
+    current = seq.data.scans[2]
+    labels = seq.data.labels[2]
+    assert fused.n_appended > 0 and len(fused.cloud) <= 80
+    c2i = {40: 0, 81: 1, 18: 2}
+    state = tiny_state(13, 14, c2i, frozenset({81, 18}), hidden=6)
+    assert all(b != 0.0 for b in state.distill.betas)
+    b1 = state.distill.betas[0]
+
+    _, _, teacher_grads = compute_gradients(state, current, fused, labels)
+
+    # The distillation terms hold the teacher constant, so the teacher's
+    # gradient is that of its weighted segmentation loss alone. The finite
+    # differences perturb each parameter array in place, inside ``state``.
+    def weighted_teacher_loss(_) -> float:
+        return b1 * compute_gradients(state, current, fused, labels)[0].seg_teacher
+
+    for analytic, array in zip(teacher_grads.arrays(), state.teacher.arrays()):
+        fd = finite_difference_gradient(weighted_teacher_loss, array)
+        assert gradient_scale_error(analytic, fd) < 1e-3
+
+
+def test_steps_leave_their_inputs_unchanged():
+    seq = make_synthetic_sequence(default_scene(n_scans=3, points_per_object=20), seed=8)
+    fused = fuse_scan(seq.data, 2, FusionConfig(window=2))
+    current = seq.data.scans[2]
+    labels = seq.data.labels[2]
+    c2i = {40: 0, 81: 1, 18: 2}
+    state = tiny_state(9, 10, c2i, frozenset({81, 18}))
+    assert all(b != 0.0 for b in state.distill.betas)
+    inputs = [
+        *state.teacher.arrays(),
+        *state.student.arrays(),
+        fused.cloud.points,
+        fused.cloud.remission,
+        fused.labels.semantic,
+        fused.labels.instance,
+        current.points,
+        current.remission,
+        labels.semantic,
+        labels.instance,
+    ]
+    before = [a.tobytes() for a in inputs]
+
+    compute_gradients(state, current, fused, labels)
+    train_step(state, current, fused, labels)
+    supervised_step(state.student, current, labels, c2i, state.learning_rate)
+    assert [a.tobytes() for a in inputs] == before
 
 
 def test_distill_rows_splits_an_id_shared_by_two_classes():
