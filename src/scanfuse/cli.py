@@ -159,13 +159,6 @@ def _load_fusion_config(args) -> FusionConfig:
     return config
 
 
-def _origins_text(origin_index: np.ndarray) -> str:
-    """One line per appended point; each distinct origin is formatted once."""
-    values, inverse = np.unique(origin_index, return_inverse=True)
-    lines = np.array([f"{v}\n" for v in values.tolist()], dtype=object)
-    return "".join(lines[inverse].tolist())
-
-
 def _cmd_fuse(args) -> int:
     index = load_sequence_index(args.seq)
     config = _load_fusion_config(args)
@@ -176,7 +169,8 @@ def _cmd_fuse(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(str(prefix) + ".bin").write_bytes(write_scan(fused.cloud))
     Path(str(prefix) + ".label").write_bytes(write_labels(fused.labels))
-    Path(str(prefix) + ".origins.txt").write_text(_origins_text(fused.origin_index))
+    origins = "\n".join(map(str, fused.origin_index.tolist()))
+    Path(str(prefix) + ".origins.txt").write_text(origins + ("\n" if origins else ""))
     print(
         f"fused scan {args.scan}: {fused.n_current} current + "
         f"{fused.n_appended} appended points",

@@ -36,6 +36,7 @@ from .kitti_io import (
     LabelSet,
     PointCloud,
     instance_rows,
+    raw_to_train_table,
     unpack_label,
 )
 from .metrics import accumulate_confusion, miou
@@ -233,18 +234,8 @@ def _sgd(params: ToyNetParams, grads: ToyNetParams, lr: float) -> ToyNetParams:
 
 
 def remap_semantic(semantic: np.ndarray, class_to_index: dict[int, int]) -> np.ndarray:
-    """Vectorized lookup of 16-bit raw class IDs (``LabelSet.semantic``) to
-    train classes; unmapped IDs are an error.
-
-    The table runs up to the largest mapped raw ID, plus one slot of -1 that
-    every larger ID reads.
-    """
-    raw = np.fromiter(class_to_index, dtype=np.int64, count=len(class_to_index))
-    if raw.size and (raw.min() < 0 or raw.max() > 0xFFFF):
-        raise InvalidConfig("raw class IDs must lie in the 16-bit range")
-    table = np.full(raw.max(initial=-1) + 2, -1, dtype=np.int64)
-    table[raw] = np.fromiter(class_to_index.values(), dtype=np.int64, count=len(raw))
-    out = table.take(semantic, mode="clip")
+    """Vectorized raw-class to train-class lookup; unmapped IDs are an error."""
+    out = raw_to_train_table(class_to_index)[np.asarray(semantic, dtype=np.int64)]
     if (out < 0).any():
         missing = sorted(set(np.asarray(semantic)[out < 0].tolist()))
         raise InvalidConfig(f"classes {missing} missing from the class map")

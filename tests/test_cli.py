@@ -3,7 +3,7 @@ import shutil
 import numpy as np
 import pytest
 
-from scanfuse.cli import _origins_text, main
+from scanfuse.cli import main
 from scanfuse.kitti_io import (
     parse_labels,
     parse_scan,
@@ -93,13 +93,6 @@ def test_fuse_end_to_end(seq_dir, tmp_path, capsys):
     current = parse_scan((seq_dir / "velodyne" / "000004.bin").read_bytes())
     assert len(origins) == len(cloud) - len(current)
     assert all(-4 <= int(v) <= -1 for v in origins)
-
-
-@pytest.mark.parametrize("n", [0, 1, 200])
-def test_origins_text_matches_per_point_formatting(n):
-    origins = np.random.default_rng(n).integers(-12, 0, size=n)
-    text = "\n".join(map(str, origins.tolist()))
-    assert _origins_text(origins) == text + ("\n" if text else "")
 
 
 def test_fuse_missing_labels_is_data_error(seq_dir, capsys):
