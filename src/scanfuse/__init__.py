@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .distill import (
     DistillConfig,
-    affinity_matrix,
     feature_distill_loss,
     iaad_loss,
     soft_logits_kl_loss,
@@ -29,7 +28,6 @@ from .fusion import (
     classify_motion,
     fuse_scan,
     gather_instance_track,
-    naive_fusion_size,
     sample_and_paste,
 )
 from .geometry import (
@@ -59,7 +57,6 @@ from .kitti_io import (
     parse_poses,
     parse_scan,
     write_calib,
-    write_class_map,
     write_labels,
     write_poses,
     write_scan,
@@ -117,7 +114,6 @@ __all__ = [
     "ToyNetParams",
     "TrainState",
     "accumulate_confusion",
-    "affinity_matrix",
     "apply_points",
     "build_instance_db",
     "centroid_align",
@@ -142,7 +138,6 @@ __all__ = [
     "load_sequence_index",
     "make_synthetic_sequence",
     "miou",
-    "naive_fusion_size",
     "parse_calib",
     "parse_class_map",
     "parse_labels",
@@ -154,7 +149,6 @@ __all__ = [
     "total_loss",
     "train_step",
     "write_calib",
-    "write_class_map",
     "write_labels",
     "write_poses",
     "write_scan",

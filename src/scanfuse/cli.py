@@ -61,8 +61,8 @@ def _build_parser() -> _Parser:
     p.add_argument("scan", help="input .bin scan")
     p.add_argument("labels", help="input .label file")
     p.add_argument("--class", dest="class_id", type=int, required=True)
-    p.add_argument("--stop-distance", type=float, default=2.0)
-    p.add_argument("--min-cluster-points", type=int, default=5)
+    p.add_argument("--stop-distance", type=float, default=InstanceGenConfig.stop_distance)
+    p.add_argument("--min-cluster-points", type=int, default=InstanceGenConfig.min_cluster_points)
     p.add_argument("--out", required=True, help="output .label path")
 
     p = sub.add_parser("fuse", help="fuse hard-class instances from past scans")
@@ -279,9 +279,7 @@ def _cmd_eval_miou(args) -> int:
         keep = gt_train >= 0
         if (pred_train[keep] < 0).any():
             raise ScanFuseError(f"{pred_path.name}: prediction has unmapped classes")
-        accumulate_confusion(
-            pred_train[keep], gt_train[keep], n_classes, ignore=frozenset(), out=cm
-        )
+        cm += accumulate_confusion(pred_train[keep], gt_train[keep], n_classes)
     per_class, mean = miou(cm)
     print(format_iou_table(names, per_class, mean, label="pred"))
     return 0
@@ -304,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ScanFuseError, FileNotFoundError, OSError, IndexError, ValueError) as exc:
+    except (ScanFuseError, OSError) as exc:
         print(f"scanfuse {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,26 +5,35 @@ override file values. The format is deliberately diffable: ``#`` comments,
 blank lines allowed, values parsed by the consumer; a key outside
 ``RECOGNIZED_KEYS`` or a key set twice is an error, so a typo cannot fall
 back to a default and a stray line cannot silently win.
+
+Each key appears here once, with its value parser. Defaults live only in the
+config dataclasses, whose ``__post_init__`` validates every parsed value.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 from .distill import DistillConfig
 from .errors import InvalidConfig
 from .fusion import FusionConfig
-from .registration import RegistrationConfig
 
 
-# Every key fusion_config_from or distill_config_from reads (fusion, ICP,
-# losses); one file may carry all of them, since train-toy builds both
-# configs from it.
-RECOGNIZED_KEYS = frozenset(
-    {"hard_classes", "window", "moving_threshold"}
-    | {"max_iterations", "convergence_tol", "max_correspondence_dist"}
-    | {"smooth_l1_T", "temperature_P", "beta1", "beta2", "beta3", "beta4"}
-)
+def _comma_ints(text: str) -> frozenset[int]:
+    return frozenset(int(tok) for tok in text.split(",") if tok.strip())
+
+
+# Keys of FusionConfig, of its RegistrationConfig, of DistillConfig, and of
+# DistillConfig.betas (in order); each maps to its value parser.
+_FUSION_KEYS = {"hard_classes": _comma_ints, "window": int, "moving_threshold": float}
+_ICP_KEYS = {"max_iterations": int, "convergence_tol": float, "max_correspondence_dist": float}
+_LOSS_KEYS = {"smooth_l1_T": float, "temperature_P": float}
+_BETA_KEYS = dict.fromkeys(("beta1", "beta2", "beta3", "beta4"), float)
+
+# Every key fusion_config_from or distill_config_from reads; one file may
+# carry all of them, since train-toy builds both configs from it.
+RECOGNIZED_KEYS = frozenset(_FUSION_KEYS | _ICP_KEYS | _LOSS_KEYS | _BETA_KEYS)
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -53,66 +62,31 @@ def load_kv_file(path: str | Path) -> dict[str, str]:
     return parse_kv_text(Path(path).read_text())
 
 
-def _get_float(values: dict[str, str], key: str, default: float) -> float:
-    if key not in values:
-        return default
-    try:
-        return float(values[key])
-    except ValueError:
-        raise InvalidConfig(f"config key {key!r}: not a number") from None
-
-
-def _get_int(values: dict[str, str], key: str, default: int) -> int:
-    if key not in values:
-        return default
-    try:
-        return int(values[key])
-    except ValueError:
-        raise InvalidConfig(f"config key {key!r}: not an integer") from None
+def _parsed(values: dict[str, str], parsers: dict) -> dict[str, object]:
+    """The values of the keys in ``parsers``, each through its parser."""
+    out: dict[str, object] = {}
+    for key, parse in parsers.items():
+        if key in values:
+            try:
+                out[key] = parse(values[key])
+            except ValueError as exc:
+                raise InvalidConfig(f"config key {key!r}: {exc}") from None
+    return out
 
 
 def fusion_config_from(values: dict[str, str]) -> FusionConfig:
-    """Build a FusionConfig from key-value pairs, defaults filling gaps.
-
-    Recognized keys: hard_classes (comma-separated raw IDs), window,
-    moving_threshold, max_iterations, convergence_tol,
-    max_correspondence_dist.
-    """
+    """FusionConfig defaults overridden by the fusion and ICP keys present."""
     base = FusionConfig()
-    hard = base.hard_classes
-    if "hard_classes" in values:
-        try:
-            hard = frozenset(
-                int(tok) for tok in values["hard_classes"].split(",") if tok.strip()
-            )
-        except ValueError:
-            raise InvalidConfig("config key 'hard_classes': not a comma list") from None
-    reg = base.registration
-    registration = RegistrationConfig(
-        max_iterations=_get_int(values, "max_iterations", reg.max_iterations),
-        convergence_tol=_get_float(values, "convergence_tol", reg.convergence_tol),
-        max_correspondence_dist=_get_float(
-            values, "max_correspondence_dist", reg.max_correspondence_dist
-        ),
-    )
-    return FusionConfig(
-        hard_classes=hard,
-        window=_get_int(values, "window", base.window),
-        moving_threshold=_get_float(values, "moving_threshold", base.moving_threshold),
-        registration=registration,
-    )
+    registration = replace(base.registration, **_parsed(values, _ICP_KEYS))
+    return replace(base, registration=registration, **_parsed(values, _FUSION_KEYS))
 
 
 def distill_config_from(values: dict[str, str]) -> DistillConfig:
-    """Recognized keys: smooth_l1_T, temperature_P, beta1..beta4."""
+    """DistillConfig defaults overridden by the loss and beta keys present."""
     base = DistillConfig()
-    return DistillConfig(
-        smooth_l1_T=_get_float(values, "smooth_l1_T", base.smooth_l1_T),
-        temperature_P=_get_float(values, "temperature_P", base.temperature_P),
-        betas=(
-            _get_float(values, "beta1", base.betas[0]),
-            _get_float(values, "beta2", base.betas[1]),
-            _get_float(values, "beta3", base.betas[2]),
-            _get_float(values, "beta4", base.betas[3]),
-        ),
+    betas = _parsed(values, _BETA_KEYS)
+    return replace(
+        base,
+        betas=tuple(betas.get(key, b) for key, b in zip(_BETA_KEYS, base.betas)),
+        **_parsed(values, _LOSS_KEYS),
     )

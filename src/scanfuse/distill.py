@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInstance,
-    InvalidConfig,
-    NumericError,
-    ShapeError,
-)
+from .errors import InvalidConfig, NumericError, ShapeError
 
 
 @dataclass
@@ -64,9 +59,7 @@ def _sorted_sum(values: np.ndarray) -> float:
     return float(flat.sum())
 
 
-def feature_distill_loss(
-    teacher, student, threshold: float = 1.0
-) -> tuple[float, np.ndarray]:
+def feature_distill_loss(teacher, student, threshold: float) -> tuple[float, np.ndarray]:
     """Smooth-L1 feature matching, averaged over all N*f_c elements.
 
     Per element d = teacher - student: d^2/(2T) inside the threshold,
@@ -100,9 +93,7 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def soft_logits_kl_loss(
-    teacher, student, temperature: float = 1.0
-) -> tuple[float, np.ndarray]:
+def soft_logits_kl_loss(teacher, student, temperature: float) -> tuple[float, np.ndarray]:
     """KL(p || q) between temperature-softened class distributions.
 
     p = softmax(teacher / P), q = softmax(student / P); the sum of
@@ -134,22 +125,6 @@ def _cosine_affinity(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         raise NumericError("zero-norm feature row in instance set")
     unit = rows / norms[:, None]
     return unit @ unit.T, unit, norms
-
-
-def affinity_matrix(features, instance_points) -> np.ndarray:
-    """Symmetric cosine-similarity matrix of one instance's feature rows,
-    clipped to [-1, 1]."""
-    rows = np.asarray(features, dtype=np.float64)
-    idx = np.asarray(instance_points, dtype=np.int64).reshape(-1)
-    if len(idx) < 2:
-        raise DegenerateInstance(f"instance needs >= 2 points, got {len(idx)}")
-    if idx.min() < 0 or idx.max() >= len(rows):
-        raise IndexError("instance point index out of range")
-    sel = rows[idx]
-    if not np.isfinite(sel).all():
-        raise NumericError("non-finite feature rows")
-    values = np.clip(_cosine_affinity(sel)[0], -1.0, 1.0)
-    return (values + values.T) / 2.0
 
 
 def iaad_loss(
@@ -223,21 +198,24 @@ def total_loss(
 # Gradient verification (used by tests and the `loss-check` CLI command)
 # ---------------------------------------------------------------------------
 
+FD_STEP = 1e-5  # central-difference step
 
-def finite_difference_gradient(fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar function, elementwise."""
+
+def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
+    """Central finite differences of a scalar function, elementwise, with
+    step ``FD_STEP``."""
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = grad.ravel()
     x_flat = x.ravel()
     for i in range(x.size):
         orig = x_flat[i]
-        x_flat[i] = orig + step
+        x_flat[i] = orig + FD_STEP
         hi = fn(x)
-        x_flat[i] = orig - step
+        x_flat[i] = orig - FD_STEP
         lo = fn(x)
         x_flat[i] = orig
-        flat[i] = (hi - lo) / (2.0 * step)
+        flat[i] = (hi - lo) / (2.0 * FD_STEP)
     return grad
 
 
@@ -253,14 +231,14 @@ def gradient_scale_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
 
 
-def verify_gradients(
-    cases: int = 100, seed: int = 0, step: float = 1e-5
-) -> list[tuple[str, float, bool]]:
+def verify_gradients(cases: int, seed: int) -> list[tuple[str, float, bool]]:
     """Check each loss's analytic gradient against central differences.
 
     Returns (loss name, max scale-relative error over all cases, passed)
     rows with a 1e-4 pass threshold.
     """
+    if cases < 1:
+        raise InvalidConfig(f"cases must be >= 1, got {cases}")
     rng = np.random.default_rng(seed)
     worst = {"feature": 0.0, "logits": 0.0, "affinity": 0.0}
 
@@ -275,7 +253,6 @@ def verify_gradients(
         fd = finite_difference_gradient(
             lambda x: feature_distill_loss(f_teacher, x, threshold)[0],
             f_student.copy(),
-            step,
         )
         worst["feature"] = max(worst["feature"], gradient_scale_error(grad, fd))
 
@@ -286,7 +263,6 @@ def verify_gradients(
         fd = finite_difference_gradient(
             lambda x: soft_logits_kl_loss(z_teacher, x, temperature)[0],
             z_student.copy(),
-            step,
         )
         worst["logits"] = max(worst["logits"], gradient_scale_error(grad, fd))
 
@@ -295,7 +271,7 @@ def verify_gradients(
         instances = [np.arange(n)]
         _, grad = iaad_loss(a_teacher, a_student, instances)
         fd = finite_difference_gradient(
-            lambda x: iaad_loss(a_teacher, x, instances)[0], a_student.copy(), step
+            lambda x: iaad_loss(a_teacher, x, instances)[0], a_student.copy()
         )
         worst["affinity"] = max(worst["affinity"], gradient_scale_error(grad, fd))
 

@@ -66,12 +66,8 @@ class NumericError(ScanFuseError):
     """Non-finite values or numerically invalid rows encountered."""
 
 
-class DegenerateInstance(ScanFuseError):
-    """Instance has too few points for an affinity matrix."""
-
-
 class ClassRangeError(ScanFuseError):
-    """Class ID outside the confusion-matrix range and not ignored."""
+    """Class ID outside the confusion-matrix range."""
 
 
 class NoValidClasses(ScanFuseError):

@@ -294,7 +294,7 @@ def fuse_scan(
     """Fuse hard-class instance points from the past window into scan t."""
     seq = _as_data(seq)
     if not 0 <= scan_t < len(seq):
-        raise IndexError(f"scan {scan_t} out of range for sequence of {len(seq)}")
+        raise ScanFuseError(f"scan {scan_t} out of range for sequence of {len(seq)}")
     rows = {s: instance_rows(seq.labels[s]) for s in _window(seq, scan_t, config.window)}
 
     current = seq.scans[scan_t]
@@ -313,14 +313,6 @@ def fuse_scan(
         n_current=len(current),
         origin_index=np.concatenate(origins),
         registration_warnings=warnings,
-    )
-
-
-def naive_fusion_size(seq: SequenceData | SequenceIndex, scan_t: int, window: int) -> int:
-    """Point count if the whole past window were fused without the class prior."""
-    seq = _as_data(seq)
-    return sum(
-        len(seq.scans[s]) for s in range(max(0, scan_t - window), scan_t + 1)
     )
 
 
@@ -362,11 +354,6 @@ class InstancePair:
         """The single-scan member: a view of the first ``n_single`` rows."""
         cloud = self.fused_cloud
         return PointCloud(cloud.points[: self.n_single], cloud.remission[: self.n_single])
-
-    @property
-    def single_labels(self) -> LabelSet:
-        labels = self.fused_labels
-        return LabelSet(labels.semantic[: self.n_single], labels.instance[: self.n_single])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InstancePair):

@@ -134,6 +134,12 @@ class SequenceData:
             raise ValueError("poses and scans lengths differ")
         if len(self.labels) != len(self.scans):
             raise ValueError("labels and scans lengths differ")
+        for i, (scan, labels) in enumerate(zip(self.scans, self.labels)):
+            if labels is not None and len(labels) != len(scan):
+                raise MalformedLabel(
+                    f"sequence {self.name} scan {i}: {len(labels)} labels "
+                    f"for {len(scan)} points"
+                )
 
     def __len__(self) -> int:
         return len(self.scans)
@@ -335,27 +341,12 @@ def raw_to_train_table(raw_to_train: dict[int, int]) -> np.ndarray:
     return table
 
 
-def write_class_map(mapping: dict[int, tuple[int, str]]) -> str:
-    lines = ["# raw_id train_id name"]
-    for raw_id in sorted(mapping):
-        train_id, name = mapping[raw_id]
-        lines.append(f"{raw_id} {train_id} {name}")
-    return "\n".join(lines) + "\n"
-
-
-def scan_file_name(index: int) -> str:
-    return f"{index:06d}.bin"
-
-
-def label_file_name(index: int) -> str:
-    return f"{index:06d}.label"
-
-
-def load_sequence_index(seq_dir: str | Path, name: str | None = None) -> SequenceIndex:
+def load_sequence_index(seq_dir: str | Path) -> SequenceIndex:
     """Build a SequenceIndex from a KITTI-layout sequence directory.
 
     Expects ``velodyne/*.bin``, optional ``labels/*.label``, ``poses.txt``
-    and ``calib.txt`` under ``seq_dir``.
+    and ``calib.txt`` under ``seq_dir``; the directory name names the
+    sequence.
     """
     seq_dir = Path(seq_dir)
     velo_dir = seq_dir / "velodyne"
@@ -380,17 +371,12 @@ def load_sequence_index(seq_dir: str | Path, name: str | None = None) -> Sequenc
     poses_path = seq_dir / "poses.txt"
     if not poses_path.is_file():
         raise FileNotFoundError(f"no poses.txt under {seq_dir}")
-    poses = parse_poses(poses_path.read_text(), calib)
-    if len(poses) != len(scan_paths):
-        raise MalformedPose(
-            f"{len(poses)} poses in {poses_path} but {len(scan_paths)} scans"
-        )
     return SequenceIndex(
         scan_paths=scan_paths,
         label_paths=label_paths,
-        poses=poses,
+        poses=parse_poses(poses_path.read_text(), calib),
         calib=calib,
-        name=name if name is not None else seq_dir.name,
+        name=seq_dir.name,
     )
 
 
@@ -405,11 +391,11 @@ def write_sequence(data: SequenceData, out_dir: str | Path) -> SequenceIndex:
     scan_paths: list[Path] = []
     label_paths: list[Path | None] = []
     for i, (scan, labels) in enumerate(zip(data.scans, data.labels)):
-        scan_path = velo_dir / scan_file_name(i)
+        scan_path = velo_dir / f"{i:06d}.bin"
         scan_path.write_bytes(write_scan(scan))
         scan_paths.append(scan_path)
         if labels is not None:
-            label_path = label_dir / label_file_name(i)
+            label_path = label_dir / f"{i:06d}.label"
             label_path.write_bytes(write_labels(labels))
             label_paths.append(label_path)
         else:

@@ -3,6 +3,7 @@
 IoU per class is TP / (TP + FP + FN); classes absent from both prediction and
 ground truth are excluded from the mean (the standard evaluation convention
 for this benchmark family). Matrices from parallel shards merge by addition.
+Ignored classes never reach this module: callers drop their points first.
 """
 
 from __future__ import annotations
@@ -11,45 +12,26 @@ import numpy as np
 
 from .errors import ClassRangeError, NoValidClasses
 
-DEFAULT_IGNORE = frozenset({0})
 
+def accumulate_confusion(pred, gt, n_classes: int) -> np.ndarray:
+    """The n_classes x n_classes matrix of (gt, pred) counts.
 
-def accumulate_confusion(
-    pred,
-    gt,
-    n_classes: int,
-    ignore: frozenset[int] | set[int] = DEFAULT_IGNORE,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Add (gt, pred) counts into an n_classes x n_classes matrix.
-
-    Points whose ground-truth class is in ``ignore`` are skipped entirely.
-    Any remaining class ID outside [0, n_classes) raises ClassRangeError.
+    Every class ID must lie in [0, n_classes), else ClassRangeError; callers
+    drop ignored points first (a class map's ``train_id -1``).
     """
-    pred = np.asarray(pred).reshape(-1)
-    gt = np.asarray(gt).reshape(-1)
+    pred = np.asarray(pred, dtype=np.int64).reshape(-1)
+    gt = np.asarray(gt, dtype=np.int64).reshape(-1)
     if pred.shape != gt.shape:
         raise ValueError(f"pred ({pred.shape}) and gt ({gt.shape}) lengths differ")
-    if out is None:
-        out = np.zeros((n_classes, n_classes), dtype=np.int64)
-    elif out.shape != (n_classes, n_classes):
-        raise ValueError(f"out has shape {out.shape}, expected {(n_classes, n_classes)}")
-
-    keep = ~np.isin(gt, list(ignore)) if ignore else np.ones(len(gt), dtype=bool)
-    gt_kept = gt[keep].astype(np.int64)
-    pred_kept = pred[keep].astype(np.int64)
-    if len(gt_kept):
-        if gt_kept.min() < 0 or gt_kept.max() >= n_classes:
-            raise ClassRangeError(
-                f"ground-truth class outside [0, {n_classes}) and not ignored"
-            )
-        if pred_kept.min() < 0 or pred_kept.max() >= n_classes:
+    if len(gt):
+        if gt.min() < 0 or gt.max() >= n_classes:
+            raise ClassRangeError(f"ground-truth class outside [0, {n_classes})")
+        if pred.min() < 0 or pred.max() >= n_classes:
             raise ClassRangeError(f"predicted class outside [0, {n_classes})")
-        flat = gt_kept * n_classes + pred_kept
-        out += np.bincount(flat, minlength=n_classes * n_classes).reshape(
-            n_classes, n_classes
-        )
-    return out
+    flat = gt * n_classes + pred
+    return np.bincount(flat, minlength=n_classes * n_classes).reshape(
+        n_classes, n_classes
+    )
 
 
 def miou(cm: np.ndarray) -> tuple[np.ndarray, float]:

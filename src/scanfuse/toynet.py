@@ -60,7 +60,7 @@ class ToyNetParams:
     b4: np.ndarray
 
     @classmethod
-    def init(cls, seed: int, hidden: int = 16, n_classes: int = 2) -> "ToyNetParams":
+    def init(cls, seed: int, hidden: int, n_classes: int) -> "ToyNetParams":
         if hidden < 1 or n_classes < 2:
             raise InvalidConfig("hidden >= 1 and n_classes >= 2 required")
         rng = np.random.default_rng(seed)
@@ -80,7 +80,7 @@ class ToyNetParams:
         )
 
     @classmethod
-    def zeros(cls, hidden: int = 16, n_classes: int = 2) -> "ToyNetParams":
+    def zeros(cls, hidden: int, n_classes: int) -> "ToyNetParams":
         return cls(
             w1=np.zeros((4, hidden)),
             b1=np.zeros(hidden),
@@ -398,5 +398,5 @@ def evaluate(
     for scan, lab in zip(scans, labels):
         pred = predict(params, scan)
         gt = remap_semantic(lab.semantic, class_to_index)
-        accumulate_confusion(pred, gt, n_classes, ignore=frozenset(), out=cm)
+        cm += accumulate_confusion(pred, gt, n_classes)
     return miou(cm)

@@ -12,14 +12,13 @@ from scipy.spatial import cKDTree
 
 from scanfuse.distill import (
     DistillConfig,
-    affinity_matrix,
     feature_distill_loss,
     iaad_loss,
     soft_logits_kl_loss,
     verify_gradients,
 )
 from scanfuse.errors import MalformedLabel, MalformedPose, MalformedScan
-from scanfuse.fusion import FusionConfig, fuse_scan, naive_fusion_size
+from scanfuse.fusion import FusionConfig, fuse_scan
 from scanfuse.geometry import (
     RigidTransform,
     apply_points,
@@ -244,7 +243,8 @@ def test_criterion_5_fusion_correctness():
         # every appended point is hard-class; sparse fusion stays below naive
         assert set(appended_sem.tolist()) <= config.hard_classes
         assert fused.n_appended > 0
-        assert len(fused.cloud) < naive_fusion_size(seq.data, 4, config.window)
+        naive = sum(len(seq.data.scans[s]) for s in range(4 - config.window, 5))
+        assert len(fused.cloud) < naive
     report(
         5,
         "static fusion within 1e-6, registration beats pose-only, appended "
@@ -264,11 +264,11 @@ def test_criterion_6_loss_correctness():
         n, w = int(rng.integers(2, 7)), int(rng.integers(2, 6))
         t = rng.normal(size=(n, w))
         s = rng.normal(size=(n, w))
-        assert feature_distill_loss(t, t.copy())[0] == 0.0
-        assert soft_logits_kl_loss(t, t.copy())[0] == 0.0
+        assert feature_distill_loss(t, t.copy(), 1.0)[0] == 0.0
+        assert soft_logits_kl_loss(t, t.copy(), 1.0)[0] == 0.0
         assert iaad_loss(t, t.copy(), [np.arange(n)])[0] == 0.0
-        assert feature_distill_loss(t, s)[0] >= 0.0
-        assert soft_logits_kl_loss(t, s)[0] >= 0.0
+        assert feature_distill_loss(t, s, 1.0)[0] >= 0.0
+        assert soft_logits_kl_loss(t, s, 1.0)[0] >= 0.0
         assert iaad_loss(t, s, [np.arange(n)])[0] >= 0.0
 
     rows = verify_gradients(cases=100, seed=6)
@@ -286,17 +286,24 @@ def test_criterion_6_loss_correctness():
     hand = ((2 / 3) * math.log(4 / 3) + (1 / 3) * math.log(2 / 3)) / 2
     assert abs(loss - hand) < 1e-10
 
+    def cosines(rows):
+        norms = np.linalg.norm(rows, axis=1)
+        n = len(rows)
+        return [[rows[i] @ rows[j] / (norms[i] * norms[j]) for j in range(n)] for i in range(n)]
+
     for _ in range(1000):
-        rows_f = rng.normal(size=(int(rng.integers(2, 10)), int(rng.integers(1, 7))))
-        a = affinity_matrix(rows_f, np.arange(len(rows_f)))
-        assert np.abs(a - a.T).max() < 1e-9
-        assert np.abs(np.diag(a) - 1.0).max() < 1e-9
-        assert a.min() >= -1.0 and a.max() <= 1.0
+        n, w = int(rng.integers(2, 10)), int(rng.integers(1, 7))
+        t = rng.normal(size=(n, w))
+        s = rng.normal(size=(n, w))
+        c_t, c_s = cosines(t), cosines(s)
+        expected = sum((c_s[i][j] - c_t[i][j]) ** 2 for i in range(n) for j in range(n)) / n**2
+        assert abs(iaad_loss(t, s, [np.arange(n)])[0] - expected) < 1e-12
 
     report(
         6,
         "losses zero at equality and nonnegative (1000 pairs), gradients < 1e-4 "
-        "(100 cases each), branch continuity, KL hand value, affinity invariants",
+        "(100 cases each), branch continuity, KL hand value, IAAD equals its "
+        "double-loop definition within 1e-12 (1000 sets)",
     )
 
 
@@ -416,7 +423,7 @@ def test_criterion_7_distillation_efficacy():
 
 
 def test_criterion_8_metrics():
-    cm = accumulate_confusion([0, 1, 1, 1], [0, 0, 1, 1], 2, ignore=frozenset())
+    cm = accumulate_confusion([0, 1, 1, 1], [0, 0, 1, 1], 2)
     per_class, mean = miou(cm)
     assert per_class[0] == 0.5
     assert per_class[1] == 2.0 / 3.0

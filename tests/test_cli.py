@@ -7,7 +7,6 @@ from scanfuse.cli import main
 from scanfuse.kitti_io import (
     parse_labels,
     parse_scan,
-    write_class_map,
     write_labels,
     write_sequence,
 )
@@ -104,6 +103,21 @@ def test_fuse_missing_labels_is_data_error(seq_dir, capsys):
 
 def test_fuse_scan_out_of_range_is_data_error(seq_dir, capsys):
     assert main(["fuse", "--seq", str(seq_dir), "--scan", "99", "--out", "x"]) == 2
+
+
+def test_labels_not_covering_their_scan_are_a_data_error(seq_dir, tmp_path, capsys):
+    for scan, cut in [(4, 10), (2, 300)]:
+        path = seq_dir / "labels" / f"{scan:06d}.label"
+        path.write_bytes(path.read_bytes()[: -4 * cut])
+    n_points = len(parse_scan((seq_dir / "velodyne" / "000002.bin").read_bytes()))
+    out = tmp_path / "out"
+    for argv in (
+        ["fuse", "--seq", str(seq_dir), "--scan", "4", "--out", str(out / "fused")],
+        ["build-augdb", "--seq", str(seq_dir), "--out", str(out / "db")],
+    ):
+        assert main(argv) == 2
+        assert f"scan 2: {n_points - 300} labels for {n_points} points" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fuse_flags_override_config_file(seq_dir, tmp_path):
@@ -247,6 +261,11 @@ def test_loss_check_cli(capsys):
     assert "FAIL" not in out
 
 
+def test_loss_check_without_cases_is_data_error(capsys):
+    assert main(["loss-check", "--cases", "0"]) == 2
+    assert "cases must be >= 1" in capsys.readouterr().err
+
+
 def test_loss_check_is_seed_reproducible(capsys):
     assert main(["loss-check", "--cases", "5", "--seed", "2"]) == 0
     first = capsys.readouterr().out
@@ -284,7 +303,7 @@ def test_eval_miou_cli(tmp_path, capsys):
     (pred_dir / "000000.label").write_bytes(write_labels(pred))
     classmap = tmp_path / "classes.txt"
     classmap.write_text(
-        write_class_map({0: (-1, "unlabeled"), 40: (0, "road"), 81: (1, "traffic-sign")})
+        "# raw_id train_id name\n0 -1 unlabeled\n40 0 road\n81 1 traffic-sign\n"
     )
     code = main(
         [
@@ -302,6 +321,23 @@ def test_eval_miou_cli(tmp_path, capsys):
     header, row = out.strip().splitlines()
     assert header.split()[1:] == ["road", "traffic-sign", "mIoU"]
     assert row.split()[1:] == ["50.0", "66.7", "58.3"]
+
+
+def test_eval_miou_drops_ground_truth_of_ignored_classes(tmp_path, capsys):
+    from scanfuse.kitti_io import LabelSet
+
+    # class 0 maps to train_id -1: its two points count for nothing, whatever
+    # their prediction
+    for name, semantic in (("gt", [0, 0, 40, 81]), ("pred", [81, 40, 40, 81])):
+        (tmp_path / name).mkdir()
+        labels = LabelSet(np.array(semantic, dtype=np.uint16), np.zeros(4, dtype=np.uint16))
+        (tmp_path / name / "000000.label").write_bytes(write_labels(labels))
+    classmap = tmp_path / "classes.txt"
+    classmap.write_text("0 -1 unlabeled\n40 0 road\n81 1 traffic-sign\n")
+    argv = ["--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")]
+    assert main(["eval-miou", *argv, "--classmap", str(classmap)]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1]
+    assert row.split()[1:] == ["100.0", "100.0", "100.0"]
 
 
 @pytest.mark.parametrize("raw_id", [-1, 70000])

@@ -1,8 +1,11 @@
+import re
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from scanfuse.config import (
+    RECOGNIZED_KEYS,
     distill_config_from,
     fusion_config_from,
     load_kv_file,
@@ -13,6 +16,21 @@ from scanfuse.errors import InvalidConfig
 from scanfuse.fusion import FusionConfig
 from scanfuse.instance_gen import InstanceGenConfig
 from scanfuse.registration import RegistrationConfig
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_table_matches_the_keys_and_dataclass_defaults():
+    text = README.read_text()
+    table = text[text.index("| key | default | meaning |") :].split("\n\n")[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", table, flags=re.MULTILINE)
+    assert len(rows) == len(RECOGNIZED_KEYS) == 12
+    assert {key for key, _ in rows} == RECOGNIZED_KEYS
+    # the listed default, parsed as a file value, changes no field
+    for key, default in rows:
+        assert fusion_config_from({key: default}) == FusionConfig(), key
+        assert distill_config_from({key: default}) == DistillConfig(), key
 
 
 def test_empty_values_give_the_dataclass_defaults():

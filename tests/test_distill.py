@@ -6,7 +6,6 @@ from scipy.special import log_softmax
 
 from scanfuse.distill import (
     DistillConfig,
-    affinity_matrix,
     feature_distill_loss,
     finite_difference_gradient,
     gradient_scale_error,
@@ -15,12 +14,7 @@ from scanfuse.distill import (
     total_loss,
     verify_gradients,
 )
-from scanfuse.errors import (
-    DegenerateInstance,
-    InvalidConfig,
-    NumericError,
-    ShapeError,
-)
+from scanfuse.errors import InvalidConfig, NumericError, ShapeError
 
 # Frozen from the independent hand computation
 # ((2/3)ln(4/3) + (1/3)ln(2/3)) / 2 at 20 significant digits.
@@ -130,56 +124,48 @@ def test_kl_temperature_softens():
     assert hot < cold
 
 
-# --- affinity matrices -------------------------------------------------------
+# --- instance-aware affinity distillation -----------------------------------
 
 
-def test_affinity_identical_rows_give_ones():
-    rows = np.tile(np.array([1.0, 2.0, 3.0]), (4, 1))
-    a = affinity_matrix(rows, np.arange(4))
-    assert np.abs(a - 1.0).max() < 1e-12
+def _iaad_brute_force(teacher, student, instances):
+    """IAAD by its definition: per instance, the mean over member pairs (i, j)
+    of the squared difference of the two cosines, summed over instances."""
+    def cosine(rows, i, j):
+        return rows[i] @ rows[j] / (np.linalg.norm(rows[i]) * np.linalg.norm(rows[j]))
+
+    total = 0.0
+    for idx in instances:
+        if len(idx) < 2:
+            continue
+        squares = [
+            (cosine(student, i, j) - cosine(teacher, i, j)) ** 2 for i in idx for j in idx
+        ]
+        total += sum(squares) / len(idx) ** 2
+    return total
 
 
-def test_affinity_orthogonal_rows():
-    rows = np.array([[1.0, 0.0], [0.0, 2.0]])
-    a = affinity_matrix(rows, np.arange(2))
-    assert abs(a[0, 1]) < 1e-12
-    assert np.abs(np.diag(a) - 1.0).max() < 1e-12
-
-
-def test_affinity_matches_brute_force():
+def test_iaad_matches_brute_force():
     rng = np.random.default_rng(3)
-    rows = rng.normal(size=(10, 6))
-    a = affinity_matrix(rows, np.arange(10))
-    for i in range(10):
-        for j in range(10):
-            expected = rows[i] @ rows[j] / (
-                np.linalg.norm(rows[i]) * np.linalg.norm(rows[j])
-            )
-            assert abs(a[i, j] - expected) < 1e-12
-
-
-def test_affinity_invariants_on_random_sets():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        rows = rng.normal(size=(int(rng.integers(2, 12)), int(rng.integers(1, 8))))
-        a = affinity_matrix(rows, np.arange(len(rows)))
-        assert np.abs(a - a.T).max() < 1e-9
-        assert np.abs(np.diag(a) - 1.0).max() < 1e-9
-        assert a.min() >= -1.0 and a.max() <= 1.0
+    for _ in range(100):
+        n, w = int(rng.integers(2, 30)), int(rng.integers(1, 8))
+        teacher = rng.normal(size=(n, w))
+        student = rng.normal(size=(n, w))
+        members = rng.permutation(n)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(2, n - 1), replace=False))
+        instances = np.split(members, cuts)
+        expected = _iaad_brute_force(teacher, student, instances)
+        assert abs(iaad_loss(teacher, student, instances)[0] - expected) < 1e-12
+    # identical rows (cosine 1) against orthogonal rows (cosine 0)
+    identical = np.tile([1.0, 2.0, 3.0], (3, 1))
+    orthogonal = np.diag([1.0, 2.0, 0.5])
+    expected = _iaad_brute_force(identical, orthogonal, [np.arange(3)])
+    assert abs(iaad_loss(identical, orthogonal, [np.arange(3)])[0] - expected) < 1e-12
 
 
 def test_affinity_zero_norm_row():
     rows = np.array([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(NumericError):
-        affinity_matrix(rows, np.arange(2))
-
-
-def test_affinity_degenerate_instance():
-    with pytest.raises(DegenerateInstance):
-        affinity_matrix(np.ones((3, 2)), np.array([1]))
-
-
-# --- instance-aware affinity distillation -----------------------------------
+        iaad_loss(np.ones((2, 2)), rows, [np.arange(2)])
 
 
 def test_iaad_zero_at_equality():
@@ -262,11 +248,11 @@ def test_losses_zero_iff_equal_and_nonnegative():
         n, w = int(rng.integers(2, 8)), int(rng.integers(2, 6))
         t = rng.normal(size=(n, w))
         s = rng.normal(size=(n, w))
-        assert feature_distill_loss(t, t.copy())[0] == 0.0
-        assert soft_logits_kl_loss(t, t.copy())[0] == 0.0
+        assert feature_distill_loss(t, t.copy(), 1.0)[0] == 0.0
+        assert soft_logits_kl_loss(t, t.copy(), 1.0)[0] == 0.0
         assert iaad_loss(t, t.copy(), [np.arange(n)])[0] == 0.0
-        assert feature_distill_loss(t, s)[0] >= 0.0
-        assert soft_logits_kl_loss(t, s)[0] >= 0.0
+        assert feature_distill_loss(t, s, 1.0)[0] >= 0.0
+        assert soft_logits_kl_loss(t, s, 1.0)[0] >= 0.0
         assert iaad_loss(t, s, [np.arange(n)])[0] >= 0.0
 
 
@@ -280,12 +266,12 @@ def test_losses_invariant_under_row_permutation():
         instances = [np.arange(n)]
         perm_instances = [np.argsort(perm)[np.arange(n)]]  # same set, remapped
 
-        fd0 = feature_distill_loss(t, s)[0]
-        fd1 = feature_distill_loss(t[perm], s[perm])[0]
+        fd0 = feature_distill_loss(t, s, 1.0)[0]
+        fd1 = feature_distill_loss(t[perm], s[perm], 1.0)[0]
         assert fd0 == fd1
 
-        kl0 = soft_logits_kl_loss(t, s)[0]
-        kl1 = soft_logits_kl_loss(t[perm], s[perm])[0]
+        kl0 = soft_logits_kl_loss(t, s, 1.0)[0]
+        kl1 = soft_logits_kl_loss(t[perm], s[perm], 1.0)[0]
         assert kl0 == kl1
 
         ia0 = iaad_loss(t, s, instances)[0]
@@ -329,8 +315,8 @@ def test_losses_invariant_under_row_permutation_at_benchmark_sizes():
     instances = [np.sort(idx) for idx in instances]
 
     losses = [
-        feature_distill_loss(t, s)[0],
-        soft_logits_kl_loss(t, s)[0],
+        feature_distill_loss(t, s, 1.0)[0],
+        soft_logits_kl_loss(t, s, 1.0)[0],
         iaad_loss(t, s, instances)[0],
     ]
     for _ in range(4):
@@ -338,8 +324,8 @@ def test_losses_invariant_under_row_permutation_at_benchmark_sizes():
         inverse = np.empty(n, dtype=np.int64)
         inverse[perm] = np.arange(n)
         perm_instances = [np.sort(inverse[instances[k]]) for k in rng.permutation(10)]
-        assert feature_distill_loss(t[perm], s[perm])[0] == losses[0]
-        assert soft_logits_kl_loss(t[perm], s[perm])[0] == losses[1]
+        assert feature_distill_loss(t[perm], s[perm], 1.0)[0] == losses[0]
+        assert soft_logits_kl_loss(t[perm], s[perm], 1.0)[0] == losses[1]
         assert iaad_loss(t[perm], s[perm], perm_instances)[0] == losses[2]
 
     for loss, (reference, magnitude) in zip(losses, _fsum_losses(t, s, instances)):

@@ -13,7 +13,6 @@ from scanfuse.fusion import (
     classify_motion,
     fuse_scan,
     gather_instance_track,
-    naive_fusion_size,
     sample_and_paste,
 )
 from scanfuse.geometry import apply_points, compose, invert
@@ -191,7 +190,7 @@ def test_fuse_appends_only_hard_classes(scene):
 
 def test_fused_size_below_naive_full_fusion(scene):
     fused = fuse_scan(scene.data, 4, FusionConfig())
-    assert len(fused.cloud) < naive_fusion_size(scene.data, 4, 4)
+    assert len(fused.cloud) < sum(len(scene.data.scans[s]) for s in range(5))
 
 
 def test_fuse_is_deterministic(scene):
@@ -402,8 +401,12 @@ def test_db_entries_are_fuse_scan_rows_of_their_instance(seed, window):
             (f.labels.instance[:nc] == iid) & (f.labels.semantic[:nc] == entry.class_id)
         )
         rows = np.concatenate([single, nc + np.flatnonzero(f.labels.instance[nc:] == iid)])
+        head = slice(None, entry.n_single)
+        single_labels = LabelSet(
+            entry.fused_labels.semantic[head], entry.fused_labels.instance[head]
+        )
         for pair_cloud, pair_labels, idx in (
-            (entry.single_cloud, entry.single_labels, single),
+            (entry.single_cloud, single_labels, single),
             (entry.fused_cloud, entry.fused_labels, rows),
         ):
             assert np.array_equal(pair_cloud.points, f.cloud.points[idx].astype(np.float32))

@@ -25,7 +25,6 @@ from scanfuse.kitti_io import (
     parse_scan,
     raw_to_train_table,
     write_calib,
-    write_class_map,
     write_labels,
     write_poses,
     write_scan,
@@ -255,7 +254,7 @@ def test_calib_text_roundtrip():
 
 def test_class_map_roundtrip():
     mapping = {0: (-1, "unlabeled"), 40: (0, "road"), 81: (1, "traffic-sign")}
-    text = write_class_map(mapping)
+    text = "# raw_id train_id name\n0 -1 unlabeled\n40 0 road\n81 1 traffic-sign\n"
     assert parse_class_map(text) == mapping
 
 
@@ -352,3 +351,12 @@ def test_write_sequence_roundtrips_through_disk(tmp_path):
     for orig, disk in zip(seq.data.poses, reloaded.poses):
         assert orig.allclose(disk, tol=1e-9)
     assert index.calib.allclose(reloaded.calib, tol=0.0)
+
+
+def test_pose_count_must_match_scan_count(tmp_path):
+    seq = make_synthetic_sequence(moving_box_config(n_scans=3), seed=2)
+    write_sequence(seq.data, tmp_path / "seq")
+    poses = tmp_path / "seq" / "poses.txt"
+    poses.write_text("".join(poses.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(MalformedPose, match="2 poses for 3 scans"):
+        load_sequence_index(tmp_path / "seq")

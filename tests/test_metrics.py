@@ -7,22 +7,16 @@ from scanfuse.metrics import accumulate_confusion, format_iou_table, miou
 
 def test_perfect_predictions_are_diagonal():
     gt = np.array([0, 1, 2, 2, 1])
-    cm = accumulate_confusion(gt, gt, 3, ignore=frozenset())
+    cm = accumulate_confusion(gt, gt, 3)
     assert np.array_equal(cm, np.diag([1, 2, 2]))
-
-
-def test_all_ignored_gives_zero_matrix():
-    gt = np.zeros(10, dtype=int)
-    pred = np.ones(10, dtype=int)
-    cm = accumulate_confusion(pred, gt, 2, ignore=frozenset({0}))
-    assert cm.sum() == 0
 
 
 def test_confusion_matches_brute_force():
     rng = np.random.default_rng(0)
     gt = rng.integers(0, 5, size=500)
     pred = rng.integers(0, 5, size=500)
-    cm = accumulate_confusion(pred, gt, 5, ignore=frozenset({0}))
+    keep = gt != 0
+    cm = accumulate_confusion(pred[keep], gt[keep], 5)
     expected = np.zeros((5, 5), dtype=np.int64)
     for g, p in zip(gt, pred):
         if g != 0:
@@ -32,9 +26,9 @@ def test_confusion_matches_brute_force():
 
 def test_confusion_rejects_out_of_range():
     with pytest.raises(ClassRangeError):
-        accumulate_confusion([0], [7], 3, ignore=frozenset())
+        accumulate_confusion([0], [7], 3)
     with pytest.raises(ClassRangeError):
-        accumulate_confusion([7], [0], 3, ignore=frozenset())
+        accumulate_confusion([7], [0], 3)
 
 
 def test_confusion_order_independent():
@@ -42,8 +36,8 @@ def test_confusion_order_independent():
     gt = rng.integers(0, 4, size=300)
     pred = rng.integers(0, 4, size=300)
     perm = rng.permutation(300)
-    a = accumulate_confusion(pred, gt, 4, ignore=frozenset())
-    b = accumulate_confusion(pred[perm], gt[perm], 4, ignore=frozenset())
+    a = accumulate_confusion(pred, gt, 4)
+    b = accumulate_confusion(pred[perm], gt[perm], 4)
     assert np.array_equal(a, b)
 
 
@@ -56,7 +50,7 @@ def test_miou_perfect():
 
 def test_miou_hand_computed_example():
     # gt [0,0,1,1], pred [0,1,1,1]: IoU0 = 1/2, IoU1 = 2/3, mean = 7/12
-    cm = accumulate_confusion([0, 1, 1, 1], [0, 0, 1, 1], 2, ignore=frozenset())
+    cm = accumulate_confusion([0, 1, 1, 1], [0, 0, 1, 1], 2)
     per_class, mean = miou(cm)
     assert per_class[0] == 0.5
     assert abs(per_class[1] - 2 / 3) < 1e-15
@@ -92,8 +86,8 @@ def test_miou_invariant_under_class_permutation():
     gt = rng.integers(0, 4, size=400)
     pred = rng.integers(0, 4, size=400)
     perm = rng.permutation(4)
-    cm = accumulate_confusion(pred, gt, 4, ignore=frozenset())
-    cm_perm = accumulate_confusion(perm[pred], perm[gt], 4, ignore=frozenset())
+    cm = accumulate_confusion(pred, gt, 4)
+    cm_perm = accumulate_confusion(perm[pred], perm[gt], 4)
     per_class, mean = miou(cm)
     per_class_perm, mean_perm = miou(cm_perm)
     assert mean == mean_perm
