@@ -169,8 +169,10 @@ def _cmd_fuse(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(str(prefix) + ".bin").write_bytes(write_scan(fused.cloud))
     Path(str(prefix) + ".label").write_bytes(write_labels(fused.labels))
-    origins = "\n".join(map(str, fused.origin_index.tolist()))
-    Path(str(prefix) + ".origins.txt").write_text(origins + ("\n" if origins else ""))
+    # One line per appended point, formatted once per distinct origin.
+    origins, rows = np.unique(fused.origin_index, return_inverse=True)
+    lines = np.array([f"{origin}\n" for origin in origins.tolist()], dtype=object)
+    Path(str(prefix) + ".origins.txt").write_text("".join(lines[rows].tolist()))
     print(
         f"fused scan {args.scan}: {fused.n_current} current + "
         f"{fused.n_appended} appended points",
@@ -269,6 +271,12 @@ def _cmd_eval_miou(args) -> int:
         if not pred_path.is_file():
             raise ScanFuseError(f"missing prediction for {gt_path.name}")
         gt = parse_labels(gt_path.read_bytes())
+        missing = np.setdiff1d(gt.semantic, list(mapping))
+        if len(missing):
+            raise ScanFuseError(
+                f"{gt_path.name}: ground-truth classes {missing.tolist()} "
+                "missing from the class map"
+            )
         pred = parse_labels(pred_path.read_bytes())
         if len(gt) != len(pred):
             raise ScanFuseError(

@@ -12,12 +12,29 @@ trains through its own (weighted) segmentation loss.
 The per-step numerics update their large (N, H) and (N, C) arrays in place
 rather than allocating a new one per operation. ``forward`` and the backward
 pass never write into an array a caller passed or still holds.
+
+A step runs on two threads. The teacher branch (forward, cross-entropy and
+backward on the fused cloud) shares nothing with the student branch until the
+distillation terms, which read only the teacher's forward pass; so one worker
+thread runs it while the calling thread runs the student side. NumPy releases
+the interpreter lock inside each large array operation, so the two overlap on
+two cores. While they do, OpenBLAS is held to one thread, and its own worker
+threads stop competing with the two branches for the cores. Each branch runs
+the same operations in the same order as a serial step, so every result is
+bit-identical to one.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import itertools
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -138,6 +155,12 @@ class TrainState:
     hard_classes: frozenset[int] = DEFAULT_HARD_CLASSES
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise InvalidConfig(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+
 
 def _dense_tanh(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = h @ w
@@ -256,6 +279,58 @@ def distill_rows(
     return hard_idx, instances
 
 
+@functools.cache
+def _openblas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get/set thread-count entry points of the OpenBLAS that NumPy's
+    wheel bundles (already loaded, so ``CDLL`` returns the same library), or
+    None where NumPy carries no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _blas_held_to_one_thread() -> Iterator[None]:
+    """Run the block with OpenBLAS on one thread; restore its count on exit."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _teacher_branch(
+    params: ToyNetParams,
+    out_job: Future,
+    semantic: np.ndarray,
+    class_to_index: dict[int, int],
+    weight: float,
+) -> tuple[float, ToyNetParams | None]:
+    """The teacher's segmentation loss on the fused cloud and, unless
+    ``weight`` is 0, the gradients of ``weight`` times it. ``out_job`` holds
+    the teacher's forward pass."""
+    out = out_job.result()
+    seg, d_logits = cross_entropy(out.logits, remap_semantic(semantic, class_to_index))
+    if weight == 0.0:
+        return seg, None
+    d_logits *= weight
+    return seg, _backward(params, out, d_logits)
+
+
 def compute_gradients(
     state: TrainState,
     current_scan: PointCloud,
@@ -266,7 +341,8 @@ def compute_gradients(
 
     Returns the loss breakdown, student parameter gradients, and teacher
     parameter gradients (None when the teacher's segmentation weight is 0).
-    Distillation terms treat teacher outputs as constants.
+    Distillation terms treat teacher outputs as constants. The teacher
+    branch runs on a worker thread that ends before this returns or raises.
     """
     n_cur = len(current_scan)
     if fused_scan.n_current != n_cur or len(labels) != n_cur:
@@ -278,36 +354,63 @@ def compute_gradients(
     cfg = state.distill
     b1, b2, b3, b4 = cfg.betas
 
-    teacher_out = forward(state.teacher, fused_scan.cloud)
-    student_out = forward(state.student, current_scan)
+    with _blas_held_to_one_thread(), ThreadPoolExecutor(max_workers=1) as pool:
+        teacher_job = pool.submit(forward, state.teacher, fused_scan.cloud)
+        teacher_loss_job = pool.submit(
+            _teacher_branch,
+            state.teacher,
+            teacher_job,
+            fused_scan.labels.semantic,
+            state.class_to_index,
+            b1,
+        )
 
-    targets_cur = remap_semantic(labels.semantic, state.class_to_index)
-    targets_fused = remap_semantic(fused_scan.labels.semantic, state.class_to_index)
+        student_out = forward(state.student, current_scan)
+        targets_cur = remap_semantic(labels.semantic, state.class_to_index)
+        seg_s, d_logits = cross_entropy(student_out.logits, targets_cur)
+        hard_idx, instances = distill_rows(labels, state.hard_classes)
+        teacher_out = teacher_job.result()
 
-    seg_s, d_logits = cross_entropy(student_out.logits, targets_cur)
-    seg_t, d_logits_t = cross_entropy(teacher_out.logits, targets_fused)
+        # The fused cloud's first n_cur rows are the current scan, row for row.
+        t_enc = teacher_out.encoder[:n_cur]
+        t_head = teacher_out.head[:n_cur]
+        t_logits = teacher_out.logits[:n_cur]
+        s_enc = student_out.encoder
+        s_head = student_out.head
+        s_logits = student_out.logits
 
-    # The fused cloud's first n_cur rows are the current scan, row for row.
-    t_enc = teacher_out.encoder[:n_cur]
-    t_head = teacher_out.head[:n_cur]
-    t_logits = teacher_out.logits[:n_cur]
-    s_enc = student_out.encoder
-    s_head = student_out.head
-    s_logits = student_out.logits
+        fd_enc, g_enc = feature_distill_loss(
+            t_enc[hard_idx], s_enc[hard_idx], cfg.smooth_l1_T
+        )
+        fd_head, g_head = feature_distill_loss(
+            t_head[hard_idx], s_head[hard_idx], cfg.smooth_l1_T
+        )
+        fd = fd_enc + fd_head
+        sld, g_sld = soft_logits_kl_loss(
+            t_logits[hard_idx], s_logits[hard_idx], cfg.temperature_P
+        )
+        iaad, g_iaad = iaad_loss(t_head, s_head, instances)
 
-    hard_idx, instances = distill_rows(labels, state.hard_classes)
+        # The cross-entropy gradient is this function's own temporary, so the
+        # distillation terms go into it in place.
+        d_h2_extra = None
+        d_h3_extra = None
+        if b3 != 0.0 and len(hard_idx):
+            d_logits[hard_idx] += b3 * g_sld
+        if b2 != 0.0 and len(hard_idx):
+            d_h2_extra = np.zeros_like(s_enc)
+            d_h2_extra[hard_idx] = b2 * g_enc
+            d_h3_extra = np.zeros_like(s_head)
+            d_h3_extra[hard_idx] = b2 * g_head
+        if b4 != 0.0 and instances:
+            if d_h3_extra is None:
+                d_h3_extra = np.zeros_like(s_head)
+            d_h3_extra += b4 * g_iaad
 
-    fd_enc, g_enc = feature_distill_loss(
-        t_enc[hard_idx], s_enc[hard_idx], cfg.smooth_l1_T
-    )
-    fd_head, g_head = feature_distill_loss(
-        t_head[hard_idx], s_head[hard_idx], cfg.smooth_l1_T
-    )
-    fd = fd_enc + fd_head
-    sld, g_sld = soft_logits_kl_loss(
-        t_logits[hard_idx], s_logits[hard_idx], cfg.temperature_P
-    )
-    iaad, g_iaad = iaad_loss(t_head, s_head, instances)
+        student_grads = _backward(
+            state.student, student_out, d_logits, d_h2_extra, d_h3_extra
+        )
+        seg_t, teacher_grads = teacher_loss_job.result()
 
     breakdown = LossBreakdown(
         seg_student=seg_s,
@@ -317,30 +420,6 @@ def compute_gradients(
         affinity=iaad,
         total=total_loss(seg_s, seg_t, fd, sld, iaad, cfg.betas),
     )
-
-    # The cross-entropy gradients are this function's own temporaries, so the
-    # distillation terms and the teacher weight go into them in place.
-    d_h2_extra = None
-    d_h3_extra = None
-    if b3 != 0.0 and len(hard_idx):
-        d_logits[hard_idx] += b3 * g_sld
-    if b2 != 0.0 and len(hard_idx):
-        d_h2_extra = np.zeros_like(s_enc)
-        d_h2_extra[hard_idx] = b2 * g_enc
-        d_h3_extra = np.zeros_like(s_head)
-        d_h3_extra[hard_idx] = b2 * g_head
-    if b4 != 0.0 and instances:
-        if d_h3_extra is None:
-            d_h3_extra = np.zeros_like(s_head)
-        d_h3_extra += b4 * g_iaad
-
-    student_grads = _backward(
-        state.student, student_out, d_logits, d_h2_extra, d_h3_extra
-    )
-    teacher_grads = None
-    if b1 != 0.0:
-        d_logits_t *= b1
-        teacher_grads = _backward(state.teacher, teacher_out, d_logits_t)
     return breakdown, student_grads, teacher_grads
 
 

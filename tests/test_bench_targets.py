@@ -8,6 +8,7 @@ total loss strays from ``perfbench/reference.py`` by more than its
 perfbench/tests``) catch both too, but run for many seconds.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import reference  # noqa: E402
 import tracing  # noqa: E402
 
+from scanfuse import toynet  # noqa: E402
 from scanfuse.distill import DistillConfig  # noqa: E402
 from scanfuse.fusion import (  # noqa: E402
     FusionConfig,
@@ -36,12 +38,11 @@ def test_every_traced_target_exists():
         tracer.uninstall()
 
 
-def test_train_step_total_matches_the_benchmark_reference():
+def pasted_step():
     seq = make_synthetic_sequence(default_scene(n_scans=5, points_per_object=30), seed=3)
     config = FusionConfig(window=2)
     db = build_instance_db(seq.data, config)
     pasted = sample_and_paste(fuse_scan(seq.data, 4, config), db, 3, rng_seed=4)
-    labels = pasted.current_labels()
     state = TrainState(
         teacher=ToyNetParams.init(5, 8, 3),
         student=ToyNetParams.init(6, 8, 3),
@@ -51,9 +52,36 @@ def test_train_step_total_matches_the_benchmark_reference():
         class_to_index={40: 0, 81: 1, 18: 2},
         hard_classes=frozenset({81, 18}),
     )
+    return state, pasted
+
+
+def test_train_step_total_matches_the_benchmark_reference():
+    state, pasted = pasted_step()
+    labels = pasted.current_labels()
     assert all(b != 0.0 for b in state.distill.betas)
 
     _, losses = train_step(state, pasted.current_cloud(), pasted, labels)
     assert min(losses.feature, losses.logits, losses.affinity) > 0.0
     expected = reference.total_loss(state, pasted, labels)
     assert abs(losses.total - expected) <= reference.REL_TOL * abs(expected)
+
+
+def test_train_step_on_two_threads_closes_every_traced_span():
+    # The teacher branch's forward, remap and cross-entropy run on a worker
+    # thread while the student's run on the caller's, both through the
+    # tracer's one span stack.
+    state, pasted = pasted_step()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(tracing.TARGETS)
+        for _ in range(2):
+            state, _ = toynet.train_step(
+                state, pasted.current_cloud(), pasted, pasted.current_labels()
+            )
+    finally:
+        tracer.uninstall()
+    assert tracer._stack == []
+    assert all(math.isfinite(end) for end in tracer.ends)
+    per_step = {"toynet.train_step": 1, "toynet.forward": 2, "toynet.cross_entropy": 2}
+    for name, calls in per_step.items():
+        assert tracer.names.count(name) == 2 * calls

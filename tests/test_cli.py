@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from scanfuse.cli import main
+from scanfuse.fusion import FusionConfig, fuse_scan
 from scanfuse.kitti_io import (
+    load_sequence_index,
     parse_labels,
     parse_scan,
     write_labels,
@@ -94,6 +96,17 @@ def test_fuse_end_to_end(seq_dir, tmp_path, capsys):
     assert all(-4 <= int(v) <= -1 for v in origins)
 
 
+@pytest.mark.parametrize("scan", [0, 4])
+def test_fuse_writes_one_origin_line_per_appended_point(seq_dir, tmp_path, scan):
+    out = tmp_path / "fused"
+    argv = ["fuse", "--seq", str(seq_dir), "--scan", str(scan), "--window", "4"]
+    assert main([*argv, "--out", str(out)]) == 0
+    fused = fuse_scan(load_sequence_index(seq_dir), scan, FusionConfig(window=4))
+    assert (fused.n_appended > 0) == (scan > 0)
+    expected = "".join(f"{origin}\n" for origin in fused.origin_index.tolist())
+    assert (tmp_path / "fused.origins.txt").read_text() == expected
+
+
 def test_fuse_missing_labels_is_data_error(seq_dir, capsys):
     shutil.rmtree(seq_dir / "labels")
     code = main(["fuse", "--seq", str(seq_dir), "--scan", "4", "--out", "x"])
@@ -180,6 +193,15 @@ def test_train_toy_nan_config_value_is_data_error(tmp_path, capsys):
     cfg.write_text("smooth_l1_T = nan\n")
     assert main(["train-toy", "--steps", "1", "--scans", "3", "--config", str(cfg)]) == 2
     assert "smooth_l1_T" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("learning_rate", ["nan", "-1"])
+def test_train_toy_bad_learning_rate_is_data_error_before_any_step(capsys, learning_rate):
+    argv = ["train-toy", "--steps", "1", "--scans", "3", "--learning-rate", learning_rate]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "learning_rate" in captured.err
 
 
 def test_gen_instances_nan_stop_distance_is_data_error(seq_dir, tmp_path, capsys):
@@ -338,6 +360,22 @@ def test_eval_miou_drops_ground_truth_of_ignored_classes(tmp_path, capsys):
     assert main(["eval-miou", *argv, "--classmap", str(classmap)]) == 0
     row = capsys.readouterr().out.strip().splitlines()[1]
     assert row.split()[1:] == ["100.0", "100.0", "100.0"]
+
+
+def test_eval_miou_ground_truth_class_missing_from_class_map_is_data_error(
+    tmp_path, capsys
+):
+    from scanfuse.kitti_io import LabelSet
+
+    for name, semantic in (("gt", [50, 40, 81, 30]), ("pred", [40, 40, 81, 81])):
+        (tmp_path / name).mkdir()
+        labels = LabelSet(np.array(semantic, dtype=np.uint16), np.zeros(4, dtype=np.uint16))
+        (tmp_path / name / "000000.label").write_bytes(write_labels(labels))
+    classmap = tmp_path / "classes.txt"
+    classmap.write_text("0 -1 unlabeled\n40 0 road\n81 1 traffic-sign\n")
+    argv = ["--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")]
+    assert main(["eval-miou", *argv, "--classmap", str(classmap)]) == 2
+    assert "classes [30, 50] missing from the class map" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw_id", [-1, 70000])

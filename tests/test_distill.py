@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax
 
+from scanfuse import distill
 from scanfuse.distill import (
     DistillConfig,
     feature_distill_loss,
@@ -82,6 +83,15 @@ def test_nan_loss_parameter_is_invalid_config(loss):
     rows = np.ones((2, 3))
     with pytest.raises(InvalidConfig):
         loss(rows, rows, float("nan"))
+
+
+@pytest.mark.parametrize("n_classes", [2, 7])
+def test_log_softmax_is_bit_equal_to_the_row_max_form(n_classes):
+    z = np.random.default_rng(n_classes).normal(0.0, 4.0, size=(1000, n_classes))
+    z[::7] = z[::7, :1]  # rows of ties
+    out = z - z.max(axis=1, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=1, keepdims=True))
+    assert np.array_equal(distill.log_softmax(z), out)
 
 
 def test_kl_zero_at_equality():

@@ -1,12 +1,18 @@
+import threading
+
 import numpy as np
 import pytest
 
+from scanfuse import toynet
 from scanfuse.distill import (
     DistillConfig,
+    feature_distill_loss,
     finite_difference_gradient,
     gradient_scale_error,
+    iaad_loss,
+    soft_logits_kl_loss,
 )
-from scanfuse.errors import ShapeError
+from scanfuse.errors import InvalidConfig, NumericError, ShapeError
 from scanfuse.fusion import FusionConfig, fuse_scan
 from scanfuse.kitti_io import LabelSet, PointCloud
 from scanfuse.synthetic import default_scene, make_synthetic_sequence
@@ -14,10 +20,13 @@ from scanfuse.toynet import (
     COORD_SCALE,
     ToyNetParams,
     TrainState,
+    _backward,
     compute_gradients,
+    cross_entropy,
     distill_rows,
     evaluate,
     forward,
+    remap_semantic,
     supervised_step,
     train_step,
 )
@@ -204,14 +213,18 @@ def test_end_to_end_teacher_gradients_match_finite_differences():
         assert gradient_scale_error(analytic, fd) < 1e-3
 
 
-def test_steps_leave_their_inputs_unchanged():
+def sign_and_truck_step():
+    """A state with every beta nonzero and a fused scan with appended rows."""
     seq = make_synthetic_sequence(default_scene(n_scans=3, points_per_object=20), seed=8)
     fused = fuse_scan(seq.data, 2, FusionConfig(window=2))
-    current = seq.data.scans[2]
-    labels = seq.data.labels[2]
-    c2i = {40: 0, 81: 1, 18: 2}
-    state = tiny_state(9, 10, c2i, frozenset({81, 18}))
+    assert fused.n_appended > 0
+    state = tiny_state(9, 10, {40: 0, 81: 1, 18: 2}, frozenset({81, 18}))
     assert all(b != 0.0 for b in state.distill.betas)
+    return state, seq.data.scans[2], fused, seq.data.labels[2]
+
+
+def test_steps_leave_their_inputs_unchanged():
+    state, current, fused, labels = sign_and_truck_step()
     inputs = [
         *state.teacher.arrays(),
         *state.student.arrays(),
@@ -228,8 +241,96 @@ def test_steps_leave_their_inputs_unchanged():
 
     compute_gradients(state, current, fused, labels)
     train_step(state, current, fused, labels)
-    supervised_step(state.student, current, labels, c2i, state.learning_rate)
+    supervised_step(
+        state.student, current, labels, state.class_to_index, state.learning_rate
+    )
     assert [a.tobytes() for a in inputs] == before
+
+
+def test_overlapped_step_matches_a_serial_composition():
+    state, current, fused, labels = sign_and_truck_step()
+    cfg = state.distill
+    b1, b2, b3, b4 = cfg.betas
+    c2i = state.class_to_index
+
+    t_out = forward(state.teacher, fused.cloud)
+    _, d_t = cross_entropy(t_out.logits, remap_semantic(fused.labels.semantic, c2i))
+    expected_teacher = _backward(state.teacher, t_out, b1 * d_t)
+
+    s_out = forward(state.student, current)
+    _, d_s = cross_entropy(s_out.logits, remap_semantic(labels.semantic, c2i))
+    hard, instances = distill_rows(labels, state.hard_classes)
+    n = len(current)
+    _, g_enc = feature_distill_loss(t_out.encoder[hard], s_out.encoder[hard], cfg.smooth_l1_T)
+    _, g_head = feature_distill_loss(t_out.head[hard], s_out.head[hard], cfg.smooth_l1_T)
+    _, g_sld = soft_logits_kl_loss(t_out.logits[hard], s_out.logits[hard], cfg.temperature_P)
+    _, g_iaad = iaad_loss(t_out.head[:n], s_out.head, instances)
+    d_s[hard] += b3 * g_sld
+    d_h2 = np.zeros_like(s_out.encoder)
+    d_h2[hard] = b2 * g_enc
+    d_h3 = np.zeros_like(s_out.head)
+    d_h3[hard] = b2 * g_head
+    d_h3 += b4 * g_iaad
+    assert len(hard) and instances
+    expected_student = _backward(state.student, s_out, d_s, d_h2, d_h3)
+
+    _, student_grads, teacher_grads = compute_gradients(state, current, fused, labels)
+    assert student_grads.equals(expected_student)
+    assert teacher_grads.equals(expected_teacher)
+
+
+def _break_teacher_input(state, fused):
+    state.teacher.w1[0, 0] = np.nan
+
+
+def _unmap_an_appended_class(state, fused):
+    fused.labels.semantic[fused.n_current] = 99
+
+
+@pytest.mark.parametrize(
+    "breakage, error",
+    [(_break_teacher_input, NumericError), (_unmap_an_appended_class, InvalidConfig)],
+)
+def test_teacher_branch_errors_raise_after_the_worker_ends(breakage, error):
+    state, current, fused, labels = sign_and_truck_step()
+    breakage(state, fused)
+    threads_before = set(threading.enumerate())
+    with pytest.raises(error):
+        compute_gradients(state, current, fused, labels)
+    assert set(threading.enumerate()) == threads_before
+
+
+def test_blas_thread_count_is_held_during_the_step_and_restored(monkeypatch):
+    calls = toynet._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("NumPy carries no OpenBLAS whose thread count can be set")
+    get, set_ = calls
+    state, current, fused, labels = sign_and_truck_step()
+    seen = []
+
+    def distill_rows_seeing_blas(*args):
+        seen.append(get())
+        return distill_rows(*args)
+
+    monkeypatch.setattr(toynet, "distill_rows", distill_rows_seeing_blas)
+    original = get()
+    try:
+        set_(2)
+        compute_gradients(state, current, fused, labels)
+        assert get() == 2
+        state.teacher.w1[0, 0] = np.nan
+        with pytest.raises(NumericError):
+            compute_gradients(state, current, fused, labels)
+        assert get() == 2
+    finally:
+        set_(original)
+    assert seen == [1, 1]
+
+
+@pytest.mark.parametrize("learning_rate", [np.nan, np.inf, 0.0, -1.0])
+def test_train_state_rejects_a_bad_learning_rate(learning_rate):
+    with pytest.raises(InvalidConfig, match="learning_rate"):
+        tiny_state(1, 2, {0: 0, 1: 1}, frozenset({1}), lr=learning_rate)
 
 
 def test_distill_rows_splits_an_id_shared_by_two_classes():
