@@ -16,6 +16,7 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     DbWriteError,
@@ -142,34 +143,47 @@ def _window(seq: SequenceData, scan_t: int, window: int) -> range:
     return scans
 
 
+# One scan's instance index: each hard-class instance's packed label ->
+# (its ascending rows, the sensor-frame centroid of those rows).
+InstanceIndex = dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _instance_index(
+    scan: PointCloud, labels: LabelSet, hard_classes: frozenset[int]
+) -> InstanceIndex:
+    """The instance index of one scan (see ``kitti_io.instance_rows``).
+
+    Built once per scan per call, so every window holding the scan shares
+    its centroids."""
+    return {
+        label: (idx, scan.points[idx].mean(axis=0))
+        for label, idx in instance_rows(labels).items()
+        if unpack_label(label)[1] in hard_classes
+    }
+
+
 def gather_instance_track(
-    seq: SequenceData,
-    rows: dict[int, dict[int, np.ndarray]],
-    scan_t: int,
-    label: int,
-    window: int,
+    index: dict[int, InstanceIndex], scan_t: int, label: int, window: int
 ) -> InstanceTrack:
     """Collect the rows of one instance over [t-K, t].
 
     ``label`` is the instance's packed ``(instance << 16) | semantic`` label
-    and ``rows[s]`` is ``instance_rows(seq.labels[s])`` for each scan s of
-    the window, so an ID shared by two classes is two instances.
+    and ``index[s]`` is the instance index of each scan s of the window
+    (see ``_instance_index``), so an ID shared by two classes is two
+    instances.
     """
-    if label not in rows[scan_t]:
+    if label not in index[scan_t]:
         raise InstanceNotFound(f"instance label {label:#x} has no points in scan {scan_t}")
     scan_indices = list(range(max(0, scan_t - window), scan_t + 1))
-    absent = np.empty(0, dtype=np.intp)
-    point_indices = [rows[s].get(label, absent) for s in scan_indices]
+    absent = (np.empty(0, dtype=np.intp), None)
+    point_indices, sensor_centroids = zip(*(index[s].get(label, absent) for s in scan_indices))
     instance_id, class_id = unpack_label(label)
     return InstanceTrack(
         instance_id=instance_id,
         class_id=class_id,
         scan_indices=scan_indices,
-        point_indices=point_indices,
-        sensor_centroids=[
-            seq.scans[s].points[idx].mean(axis=0) if len(idx) else None
-            for s, idx in zip(scan_indices, point_indices)
-        ],
+        point_indices=list(point_indices),
+        sensor_centroids=list(sensor_centroids),
     )
 
 
@@ -196,28 +210,26 @@ def classify_motion(
     return Motion.STATIC
 
 
-def _rows(cloud: PointCloud, labels: LabelSet, idx) -> tuple[PointCloud, LabelSet]:
+# Rows of a cloud and its labels as plain arrays:
+# (points, remission, semantic, instance).
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _take(cloud: PointCloud, labels: LabelSet, idx) -> Rows:
     """The rows ``idx`` (indices or a slice) of a cloud and its labels."""
-    return (
-        PointCloud(cloud.points[idx], cloud.remission[idx]),
-        LabelSet(labels.semantic[idx], labels.instance[idx]),
-    )
+    return cloud.points[idx], cloud.remission[idx], labels.semantic[idx], labels.instance[idx]
 
 
-def _concat(blocks: list[tuple[PointCloud, LabelSet]]) -> tuple[PointCloud, LabelSet]:
-    """Stack (cloud, labels) row blocks in order into one cloud and labels."""
-    if not blocks:
-        return PointCloud(np.empty((0, 3)), np.empty(0)), LabelSet([], [])
-    clouds, labels = zip(*blocks)
+def _concat(blocks: list[Rows], dtype: type = np.float64) -> tuple[PointCloud, LabelSet]:
+    """Stack row blocks in order into one cloud and labels.
+
+    The coordinates pass through ``dtype``: ``np.float32`` snaps them to
+    the on-disk precision.
+    """
+    points, remission, semantic, instance = zip(*blocks)
     return (
-        PointCloud(
-            np.vstack([c.points for c in clouds]),
-            np.concatenate([c.remission for c in clouds]),
-        ),
-        LabelSet(
-            np.concatenate([lab.semantic for lab in labels]),
-            np.concatenate([lab.instance for lab in labels]),
-        ),
+        PointCloud(np.vstack(points, dtype=dtype), np.concatenate(remission, dtype=dtype)),
+        LabelSet(np.concatenate(semantic), np.concatenate(instance)),
     )
 
 
@@ -226,66 +238,70 @@ def _fuse_instance(
     scan_t: int,
     track: InstanceTrack,
     motion: Motion,
+    to_current: dict[int, RigidTransform],
     config: FusionConfig,
-) -> tuple[PointCloud, LabelSet, np.ndarray, list[tuple[int, int]]]:
+) -> tuple[list[Rows], list[np.ndarray], list[tuple[int, int]]]:
     """Past-scan points of one instance mapped into the current sensor frame.
 
-    Returns (cloud, labels, origin, warnings); the rows cover only appended
-    points, never the current scan's own.
+    ``to_current[s]`` maps scan s's sensor frame into scan t's. Returns the
+    row blocks, their origins and the warnings; the rows cover only
+    appended points, never the current scan's own. A moving instance's
+    registrations share one KD-tree over its current points.
     """
-    t_inv = invert(seq.poses[scan_t])
-    cur_pts = seq.scans[scan_t].points[track.point_indices[-1]]
-
-    blocks: list[tuple[PointCloud, LabelSet]] = []
-    origins: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    tree = (
+        cKDTree(seq.scans[scan_t].points[track.point_indices[-1]])
+        if motion is Motion.MOVING
+        else None
+    )
+    blocks: list[Rows] = []
+    origins: list[np.ndarray] = []
     warnings: list[tuple[int, int]] = []
 
     for s, idx in zip(track.scan_indices[:-1], track.point_indices[:-1]):
         if len(idx) == 0:
             continue
-        cloud, labels = _rows(seq.scans[s], seq.labels[s], idx)
-        pts = apply_points(compose(t_inv, seq.poses[s]), cloud.points)
-        if motion is Motion.MOVING and len(cur_pts) > 0:
-            init = centroid_align(pts, cur_pts)
+        pts, *rest = _take(seq.scans[s], seq.labels[s], idx)
+        pts = apply_points(to_current[s], pts)
+        if tree is not None:
+            init = centroid_align(pts, tree.data)
             try:
-                refine = icp_register(pts, cur_pts, init, config.registration)
-                align = refine.transform
+                align = icp_register(pts, tree, init, config.registration).transform
             except DegenerateSource:
                 align = init
             except NoOverlap:
                 align = init
                 warnings.append((track.instance_id, s - scan_t))
             pts = apply_points(align, pts)
-        cloud.points = pts
-        blocks.append((cloud, labels))
+        blocks.append((pts, *rest))
         origins.append(np.full(len(idx), s - scan_t, dtype=np.int64))
 
-    cloud, labels = _concat(blocks)
-    return cloud, labels, np.concatenate(origins), warnings
+    return blocks, origins, warnings
 
 
 def _fused_instances(
     seq: SequenceData,
-    rows: dict[int, dict[int, np.ndarray]],
+    index: dict[int, InstanceIndex],
     scan_t: int,
     config: FusionConfig,
 ) -> Iterator[
-    tuple[InstanceTrack, PointCloud, LabelSet, np.ndarray, list[tuple[int, int]]]
+    tuple[InstanceTrack, list[Rows], list[np.ndarray], list[tuple[int, int]]]
 ]:
     """The one track -> classify -> fuse loop behind ``fuse_scan`` and
     ``build_instance_db``.
 
-    ``rows`` indexes every scan of scan t's window (see
+    ``index`` holds the instance index of every scan of scan t's window (see
     ``gather_instance_track``). Yields, in packed-label order, each
-    hard-class instance of scan t: its track, then its appended (cloud,
-    labels, origin, warnings).
+    hard-class instance of scan t: its track, then its appended row blocks,
+    their origins and its warnings.
     """
-    for label in rows[scan_t]:
-        if unpack_label(label)[1] not in config.hard_classes:
-            continue
-        track = gather_instance_track(seq, rows, scan_t, label, config.window)
+    t_inv = invert(seq.poses[scan_t])
+    to_current = {
+        s: compose(t_inv, seq.poses[s]) for s in _window(seq, scan_t, config.window)[:-1]
+    }
+    for label in index[scan_t]:
+        track = gather_instance_track(index, scan_t, label, config.window)
         motion = classify_motion(track, seq.poses, config.moving_threshold)
-        yield track, *_fuse_instance(seq, scan_t, track, motion, config)
+        yield track, *_fuse_instance(seq, scan_t, track, motion, to_current, config)
 
 
 def fuse_scan(
@@ -295,16 +311,19 @@ def fuse_scan(
     seq = _as_data(seq)
     if not 0 <= scan_t < len(seq):
         raise ScanFuseError(f"scan {scan_t} out of range for sequence of {len(seq)}")
-    rows = {s: instance_rows(seq.labels[s]) for s in _window(seq, scan_t, config.window)}
+    index = {
+        s: _instance_index(seq.scans[s], seq.labels[s], config.hard_classes)
+        for s in _window(seq, scan_t, config.window)
+    }
 
     current = seq.scans[scan_t]
-    blocks = [(current, seq.labels[scan_t])]
+    blocks = [_take(current, seq.labels[scan_t], slice(None))]
     origins: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     warnings: list[tuple[int, int]] = []
-    for _, cloud, labels, origin, warns in _fused_instances(seq, rows, scan_t, config):
-        blocks.append((cloud, labels))
-        origins.append(origin)
-        warnings.extend(warns)
+    for _, rows, origin, warns in _fused_instances(seq, index, scan_t, config):
+        blocks += rows
+        origins += origin
+        warnings += warns
 
     cloud, labels = _concat(blocks)
     return FusedScan(
@@ -319,14 +338,6 @@ def fuse_scan(
 # ---------------------------------------------------------------------------
 # Instance database for copy-paste augmentation
 # ---------------------------------------------------------------------------
-
-
-def _quantized(cloud: PointCloud) -> PointCloud:
-    """Snap to the 32-bit on-disk precision so database round trips are exact."""
-    return PointCloud(
-        cloud.points.astype(np.float32).astype(np.float64),
-        cloud.remission.astype(np.float32).astype(np.float64),
-    )
 
 
 @dataclass(eq=False)
@@ -449,36 +460,27 @@ def build_instance_db(
     on-disk 32-bit precision so that ``load(save(db)) == db`` holds exactly.
     """
     seq = _as_data(seq)
-    rows = {s: instance_rows(lab) for s, lab in enumerate(seq.labels) if lab is not None}
+    index = {
+        s: _instance_index(scan, lab, config.hard_classes)
+        for s, (scan, lab) in enumerate(zip(seq.scans, seq.labels))
+        if lab is not None
+    }
     entries: list[InstancePair] = []
-    for scan_t in rows:
-        _window(seq, scan_t, config.window)
+    for scan_t in index:
         current, cur_labels = seq.scans[scan_t], seq.labels[scan_t]
-        instances = _fused_instances(seq, rows, scan_t, config)
-        for track, app_cloud, app_labels, _, _ in instances:
+        for track, rows, _, _ in _fused_instances(seq, index, scan_t, config):
             single = track.point_indices[-1]
-            cloud, labels = _concat(
-                [_rows(current, cur_labels, single), (app_cloud, app_labels)]
-            )
+            # float32 snaps to the on-disk precision, so round trips are exact
+            cloud, labels = _concat([_take(current, cur_labels, single), *rows], np.float32)
             entries.append(
                 InstancePair(
                     key=(seq.name, scan_t, pack_label(track.instance_id, track.class_id)),
-                    fused_cloud=_quantized(cloud),
+                    fused_cloud=cloud,
                     fused_labels=labels,
                     n_single=len(single),
                 )
             )
     return InstanceDatabase(entries=entries)
-
-
-def _placed(
-    cloud: PointCloud, labels: LabelSet, transform: RigidTransform, instance_id: int
-) -> tuple[PointCloud, LabelSet]:
-    """A database member moved by ``transform`` under a fresh instance ID."""
-    return (
-        PointCloud(apply_points(transform, cloud.points), cloud.remission),
-        LabelSet(labels.semantic, np.full(len(labels), instance_id, dtype=np.uint16)),
-    )
 
 
 def sample_and_paste(
@@ -511,8 +513,8 @@ def sample_and_paste(
 
     next_id = int(scan.labels.instance.max()) + 1 if len(scan.labels) else 1
 
-    singles: list[tuple[PointCloud, LabelSet]] = []
-    appended: list[tuple[PointCloud, LabelSet]] = []
+    singles: list[Rows] = []
+    appended: list[Rows] = []
     records: list[PasteRecord] = []
 
     for _ in range(n):
@@ -527,9 +529,12 @@ def sample_and_paste(
         target = np.array([tx, ty, pivot[2]])
         transform = RigidTransform(rot, target - rot @ pivot)
 
-        cloud, labels = _placed(entry.fused_cloud, entry.fused_labels, transform, next_id)
-        singles.append(_rows(cloud, labels, slice(None, entry.n_single)))
-        appended.append(_rows(cloud, labels, slice(entry.n_single, None)))
+        cloud, k = entry.fused_cloud, entry.n_single
+        points = apply_points(transform, cloud.points)
+        semantic = entry.fused_labels.semantic
+        instance = np.full(len(cloud), next_id, dtype=np.uint16)
+        singles.append((points[:k], cloud.remission[:k], semantic[:k], instance[:k]))
+        appended.append((points[k:], cloud.remission[k:], semantic[k:], instance[k:]))
         records.append(
             PasteRecord(key=entry.key, transform=transform, new_instance_id=next_id)
         )
@@ -537,12 +542,12 @@ def sample_and_paste(
 
     nc = scan.n_current
     cloud, labels = _concat(
-        [_rows(scan.cloud, scan.labels, slice(None, nc))]
+        [_take(scan.cloud, scan.labels, slice(None, nc))]
         + singles
-        + [_rows(scan.cloud, scan.labels, slice(nc, None))]
+        + [_take(scan.cloud, scan.labels, slice(nc, None))]
         + appended
     )
-    n_pasted_appended = sum(len(c) for c, _ in appended)
+    n_pasted_appended = sum(len(rows[0]) for rows in appended)
     origin = np.concatenate(
         [scan.origin_index, np.zeros(n_pasted_appended, dtype=np.int64)]
     )
@@ -550,7 +555,7 @@ def sample_and_paste(
     return FusedScan(
         cloud=cloud,
         labels=labels,
-        n_current=nc + sum(len(c) for c, _ in singles),
+        n_current=nc + sum(len(rows[0]) for rows in singles),
         origin_index=origin,
         registration_warnings=list(scan.registration_warnings),
         pastes=list(scan.pastes) + records,

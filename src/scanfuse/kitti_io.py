@@ -7,9 +7,11 @@ On-disk formats:
   calib    ``calib.txt``    line starting ``Tr:`` holds the 3x4 velodyne-to-camera transform
 
 Coordinates are widened to float64 in memory (float32 -> float64 is exact, so
-byte-level round trips are preserved); writers quantize back to the 32-bit
-disk format. Labels stay in the raw SemanticKITTI class-ID space; remapping to
-a training space is a separate, config-driven table (see ``parse_class_map``).
+byte-level round trips are preserved); a parsed scan's ``points`` and
+``remission`` are column views of one (N, 4) float64 block. Writers quantize
+back to the 32-bit disk format. Labels stay in the raw SemanticKITTI class-ID
+space; remapping to a training space is a separate, config-driven table (see
+``parse_class_map``).
 """
 
 from __future__ import annotations
@@ -195,10 +197,9 @@ def parse_scan(data: bytes) -> PointCloud:
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
     if not np.isfinite(raw).all():
         raise MalformedScan("scan contains non-finite values")
-    return PointCloud(
-        points=raw[:, :3].astype(np.float64),
-        remission=raw[:, 3].astype(np.float64),
-    )
+    # one contiguous widening, then column views: cheaper than two strided casts
+    block = raw.astype(np.float64)
+    return PointCloud(points=block[:, :3], remission=block[:, 3])
 
 
 def write_scan(cloud: PointCloud) -> bytes:
@@ -394,11 +395,13 @@ def write_sequence(data: SequenceData, out_dir: str | Path) -> SequenceIndex:
         scan_path = velo_dir / f"{i:06d}.bin"
         scan_path.write_bytes(write_scan(scan))
         scan_paths.append(scan_path)
+        label_path = label_dir / f"{i:06d}.label"
         if labels is not None:
-            label_path = label_dir / f"{i:06d}.label"
             label_path.write_bytes(write_labels(labels))
             label_paths.append(label_path)
         else:
+            # a label file left by an earlier write would pair with this scan
+            label_path.unlink(missing_ok=True)
             label_paths.append(None)
 
     (out_dir / "calib.txt").write_text(write_calib(data.calib))

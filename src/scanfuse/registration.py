@@ -3,6 +3,10 @@
 The refinement loop alternates nearest-neighbor correspondences (within a
 distance gate) with the closed-form SVD rigid fit. The best transform seen is
 kept, so the accepted-RMS sequence is non-increasing by construction.
+
+The target is an (M, 3) array or a ``cKDTree`` already built over one; a
+caller registering several sources onto the same target builds the tree once
+and passes it each time, with the same result as passing the array.
 """
 
 from __future__ import annotations
@@ -78,23 +82,28 @@ def fit_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
 
 def icp_register(
     source: np.ndarray,
-    target: np.ndarray,
+    target: np.ndarray | cKDTree,
     init: RigidTransform,
     config: RegistrationConfig,
 ) -> RegistrationResult:
     """Refine ``init`` so the transformed source matches the target.
 
+    ``target`` is the target points or a ``cKDTree`` built over them.
     Raises DegenerateSource for sources that cannot constrain a rigid fit
     (fewer than 3 points or near-collinear spread) and NoOverlap when the
     initial transform yields zero gated correspondences.
     """
     source = np.asarray(source, dtype=np.float64).reshape(-1, 3)
-    target = np.asarray(target, dtype=np.float64).reshape(-1, 3)
+    tree = (
+        target
+        if isinstance(target, cKDTree)
+        else cKDTree(np.asarray(target, dtype=np.float64).reshape(-1, 3))
+    )
+    target = tree.data
     if len(target) == 0:
         raise EmptyInput("icp_register needs a nonempty target")
     _check_source_rank(source)
 
-    tree = cKDTree(target)
     transform = init
     best_transform = init
     best_rms = np.inf

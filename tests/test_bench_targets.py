@@ -17,7 +17,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import reference  # noqa: E402
 import tracing  # noqa: E402
 
-from scanfuse import toynet  # noqa: E402
+import numpy as np  # noqa: E402
+from scipy.spatial import cKDTree  # noqa: E402
+
+from scanfuse import fusion, registration, toynet  # noqa: E402
 from scanfuse.distill import DistillConfig  # noqa: E402
 from scanfuse.fusion import (  # noqa: E402
     FusionConfig,
@@ -25,6 +28,8 @@ from scanfuse.fusion import (  # noqa: E402
     fuse_scan,
     sample_and_paste,
 )
+from scanfuse.kitti_io import instance_rows, unpack_label  # noqa: E402
+from scanfuse.registration import RegistrationConfig, centroid_align  # noqa: E402
 from scanfuse.synthetic import default_scene, make_synthetic_sequence  # noqa: E402
 from scanfuse.toynet import ToyNetParams, TrainState, train_step  # noqa: E402
 
@@ -85,3 +90,57 @@ def test_train_step_on_two_threads_closes_every_traced_span():
     per_step = {"toynet.train_step": 1, "toynet.forward": 2, "toynet.cross_entropy": 2}
     for name, calls in per_step.items():
         assert tracer.names.count(name) == 2 * calls
+
+
+def test_fuse_scan_passes_each_instance_through_the_traced_layers(monkeypatch):
+    # The benchmark counts these spans per op; fusion shares one transform
+    # per past scan and one KD-tree per moving instance behind them.
+    seq = make_synthetic_sequence(default_scene(n_scans=5), seed=3).data
+    config = FusionConfig(window=4)
+    rows = [instance_rows(labels) for labels in seq.labels]
+    hard = [label for label in rows[4] if unpack_label(label)[1] in config.hard_classes]
+    assert len(hard) == 2  # the static sign and the moving truck
+
+    trees = []
+
+    class CountedTree(cKDTree):
+        def __init__(self, data, *args, **kwargs):
+            trees.append(len(data))
+            super().__init__(data, *args, **kwargs)
+
+    monkeypatch.setattr(fusion, "cKDTree", CountedTree)
+    monkeypatch.setattr(registration, "cKDTree", CountedTree)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(tracing.TARGETS)
+        fuse_scan(seq, 4, config)
+    finally:
+        tracer.uninstall()
+
+    assert tracer.names.count("fusion.gather_instance_track") == len(hard)
+    assert tracer.names.count("fusion.classify_motion") == len(hard)
+    assert tracer.counts[tracing.OUTSIDE_OPS]["fusion.moving"] == 1
+    (truck,) = [obj for obj in default_scene().objects if obj.velocity != (0.0, 0.0, 0.0)]
+    mover = next(label for label in hard if unpack_label(label)[1] == truck.class_id)
+    holding = [s for s in range(4) if mover in rows[s]]
+    assert tracer.names.count("registration.icp_register") == len(holding) == 4
+    assert trees == [len(rows[4][mover])]
+
+
+def test_icp_register_with_a_prebuilt_tree_matches_the_array_target():
+    rng = np.random.default_rng(5)
+    target = rng.uniform(-1.0, 1.0, size=(300, 3)) * [2.0, 1.0, 0.5]
+    source = target[rng.permutation(300)[:200]] + [0.3, -0.2, 0.05]
+    init = centroid_align(source, target)
+    config = RegistrationConfig()
+    from_array = registration.icp_register(source, target, init, config)
+    from_tree = registration.icp_register(source, cKDTree(target), init, config)
+    assert from_tree.transform.rotation.tobytes() == from_array.transform.rotation.tobytes()
+    assert from_tree.transform.translation.tobytes() == from_array.transform.translation.tobytes()
+    assert (from_tree.rms_error, from_tree.iterations_used, from_tree.converged) == (
+        from_array.rms_error,
+        from_array.iterations_used,
+        from_array.converged,
+    )
+    assert from_tree.rms_history == from_array.rms_history
+    assert from_array.iterations_used > 1

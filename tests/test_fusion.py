@@ -9,6 +9,7 @@ from scanfuse.fusion import (
     FusionConfig,
     InstanceDatabase,
     Motion,
+    _instance_index,
     build_instance_db,
     classify_motion,
     fuse_scan,
@@ -16,7 +17,7 @@ from scanfuse.fusion import (
     sample_and_paste,
 )
 from scanfuse.geometry import apply_points, compose, invert
-from scanfuse.kitti_io import LabelSet, PointCloud, SequenceData, instance_rows
+from scanfuse.kitti_io import LabelSet, PointCloud, SequenceData
 from scanfuse.registration import RegistrationConfig
 from scanfuse.synthetic import (
     ObjectSpec,
@@ -58,7 +59,8 @@ def scene():
 @pytest.fixture(scope="module")
 def rows(scene):
     """The instance index of every scan of ``scene``."""
-    return {s: instance_rows(labels) for s, labels in enumerate(scene.data.labels)}
+    data, hard = scene.data, FusionConfig().hard_classes
+    return {s: _instance_index(*scan, hard) for s, scan in enumerate(zip(data.scans, data.labels))}
 
 
 def packed(obj) -> int:
@@ -71,14 +73,14 @@ def packed(obj) -> int:
 
 def test_gather_full_track(scene, rows):
     truck = scene.truth.objects[1]
-    track = gather_instance_track(scene.data, rows, 4, packed(truck), window=4)
+    track = gather_instance_track(rows, 4, packed(truck), window=4)
     assert track.scan_indices == [0, 1, 2, 3, 4]
     assert all(len(idx) == 50 for idx in track.point_indices)
     assert (track.instance_id, track.class_id) == (truck.instance_id, 18)
 
 
 def test_gather_instance_only_in_current_scan(scene, rows):
-    track = gather_instance_track(scene.data, rows, 0, packed(scene.truth.objects[0]), 4)
+    track = gather_instance_track(rows, 0, packed(scene.truth.objects[0]), 4)
     assert track.scan_indices == [0]
     assert len(track.point_indices[0]) == 50
 
@@ -86,10 +88,10 @@ def test_gather_instance_only_in_current_scan(scene, rows):
 def test_gather_unknown_instance(scene, rows):
     truck = scene.truth.objects[1]
     with pytest.raises(InstanceNotFound):
-        gather_instance_track(scene.data, rows, 4, (999 << 16) | 18, window=4)
+        gather_instance_track(rows, 4, (999 << 16) | 18, window=4)
     # the truck's ID under another class is another (absent) instance
     with pytest.raises(InstanceNotFound):
-        gather_instance_track(scene.data, rows, 4, (truck.instance_id << 16) | 81, window=4)
+        gather_instance_track(rows, 4, (truck.instance_id << 16) | 81, window=4)
 
 
 # --- classify_motion -------------------------------------------------------
@@ -97,19 +99,19 @@ def test_gather_unknown_instance(scene, rows):
 
 def test_moving_box_is_classified_moving(scene, rows):
     truck = scene.truth.objects[1]
-    track = gather_instance_track(scene.data, rows, 4, packed(truck), 4)
+    track = gather_instance_track(rows, 4, packed(truck), 4)
     assert classify_motion(track, scene.data.poses, 0.2) is Motion.MOVING
 
 
 def test_static_sign_is_classified_static(scene, rows):
     sign = scene.truth.objects[0]
-    track = gather_instance_track(scene.data, rows, 4, packed(sign), 4)
+    track = gather_instance_track(rows, 4, packed(sign), 4)
     assert classify_motion(track, scene.data.poses, 0.2) is Motion.STATIC
 
 
 def test_single_scan_track_is_static(scene, rows):
     truck = scene.truth.objects[1]
-    track = gather_instance_track(scene.data, rows, 0, packed(truck), 4)
+    track = gather_instance_track(rows, 0, packed(truck), 4)
     assert classify_motion(track, scene.data.poses, 0.2) is Motion.STATIC
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -11,7 +12,9 @@ from scanfuse.errors import (
     MalformedLabel,
     MalformedPose,
     MalformedScan,
+    MissingLabels,
 )
+from scanfuse.fusion import FusionConfig, fuse_scan
 from scanfuse.geometry import RigidTransform, rotation_about_z
 from scanfuse.kitti_io import (
     LabelSet,
@@ -30,7 +33,12 @@ from scanfuse.kitti_io import (
     write_scan,
     write_sequence,
 )
-from scanfuse.synthetic import ObjectSpec, SyntheticConfig, make_synthetic_sequence
+from scanfuse.synthetic import (
+    ObjectSpec,
+    SyntheticConfig,
+    default_scene,
+    make_synthetic_sequence,
+)
 
 
 def random_scan_bytes(rng, n_points):
@@ -73,6 +81,33 @@ def test_scan_bytes_roundtrip_random():
     for _ in range(200):
         data = random_scan_bytes(rng, int(rng.integers(0, 50)))
         assert write_scan(parse_scan(data)) == data
+
+
+def test_parse_scan_widens_each_column_bit_exactly():
+    f32 = np.finfo(np.float32)
+    special = np.array(
+        [
+            [0.0, -0.0, f32.smallest_subnormal, -f32.smallest_subnormal],
+            [f32.tiny / 3, -f32.tiny / 3, f32.max, -f32.max],
+            [-f32.max, f32.max, -0.0, 0.0],
+        ],
+        dtype="<f4",
+    )
+    bits = np.random.default_rng(13).integers(0, 2**32, size=(500, 4), dtype=np.uint32)
+    records = bits.view("<f4")
+    records[~np.isfinite(records)] = -0.0
+    raw = np.vstack([special, records])
+    data = raw.tobytes()
+
+    cloud = parse_scan(data)
+    # tobytes compares every bit, the sign of zero and subnormals included
+    assert cloud.points.tobytes() == raw[:, :3].astype(np.float64).tobytes()
+    assert cloud.remission.tobytes() == raw[:, 3].astype(np.float64).tobytes()
+    assert write_scan(cloud) == data
+
+    remission = cloud.remission.copy()
+    cloud.points[:] = 7.0
+    assert cloud.remission.tobytes() == remission.tobytes()
 
 
 def test_scan_cloud_roundtrip_for_f32_clean_clouds():
@@ -351,6 +386,20 @@ def test_write_sequence_roundtrips_through_disk(tmp_path):
     for orig, disk in zip(seq.data.poses, reloaded.poses):
         assert orig.allclose(disk, tol=1e-9)
     assert index.calib.allclose(reloaded.calib, tol=0.0)
+
+
+def test_rewriting_a_scan_without_labels_removes_its_old_label_file(tmp_path):
+    seq = make_synthetic_sequence(default_scene(n_scans=5), seed=2).data
+    write_sequence(seq, tmp_path / "seq")
+    labels = list(seq.labels)
+    labels[3] = None
+    index = write_sequence(dataclasses.replace(seq, labels=labels), tmp_path / "seq")
+    reloaded = load_sequence_index(tmp_path / "seq")
+    assert index.label_paths[3] is None
+    assert reloaded.label_paths == index.label_paths
+    for written in (index, reloaded):
+        with pytest.raises(MissingLabels):
+            fuse_scan(written, 4, FusionConfig())
 
 
 def test_pose_count_must_match_scan_count(tmp_path):
