@@ -404,6 +404,13 @@ def write_sequence(data: SequenceData, out_dir: str | Path) -> SequenceIndex:
             label_path.unlink(missing_ok=True)
             label_paths.append(None)
 
+    # numbered files left past the end by a longer sequence would be loaded
+    # as its scans
+    for stale_dir, suffix in ((velo_dir, ".bin"), (label_dir, ".label")):
+        for path in stale_dir.glob("*" + suffix):
+            if path.stem.isdigit() and int(path.stem) >= len(data):
+                path.unlink()
+
     (out_dir / "calib.txt").write_text(write_calib(data.calib))
     (out_dir / "poses.txt").write_text(write_poses(data.poses, data.calib))
     return SequenceIndex(

@@ -9,19 +9,39 @@ i is student row i throughout the fused cloud's current-scan prefix. Teacher
 outputs are constants inside the distillation terms; the teacher itself
 trains through its own (weighted) segmentation loss.
 
-The per-step numerics update their large (N, H) and (N, C) arrays in place
-rather than allocating a new one per operation. ``forward`` and the backward
-pass never write into an array a caller passed or still holds.
+Each branch's segmentation pass (forward, cross-entropy, backward) runs over
+blocks of ``BLOCK_ROWS`` rows, and no (N, H) array outlives its block. Each
+block's cross-entropy gradient is scaled by the block's share of the rows,
+and the blocks' parameter gradients are summed. The distillation terms read
+only the hard-class rows of the current-scan prefix, so the pass also copies
+the activations of those rows into compact arrays. The losses run on these
+copies; their gradients go back through the student's copies alone, since
+backprop is linear in the upstream gradient, and add to the pass's. A step's
+working memory so follows the block size and the hard-row count, not the
+scan: block-sized arrays can come from memory the allocator keeps, where
+whole-scan ones (tens of MB on a 64k-row step) go back to the kernel after
+each step and are faulted in again on the next. ``supervised_step``,
+``predict`` and ``evaluate`` run over the same blocks, and the betas-zero
+step stays bit-identical to ``supervised_step``. ``forward`` and the
+backward pass never write into an array a caller passed or still holds.
 
-A step runs on two threads. The teacher branch (forward, cross-entropy and
-backward on the fused cloud) shares nothing with the student branch until the
-distillation terms, which read only the teacher's forward pass; so one worker
-thread runs it while the calling thread runs the student side. NumPy releases
-the interpreter lock inside each large array operation, so the two overlap on
-two cores. While they do, OpenBLAS is held to one thread, and its own worker
-threads stop competing with the two branches for the cores. Each branch runs
-the same operations in the same order as a serial step, so every result is
-bit-identical to one.
+Sums over blocks round differently from one sum, so the segmentation terms
+and the gradients agree with a whole-array step to about 1e-15 relative. The
+block size can also move a logit by an ulp: OpenBLAS multiplies a product of
+at most 10^6 multiply-adds with a separate small-matrix kernel, which rounds
+the edge columns of a narrow layer differently.
+
+A step runs on two threads. The teacher branch shares nothing with the
+student branch until the distillation terms, which read only its hard-row
+copies; so one worker thread runs it while the calling thread runs the
+student's pass. The teacher hands over its copies (or the error that came
+first) once the block holding the last hard row is done, and goes on through
+the appended rows while the caller computes the distillation terms. NumPy
+releases the interpreter lock inside each large array operation, so the two
+overlap on two cores. While they do, OpenBLAS is held to one thread, and its
+own worker threads stop competing with the two branches for the cores. Each
+branch runs the same operations in the same order as a serial composition of
+the blocked passes, so every result is bit-identical to one.
 """
 
 from __future__ import annotations
@@ -61,6 +81,11 @@ from .metrics import accumulate_confusion, miou
 # Inputs are meters at scene scale; shrink coordinates so tanh units start in
 # their sensitive range. Remission is already in [0, 1].
 COORD_SCALE = 0.1
+
+# Rows per block of a step's, a prediction's and an evaluation's passes:
+# 4096 rows of H = 16 float64 values are 512 KiB per array. Chosen by a
+# sweep of the train-distill benchmark (CHANGES.md).
+BLOCK_ROWS = 4096
 
 
 @dataclass(eq=False)
@@ -313,22 +338,91 @@ def _blas_held_to_one_thread() -> Iterator[None]:
         set_(before)
 
 
+def _add_into(total: ToyNetParams, part: ToyNetParams) -> None:
+    for a, b in zip(total.arrays(), part.arrays()):
+        a += b
+
+
+def _blocks(cloud: PointCloud) -> Iterator[tuple[int, int, PointCloud]]:
+    """``(lo, hi, rows lo:hi of cloud)`` over consecutive blocks of at most
+    ``BLOCK_ROWS`` rows; an empty cloud is one empty block."""
+    n = len(cloud)
+    for lo in range(0, max(n, 1), BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        yield lo, hi, PointCloud(cloud.points[lo:hi], cloud.remission[lo:hi])
+
+
+def _blocked_pass(
+    params: ToyNetParams,
+    cloud: PointCloud,
+    targets: np.ndarray,
+    weight: float,
+    rows: np.ndarray,
+    on_rows: Callable[[ForwardResult], None] | None = None,
+) -> tuple[float, ToyNetParams | None, ForwardResult]:
+    """One branch's segmentation pass, block by block.
+
+    Returns the mean cross-entropy over all rows of ``cloud``; the gradients
+    of ``weight`` times it (None when ``weight`` is 0); and the activations
+    of the ascending row indices ``rows``, copied into compact (len(rows), .)
+    arrays. ``on_rows`` receives those copies as soon as the block holding
+    the last of ``rows`` is done. Each block's gradient is the block's
+    cross-entropy gradient scaled by its share of the rows, so the blocks
+    sum to the gradient of the whole mean.
+    """
+    n = len(cloud)
+    hidden, n_classes = params.w4.shape
+    kept = ForwardResult(
+        *(np.empty((len(rows), width)) for width in (4, hidden, hidden, hidden, n_classes))
+    )
+    last_row = rows[-1] if len(rows) else -1
+    loss = 0.0
+    grads = None
+    for lo, hi, block in _blocks(cloud):
+        out = forward(params, block)
+        seg, d_logits = cross_entropy(out.logits, targets[lo:hi])
+        share = (hi - lo) / max(n, 1)
+        loss += seg * share
+        if weight != 0.0:
+            d_logits *= weight * share
+            block_grads = _backward(params, out, d_logits)
+            if grads is None:
+                grads = block_grads
+            else:
+                _add_into(grads, block_grads)
+        a, b = np.searchsorted(rows, (lo, hi))
+        for dst, src in zip(vars(kept).values(), vars(out).values()):
+            dst[a:b] = src[rows[a:b] - lo]
+        if on_rows is not None and hi > last_row:
+            on_rows(kept)
+            on_rows = None
+        del out, d_logits  # before the next block allocates its own
+    return loss, grads, kept
+
+
 def _teacher_branch(
     params: ToyNetParams,
-    out_job: Future,
+    cloud: PointCloud,
     semantic: np.ndarray,
     class_to_index: dict[int, int],
     weight: float,
+    rows: np.ndarray,
+    rows_ready: Future,
 ) -> tuple[float, ToyNetParams | None]:
     """The teacher's segmentation loss on the fused cloud and, unless
-    ``weight`` is 0, the gradients of ``weight`` times it. ``out_job`` holds
-    the teacher's forward pass."""
-    out = out_job.result()
-    seg, d_logits = cross_entropy(out.logits, remap_semantic(semantic, class_to_index))
-    if weight == 0.0:
-        return seg, None
-    d_logits *= weight
-    return seg, _backward(params, out, d_logits)
+    ``weight`` is 0, the gradients of ``weight`` times it. ``rows_ready``
+    receives the teacher's activations at ``rows``, or the error that came
+    before them."""
+    try:
+        targets = remap_semantic(semantic, class_to_index)
+        seg, grads, _ = _blocked_pass(
+            params, cloud, targets, weight, rows, rows_ready.set_result
+        )
+    except BaseException as exc:
+        if not rows_ready.done():
+            rows_ready.set_exception(exc)
+        raise
+    return seg, grads
 
 
 def compute_gradients(
@@ -355,62 +449,45 @@ def compute_gradients(
     b1, b2, b3, b4 = cfg.betas
 
     with _blas_held_to_one_thread(), ThreadPoolExecutor(max_workers=1) as pool:
-        teacher_job = pool.submit(forward, state.teacher, fused_scan.cloud)
-        teacher_loss_job = pool.submit(
+        hard_idx, instances = distill_rows(labels, state.hard_classes)
+        teacher_rows = Future()
+        teacher_job = pool.submit(
             _teacher_branch,
             state.teacher,
-            teacher_job,
+            fused_scan.cloud,
             fused_scan.labels.semantic,
             state.class_to_index,
             b1,
+            hard_idx,
+            teacher_rows,
         )
 
-        student_out = forward(state.student, current_scan)
         targets_cur = remap_semantic(labels.semantic, state.class_to_index)
-        seg_s, d_logits = cross_entropy(student_out.logits, targets_cur)
-        hard_idx, instances = distill_rows(labels, state.hard_classes)
-        teacher_out = teacher_job.result()
-
-        # The fused cloud's first n_cur rows are the current scan, row for row.
-        t_enc = teacher_out.encoder[:n_cur]
-        t_head = teacher_out.head[:n_cur]
-        t_logits = teacher_out.logits[:n_cur]
-        s_enc = student_out.encoder
-        s_head = student_out.head
-        s_logits = student_out.logits
-
-        fd_enc, g_enc = feature_distill_loss(
-            t_enc[hard_idx], s_enc[hard_idx], cfg.smooth_l1_T
+        seg_s, student_grads, s = _blocked_pass(
+            state.student, current_scan, targets_cur, 1.0, hard_idx
         )
-        fd_head, g_head = feature_distill_loss(
-            t_head[hard_idx], s_head[hard_idx], cfg.smooth_l1_T
-        )
+        # The fused cloud's first n_cur rows are the current scan, row for
+        # row, so the teacher's hard rows are the student's.
+        t = teacher_rows.result()
+
+        fd_enc, g_enc = feature_distill_loss(t.encoder, s.encoder, cfg.smooth_l1_T)
+        fd_head, g_head = feature_distill_loss(t.head, s.head, cfg.smooth_l1_T)
         fd = fd_enc + fd_head
-        sld, g_sld = soft_logits_kl_loss(
-            t_logits[hard_idx], s_logits[hard_idx], cfg.temperature_P
-        )
-        iaad, g_iaad = iaad_loss(t_head, s_head, instances)
+        sld, g_sld = soft_logits_kl_loss(t.logits, s.logits, cfg.temperature_P)
+        # Every instance row is a hard row: its position among them.
+        hard_instances = [np.searchsorted(hard_idx, rows) for rows in instances]
+        iaad, g_iaad = iaad_loss(t.head, s.head, hard_instances)
 
-        # The cross-entropy gradient is this function's own temporary, so the
-        # distillation terms go into it in place.
-        d_h2_extra = None
-        d_h3_extra = None
-        if b3 != 0.0 and len(hard_idx):
-            d_logits[hard_idx] += b3 * g_sld
-        if b2 != 0.0 and len(hard_idx):
-            d_h2_extra = np.zeros_like(s_enc)
-            d_h2_extra[hard_idx] = b2 * g_enc
-            d_h3_extra = np.zeros_like(s_head)
-            d_h3_extra[hard_idx] = b2 * g_head
-        if b4 != 0.0 and instances:
-            if d_h3_extra is None:
-                d_h3_extra = np.zeros_like(s_head)
-            d_h3_extra += b4 * g_iaad
-
-        student_grads = _backward(
-            state.student, student_out, d_logits, d_h2_extra, d_h3_extra
+        # Backprop is linear in the upstream gradient, so the distillation
+        # terms go back through the hard rows alone and add to the pass's.
+        # A zero beta adds zeros, which leaves every gradient's value as is.
+        d_h3_extra = b2 * g_head
+        d_h3_extra += b4 * g_iaad
+        _add_into(
+            student_grads,
+            _backward(state.student, s, b3 * g_sld, b2 * g_enc, d_h3_extra),
         )
-        seg_t, teacher_grads = teacher_loss_job.result()
+        seg_t, teacher_grads = teacher_job.result()
 
     breakdown = LossBreakdown(
         seg_student=seg_s,
@@ -453,16 +530,17 @@ def supervised_step(
     learning_rate: float,
 ) -> tuple[ToyNetParams, float]:
     """Distillation-free baseline: one cross-entropy step on a single scan."""
-    out = forward(params, scan)
     targets = remap_semantic(labels.semantic, class_to_index)
-    loss, d_logits = cross_entropy(out.logits, targets)
-    grads = _backward(params, out, d_logits)
+    loss, grads, _ = _blocked_pass(params, scan, targets, 1.0, np.empty(0, dtype=np.intp))
     return _sgd(params, grads, learning_rate), loss
 
 
 def predict(params: ToyNetParams, cloud: PointCloud) -> np.ndarray:
     """Per-point argmax class indices."""
-    return np.argmax(forward(params, cloud).logits, axis=1)
+    pred = np.empty(len(cloud), dtype=np.intp)
+    for lo, hi, block in _blocks(cloud):
+        pred[lo:hi] = np.argmax(forward(params, block).logits, axis=1)
+    return pred
 
 
 def evaluate(

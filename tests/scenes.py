@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from scanfuse.fusion import FusedScan
+from scanfuse.geometry import RigidTransform
 from scanfuse.kitti_io import LabelSet, PointCloud
 from scanfuse.synthetic import ObjectSpec, SyntheticConfig, make_synthetic_sequence
 
@@ -141,3 +142,36 @@ def trivial_fused(scan: PointCloud, labels: LabelSet) -> FusedScan:
         n_current=len(scan),
         origin_index=np.empty(0, dtype=np.int64),
     )
+
+
+def rotation_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues rotation about a (not necessarily unit) axis."""
+    axis = np.asarray(axis, dtype=np.float64)
+    norm = float(np.linalg.norm(axis))
+    if norm == 0.0:
+        return np.eye(3)
+    k = axis / norm
+    kx = np.array(
+        [[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]]
+    )
+    return np.eye(3) + np.sin(angle) * kx + (1.0 - np.cos(angle)) * (kx @ kx)
+
+
+def random_rigid_transform(
+    rng: np.random.Generator,
+    max_angle: float = np.pi,
+    max_translation: float = 10.0,
+) -> RigidTransform:
+    """Uniform-ish random transform for tests: random axis, bounded angle."""
+    axis = rng.normal(size=3)
+    while np.linalg.norm(axis) < 1e-12:
+        axis = rng.normal(size=3)
+    angle = rng.uniform(0.0, max_angle)
+    direction = rng.normal(size=3)
+    nrm = float(np.linalg.norm(direction))
+    if nrm < 1e-12:
+        direction = np.array([1.0, 0.0, 0.0])
+        nrm = 1.0
+    radius = max_translation * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+    translation = direction / nrm * radius
+    return RigidTransform(rotation_from_axis_angle(axis, angle), translation)

@@ -24,8 +24,6 @@ from scanfuse.geometry import (
     apply_points,
     compose,
     invert,
-    random_rigid_transform,
-    rotation_from_axis_angle,
 )
 from scanfuse.instance_gen import InstanceGenConfig, generate_instance_ids
 from scanfuse.kitti_io import (
@@ -47,7 +45,7 @@ from scanfuse.toynet import (
     train_step,
 )
 
-from scenes import sparse_hard_instance_scene
+from scenes import random_rigid_transform, rotation_from_axis_angle, sparse_hard_instance_scene
 
 
 def report(criterion: int, text: str) -> None:

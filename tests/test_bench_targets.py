@@ -74,7 +74,8 @@ def test_train_step_total_matches_the_benchmark_reference():
 def test_train_step_on_two_threads_closes_every_traced_span():
     # The teacher branch's forward, remap and cross-entropy run on a worker
     # thread while the student's run on the caller's, both through the
-    # tracer's one span stack.
+    # tracer's one span stack; each branch calls forward and cross-entropy
+    # once per block of rows.
     state, pasted = pasted_step()
     tracer = tracing.Tracer()
     try:
@@ -87,9 +88,15 @@ def test_train_step_on_two_threads_closes_every_traced_span():
         tracer.uninstall()
     assert tracer._stack == []
     assert all(math.isfinite(end) for end in tracer.ends)
-    per_step = {"toynet.train_step": 1, "toynet.forward": 2, "toynet.cross_entropy": 2}
+    blocks = sum(-(-n // toynet.BLOCK_ROWS) for n in (pasted.n_current, len(pasted.cloud)))
+    per_step = {"toynet.train_step": 1, "toynet.forward": blocks, "toynet.cross_entropy": blocks}
     for name, calls in per_step.items():
         assert tracer.names.count(name) == 2 * calls
+
+
+def test_train_step_in_several_blocks_closes_every_traced_span(monkeypatch):
+    monkeypatch.setattr(toynet, "BLOCK_ROWS", 7)
+    test_train_step_on_two_threads_closes_every_traced_span()
 
 
 def test_fuse_scan_passes_each_instance_through_the_traced_layers(monkeypatch):

@@ -6,9 +6,10 @@ from scanfuse.geometry import (
     apply_points,
     compose,
     invert,
-    random_rigid_transform,
     rotation_about_z,
 )
+
+from scenes import random_rigid_transform
 
 
 def test_compose_with_identity():

@@ -40,6 +40,8 @@ from scanfuse.synthetic import (
     make_synthetic_sequence,
 )
 
+from scenes import random_rigid_transform
+
 
 def random_scan_bytes(rng, n_points):
     values = rng.uniform(-80, 80, size=(n_points, 4)).astype("<f4")
@@ -232,8 +234,6 @@ def test_parse_poses_calib_conjugation_matches_matrix_oracle():
 
 def test_pose_text_roundtrip_identity_calib():
     rng = np.random.default_rng(13)
-    from scanfuse.geometry import random_rigid_transform
-
     calib = RigidTransform.identity()
     poses = [random_rigid_transform(rng) for _ in range(20)]
     text = write_poses(poses, calib)
@@ -243,8 +243,6 @@ def test_pose_text_roundtrip_identity_calib():
 
 def test_pose_roundtrip_nontrivial_calib_is_close():
     rng = np.random.default_rng(14)
-    from scanfuse.geometry import random_rigid_transform
-
     calib = RigidTransform(
         np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]]),
         np.array([0.27, -0.08, -0.06]),
@@ -400,6 +398,23 @@ def test_rewriting_a_scan_without_labels_removes_its_old_label_file(tmp_path):
     for written in (index, reloaded):
         with pytest.raises(MissingLabels):
             fuse_scan(written, 4, FusionConfig())
+
+
+def test_writing_a_shorter_sequence_removes_the_scans_past_its_end(tmp_path):
+    seq = make_synthetic_sequence(default_scene(n_scans=5), seed=2).data
+    write_sequence(seq, tmp_path / "seq")
+    short = dataclasses.replace(
+        seq, scans=seq.scans[:3], labels=seq.labels[:3], poses=seq.poses[:3]
+    )
+    index = write_sequence(short, tmp_path / "seq")
+    reloaded = load_sequence_index(tmp_path / "seq")
+    assert len(index) == 3
+    assert reloaded.scan_paths == index.scan_paths
+    assert reloaded.label_paths == index.label_paths
+    assert all(a.allclose(b, tol=1e-9) for a, b in zip(reloaded.poses, index.poses))
+    data = reloaded.load()
+    assert data.labels == list(short.labels)
+    assert data.scans == [parse_scan(write_scan(scan)) for scan in short.scans]
 
 
 def test_pose_count_must_match_scan_count(tmp_path):

@@ -6,7 +6,6 @@ from scanfuse.geometry import (
     RigidTransform,
     apply_points,
     rotation_about_z,
-    rotation_from_axis_angle,
 )
 from scanfuse.registration import (
     RegistrationConfig,
@@ -14,6 +13,8 @@ from scanfuse.registration import (
     fit_rigid,
     icp_register,
 )
+
+from scenes import rotation_from_axis_angle
 
 
 def box_cloud(rng, n=120):

@@ -1,4 +1,7 @@
+import sys
 import threading
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -13,10 +16,12 @@ from scanfuse.distill import (
     soft_logits_kl_loss,
 )
 from scanfuse.errors import InvalidConfig, NumericError, ShapeError
-from scanfuse.fusion import FusionConfig, fuse_scan
+from scanfuse.fusion import FusedScan, FusionConfig, fuse_scan
 from scanfuse.kitti_io import LabelSet, PointCloud
+from scanfuse.metrics import accumulate_confusion, miou
 from scanfuse.synthetic import default_scene, make_synthetic_sequence
 from scanfuse.toynet import (
+    BLOCK_ROWS,
     COORD_SCALE,
     ToyNetParams,
     TrainState,
@@ -26,6 +31,7 @@ from scanfuse.toynet import (
     distill_rows,
     evaluate,
     forward,
+    predict,
     remap_semantic,
     supervised_step,
     train_step,
@@ -50,6 +56,17 @@ def tiny_state(teacher_seed, student_seed, class_to_index, hard, lr=0.05, hidden
         class_to_index=class_to_index,
         hard_classes=hard,
     )
+
+
+# Rows per block that split every oracle scene below into several blocks
+# with a ragged last one: 36/68 (finite differences), 120 (two classes) and
+# 240/320 (sign and truck) rows.
+SMALL_BLOCK = 7
+
+
+@pytest.fixture
+def several_blocks(monkeypatch):
+    monkeypatch.setattr(toynet, "BLOCK_ROWS", SMALL_BLOCK)
 
 
 # --- forward -------------------------------------------------------
@@ -133,6 +150,11 @@ def test_betas_zero_step_is_bit_identical_to_supervised():
     assert bd.total == ce
 
 
+@pytest.mark.usefixtures("several_blocks")
+def test_betas_zero_step_is_bit_identical_to_supervised_in_several_blocks():
+    test_betas_zero_step_is_bit_identical_to_supervised()
+
+
 def test_identical_branches_have_zero_distillation_terms():
     seq = make_synthetic_sequence(default_scene(n_scans=3, points_per_object=20), seed=8)
     fused = fuse_scan(seq.data, 2, FusionConfig(window=2))
@@ -213,6 +235,16 @@ def test_end_to_end_teacher_gradients_match_finite_differences():
         assert gradient_scale_error(analytic, fd) < 1e-3
 
 
+@pytest.mark.usefixtures("several_blocks")
+def test_end_to_end_student_gradients_match_finite_differences_in_several_blocks():
+    test_end_to_end_student_gradients_match_finite_differences()
+
+
+@pytest.mark.usefixtures("several_blocks")
+def test_end_to_end_teacher_gradients_match_finite_differences_in_several_blocks():
+    test_end_to_end_teacher_gradients_match_finite_differences()
+
+
 def sign_and_truck_step():
     """A state with every beta nonzero and a fused scan with appended rows."""
     seq = make_synthetic_sequence(default_scene(n_scans=3, points_per_object=20), seed=8)
@@ -247,15 +279,16 @@ def test_steps_leave_their_inputs_unchanged():
     assert [a.tobytes() for a in inputs] == before
 
 
-def test_overlapped_step_matches_a_serial_composition():
-    state, current, fused, labels = sign_and_truck_step()
+def full_array_step(state, current, fused, labels):
+    """The student and teacher gradients of one step, composed serially on
+    whole (N, .) arrays: the step before it ran in blocks."""
     cfg = state.distill
     b1, b2, b3, b4 = cfg.betas
     c2i = state.class_to_index
 
     t_out = forward(state.teacher, fused.cloud)
     _, d_t = cross_entropy(t_out.logits, remap_semantic(fused.labels.semantic, c2i))
-    expected_teacher = _backward(state.teacher, t_out, b1 * d_t)
+    teacher = _backward(state.teacher, t_out, b1 * d_t)
 
     s_out = forward(state.student, current)
     _, d_s = cross_entropy(s_out.logits, remap_semantic(labels.semantic, c2i))
@@ -271,12 +304,109 @@ def test_overlapped_step_matches_a_serial_composition():
     d_h3 = np.zeros_like(s_out.head)
     d_h3[hard] = b2 * g_head
     d_h3 += b4 * g_iaad
+    return _backward(state.student, s_out, d_s, d_h2, d_h3), teacher
+
+
+def blocked_serial_step(state, current, fused, labels):
+    """The same gradients composed serially from the blocked pass: each
+    branch's segmentation pass, then the distillation terms on the hard-row
+    copies, back-propagated through the student's copies alone."""
+    cfg = state.distill
+    b1, b2, b3, b4 = cfg.betas
+    c2i = state.class_to_index
+    hard, instances = distill_rows(labels, state.hard_classes)
+
+    _, teacher, t = toynet._blocked_pass(
+        state.teacher, fused.cloud, remap_semantic(fused.labels.semantic, c2i), b1, hard
+    )
+    _, student, s = toynet._blocked_pass(
+        state.student, current, remap_semantic(labels.semantic, c2i), 1.0, hard
+    )
+    _, g_enc = feature_distill_loss(t.encoder, s.encoder, cfg.smooth_l1_T)
+    _, g_head = feature_distill_loss(t.head, s.head, cfg.smooth_l1_T)
+    _, g_sld = soft_logits_kl_loss(t.logits, s.logits, cfg.temperature_P)
+    hard_instances = [np.searchsorted(hard, rows) for rows in instances]
+    _, g_iaad = iaad_loss(t.head, s.head, hard_instances)
+    d_h3 = b2 * g_head
+    d_h3 += b4 * g_iaad
+    distilled = _backward(state.student, s, b3 * g_sld, b2 * g_enc, d_h3)
+    for a, g in zip(student.arrays(), distilled.arrays()):
+        a += g
+    return student, teacher
+
+
+def assert_close(params, oracle, rel=1e-12):
+    for a, b in zip(params.arrays(), oracle.arrays()):
+        assert np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
+def test_overlapped_step_matches_a_serial_composition():
+    state, current, fused, labels = sign_and_truck_step()
+    hard, instances = distill_rows(labels, state.hard_classes)
     assert len(hard) and instances
-    expected_student = _backward(state.student, s_out, d_s, d_h2, d_h3)
 
     _, student_grads, teacher_grads = compute_gradients(state, current, fused, labels)
+    expected_student, expected_teacher = blocked_serial_step(state, current, fused, labels)
     assert student_grads.equals(expected_student)
     assert teacher_grads.equals(expected_teacher)
+
+    oracle_student, oracle_teacher = full_array_step(state, current, fused, labels)
+    assert_close(student_grads, oracle_student)
+    assert_close(teacher_grads, oracle_teacher)
+
+
+@pytest.mark.usefixtures("several_blocks")
+def test_overlapped_step_matches_a_serial_composition_in_several_blocks():
+    test_overlapped_step_matches_a_serial_composition()
+
+
+@pytest.mark.usefixtures("several_blocks")
+def test_hard_row_hand_off_holds_under_frequent_thread_switches():
+    # The teacher hands its hard-row copies to the caller through a future
+    # and goes on with later blocks; with the interpreter switching threads
+    # every microsecond, the caller must still read only finished rows.
+    state, current, fused, labels = sign_and_truck_step()
+    expected_student, expected_teacher = blocked_serial_step(state, current, fused, labels)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            _, student_grads, teacher_grads = compute_gradients(state, current, fused, labels)
+            assert student_grads.equals(expected_student)
+            assert teacher_grads.equals(expected_teacher)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("several_blocks")
+def test_distillation_terms_are_bit_identical_under_row_permutation_in_several_blocks():
+    # Shuffling the current scan's rows (and the fused prefix with them) and
+    # the appended rows moves every row to another block and position.
+    state, current, fused, labels = sign_and_truck_step()
+    n = len(current)
+    rng = np.random.default_rng(31)
+    order = np.concatenate([rng.permutation(n), n + rng.permutation(fused.n_appended)])
+    cur = order[:n]
+    shuffled_fused = FusedScan(
+        cloud=PointCloud(fused.cloud.points[order], fused.cloud.remission[order]),
+        labels=LabelSet(fused.labels.semantic[order], fused.labels.instance[order]),
+        n_current=n,
+        origin_index=fused.origin_index[order[n:] - n],
+    )
+    shuffled = (
+        PointCloud(current.points[cur], current.remission[cur]),
+        LabelSet(labels.semantic[cur], labels.instance[cur]),
+    )
+    base = compute_gradients(state, current, fused, labels)[0]
+    moved = compute_gradients(state, shuffled[0], shuffled_fused, shuffled[1])[0]
+    assert min(base.feature, base.logits, base.affinity) > 0.0
+    assert (moved.feature, moved.logits, moved.affinity) == (
+        base.feature,
+        base.logits,
+        base.affinity,
+    )
+    assert abs(moved.seg_student - base.seg_student) <= 1e-12 * base.seg_student
+    assert abs(moved.seg_teacher - base.seg_teacher) <= 1e-12 * base.seg_teacher
 
 
 def _break_teacher_input(state, fused):
@@ -298,6 +428,60 @@ def test_teacher_branch_errors_raise_after_the_worker_ends(breakage, error):
     with pytest.raises(error):
         compute_gradients(state, current, fused, labels)
     assert set(threading.enumerate()) == threads_before
+
+
+def _nan_in_the_last_appended_row(state, fused):
+    fused.cloud.points[-1, 0] = np.nan
+
+
+class RecordingFuture(Future):
+    """Records whether the teacher published its hard-row copies or an error."""
+
+    outcomes: list[str] = []
+
+    def set_result(self, result):
+        self.outcomes.append("rows")
+        super().set_result(result)
+
+    def set_exception(self, exception):
+        self.outcomes.append("error")
+        super().set_exception(exception)
+
+
+@pytest.mark.usefixtures("several_blocks")
+@pytest.mark.parametrize(
+    "breakage, published",
+    [(_break_teacher_input, "error"), (_nan_in_the_last_appended_row, "rows")],
+)
+def test_teacher_failure_before_or_after_its_hard_rows_raises_in_several_blocks(
+    breakage, published, monkeypatch
+):
+    state, current, fused, labels = sign_and_truck_step()
+    hard, _ = distill_rows(labels, state.hard_classes)
+    # The last block holds appended rows only, after the last hard row's.
+    assert hard[-1] // SMALL_BLOCK < (len(fused.cloud) - 1) // SMALL_BLOCK
+    breakage(state, fused)
+    monkeypatch.setattr(toynet, "Future", RecordingFuture)
+    monkeypatch.setattr(RecordingFuture, "outcomes", [])
+    calls = toynet._openblas_thread_calls()
+    before = calls[0]() if calls else None
+    threads_before = set(threading.enumerate())
+    raised = []
+
+    def step():
+        with pytest.raises(NumericError):
+            compute_gradients(state, current, fused, labels)
+        raised.append(True)
+
+    # A caller left waiting for copies that never come would hang: bound it.
+    caller = threading.Thread(target=step, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive() and raised == [True]
+    assert set(threading.enumerate()) == threads_before
+    assert RecordingFuture.outcomes == [published]
+    if calls:
+        assert calls[0]() == before
 
 
 def test_blas_thread_count_is_held_during_the_step_and_restored(monkeypatch):
@@ -325,6 +509,50 @@ def test_blas_thread_count_is_held_during_the_step_and_restored(monkeypatch):
     finally:
         set_(original)
     assert seen == [1, 1]
+
+
+def test_step_memory_follows_the_block_and_hard_rows_not_the_scan():
+    # 9.5 blocks of current scan with 20 hard instances of 150 rows, plus
+    # one block of appended rows; H = 16 as in the benchmark.
+    rng = np.random.default_rng(41)
+    hidden, per = 16, 150
+    n_cur = 9 * BLOCK_ROWS + BLOCK_ROWS // 2
+    n = n_cur + BLOCK_ROWS
+    semantic = np.full(n, 40, dtype=np.uint16)
+    instance = np.zeros(n, dtype=np.uint16)
+    for k, start in enumerate(rng.choice(n_cur // per, 20, replace=False) * per):
+        semantic[start : start + per] = (18, 81)[k % 2]
+        instance[start : start + per] = k + 1
+    semantic[n_cur:], instance[n_cur:] = 18, 1
+    cloud = PointCloud(rng.uniform(-20.0, 20.0, size=(n, 3)), rng.uniform(0.0, 1.0, n))
+    fused = FusedScan(
+        cloud=cloud,
+        labels=LabelSet(semantic, instance),
+        n_current=n_cur,
+        origin_index=np.full(n - n_cur, -1, dtype=np.int64),
+    )
+    current = PointCloud(cloud.points[:n_cur], cloud.remission[:n_cur])
+    labels = LabelSet(semantic[:n_cur], instance[:n_cur])
+    state = tiny_state(1, 2, {40: 0, 81: 1, 18: 2}, frozenset({81, 18}), hidden=hidden)
+    hard, _ = distill_rows(labels, state.hard_classes)
+    compute_gradients(state, current, fused, labels)  # warm every lazy load
+
+    tracemalloc.start()
+    try:
+        compute_gradients(state, current, fused, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each branch's block (activations, cross-entropy and backward buffers)
+    # stays under 8H + 16 float64 values a row; the two branches' hard-row
+    # copies and the distillation temporaries under 16H a hard row; the
+    # per-row label arrays (class lookups, masks) under 32 bytes a row.
+    bound = (
+        2 * BLOCK_ROWS * 8 * (8 * hidden + 16)
+        + len(hard) * 8 * 16 * hidden
+        + 32 * (len(current) + len(cloud))
+    )
+    assert peak < bound
 
 
 @pytest.mark.parametrize("learning_rate", [np.nan, np.inf, 0.0, -1.0])
@@ -380,6 +608,20 @@ def test_evaluate_untrained_params_near_chance():
         params = ToyNetParams.init(seed + 100, 16, 2)
         _, mean = evaluate(params, [cloud], [labels], c2i)
         assert 0.15 <= mean <= 0.55
+
+
+@pytest.mark.usefixtures("several_blocks")
+def test_predict_and_evaluate_in_several_blocks_match_one_forward_pass():
+    cloud, labels = balanced_two_class_scene(3)
+    assert len(cloud) % SMALL_BLOCK
+    params = ToyNetParams.init(21, 8, 2)
+    pred = np.argmax(forward(params, cloud).logits, axis=1)
+    assert np.array_equal(predict(params, cloud), pred)
+    c2i = {0: 0, 1: 1}
+    cm = accumulate_confusion(pred, remap_semantic(labels.semantic, c2i), 2)
+    per_class, mean = evaluate(params, [cloud], [labels], c2i)
+    expected = miou(cm)
+    assert np.array_equal(per_class, expected[0]) and mean == expected[1]
 
 
 def test_evaluate_is_deterministic():
