@@ -11,8 +11,11 @@ their values in ascending order: a row permutation permutes the summed
 values but not their sorted order. Each IAAD instance instead takes its
 members in the byte order of their (teacher, student) rows, so its affinity
 matrices, and a plain sum over one of them, do not depend on the input row
-order. No sum is exactly rounded: NumPy's pairwise summation errs by at most
-about log2(n) rounding units of the sum of magnitudes.
+order. IAAD gathers the members of all instances at once, orders,
+normalizes and back-projects them in one pass each, and forms only each
+instance's affinity matrices on its own. No sum is exactly rounded: NumPy's
+pairwise summation errs by at most about log2(n) rounding units of the sum
+of magnitudes.
 """
 
 from __future__ import annotations
@@ -122,14 +125,12 @@ def soft_logits_kl_loss(teacher, student, temperature: float) -> tuple[float, np
     return loss, grad
 
 
-def _cosine_affinity(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unclipped cosine affinity U U^T plus the unit rows and norms the
-    gradient needs."""
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit length, plus their norms."""
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         raise NumericError("zero-norm feature row in instance set")
-    unit = rows / norms[:, None]
-    return unit @ unit.T, unit, norms
+    return rows / norms[:, None], norms
 
 
 def iaad_loss(
@@ -139,39 +140,60 @@ def iaad_loss(
 
     Sum over instances of the mean squared difference between teacher and
     student cosine-affinity matrices (1/|S_k|^2 normalization). Instances
-    with fewer than two points contribute nothing. Gradient is analytic
-    through the row normalization, with respect to the student features.
+    with fewer than two points contribute nothing; the others must be
+    disjoint sets of row indices, or ``ShapeError`` is raised. Gradient is
+    analytic through the row normalization, with respect to the student
+    features.
+
+    All members are gathered, ordered and normalized at once, and their
+    gradients go back through the normalization at once; only each
+    instance's affinity matrices and their product with its unit rows are
+    formed per instance, on contiguous slices. Every value is the one an
+    instance computed on its own rows would give.
     """
     f_teacher = np.asarray(teacher, dtype=np.float64)
     f_student = np.asarray(student, dtype=np.float64)
     _check_pair(f_teacher, f_student)
 
     grad = np.zeros_like(f_student)
+    sets = [np.asarray(instance, dtype=np.int64).reshape(-1) for instance in instances]
+    sets = [idx for idx in sets if len(idx) >= 2]
+    if not sets:
+        return 0.0, grad
+    members = np.concatenate(sets)
+    if members.min() < 0 or members.max() >= len(f_student):
+        raise ShapeError("instance point index out of range")
+    if np.bincount(members).max() > 1:
+        raise ShapeError("instance sets overlap or repeat a row")
+    bounds = np.cumsum([0] + [len(idx) for idx in sets]).tolist()
+    # Each instance's members in the byte order of their (teacher, student)
+    # rows, not in row order: BLAS may round U U^T differently for permuted
+    # rows. A stable sort by instance keeps that order within each one.
+    # (Zero-width rows have no bytes to order and fail the norm check.)
+    pairs = np.hstack([f_teacher[members], f_student[members]])
+    if pairs.size:
+        order = np.argsort(pairs.view(f"V{pairs[0].nbytes}").ravel(), kind="stable")
+        owner = np.repeat(np.arange(len(sets)), np.diff(bounds))
+        members = members[order[np.argsort(owner[order], kind="stable")]]
+    u_teacher, _ = _unit_rows(f_teacher[members])
+    u_student, norms = _unit_rows(f_student[members])
+
+    g_unit = np.empty_like(u_student)
     terms: list[float] = []
-    for instance in instances:
-        idx = np.asarray(instance, dtype=np.int64).reshape(-1)
-        if len(idx) < 2:
-            continue
-        if idx.min() < 0 or idx.max() >= len(f_student):
-            raise IndexError("instance point index out of range")
-        # Members in the byte order of their (teacher, student) rows, not in
-        # row order: BLAS may round U U^T differently for permuted rows.
-        # (Zero-width rows have no bytes to order and fail the norm check.)
-        pairs = np.hstack([f_teacher[idx], f_student[idx]])
-        if pairs.size:
-            idx = idx[np.argsort(pairs.view(f"V{pairs[0].nbytes}").ravel(), kind="stable")]
-        a_teacher, _, _ = _cosine_affinity(f_teacher[idx])
-        a_student, unit, norms = _cosine_affinity(f_student[idx])
-        diff = a_student - a_teacher
-        n = len(idx)
+    for lo, hi in zip(bounds, bounds[1:]):
+        unit = u_student[lo:hi]
+        teacher_unit = u_teacher[lo:hi]
+        diff = unit @ unit.T
+        diff -= teacher_unit @ teacher_unit.T
+        n = hi - lo
         terms.append(float((diff * diff).sum()) / (n * n))
         # d(loss)/d(A_s) = 2 D / n^2; A_s = U U^T with symmetric D gives
-        # d(loss)/d(U) = 4 D U / n^2, then back through the normalization.
-        g_unit = (4.0 / (n * n)) * diff @ unit
-        g_rows = (g_unit - (np.sum(g_unit * unit, axis=1, keepdims=True)) * unit) / norms[
-            :, None
-        ]
-        np.add.at(grad, idx, g_rows)
+        # d(loss)/d(U) = 4 D U / n^2.
+        np.matmul((4.0 / (n * n)) * diff, unit, out=g_unit[lo:hi])
+    # Back through the normalization, every member at once.
+    g_rows = g_unit - np.sum(g_unit * u_student, axis=1, keepdims=True) * u_student
+    g_rows /= norms[:, None]
+    grad[members] = g_rows
     return _sorted_sum(np.array(terms)), grad
 
 

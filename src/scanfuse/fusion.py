@@ -28,7 +28,14 @@ from .errors import (
     NoOverlap,
     ScanFuseError,
 )
-from .geometry import RigidTransform, apply_points, compose, invert, rotation_about_z
+from .geometry import (
+    RigidTransform,
+    apply_points,
+    centroid,
+    compose,
+    invert,
+    rotation_about_z,
+)
 from .kitti_io import (
     DEFAULT_HARD_CLASSES,
     LabelSet,
@@ -156,7 +163,7 @@ def _instance_index(
     Built once per scan per call, so every window holding the scan shares
     its centroids."""
     return {
-        label: (idx, scan.points[idx].mean(axis=0))
+        label: (idx, centroid(scan.points[idx]))
         for label, idx in instance_rows(labels).items()
         if unpack_label(label)[1] in hard_classes
     }
@@ -524,7 +531,7 @@ def sample_and_paste(
         yaw = float(rng.uniform(0.0, 2.0 * np.pi))
         tx = float(rng.uniform(xy_min[0], xy_max[0]))
         ty = float(rng.uniform(xy_min[1], xy_max[1]))
-        pivot = entry.single_cloud.points.mean(axis=0)
+        pivot = centroid(entry.single_cloud.points)
         rot = rotation_about_z(yaw)
         target = np.array([tx, ty, pivot[2]])
         transform = RigidTransform(rot, target - rot @ pivot)

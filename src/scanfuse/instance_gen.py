@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig
+from .errors import EmptyInput, InvalidConfig, ShapeError
+from .geometry import centroid
 from .kitti_io import LabelSet, PointCloud
 
 
@@ -53,8 +54,7 @@ def farthest_point_sample(points: np.ndarray, stop_distance: float) -> np.ndarra
     if len(points) == 0:
         raise EmptyInput("farthest_point_sample needs at least one point")
 
-    centroid = points.mean(axis=0)
-    first = int(np.argmax(np.linalg.norm(points - centroid, axis=1)))
+    first = int(np.argmax(np.linalg.norm(points - centroid(points), axis=1)))
     chosen = [first]
     min_dist = np.linalg.norm(points - points[first], axis=1)
     while True:
@@ -77,8 +77,8 @@ def cluster_by_keypoints(points: np.ndarray, keypoints: np.ndarray) -> np.ndarra
     keypoints = np.asarray(keypoints, dtype=np.int64).reshape(-1)
     if len(keypoints) == 0:
         raise EmptyInput("cluster_by_keypoints needs at least one keypoint")
-    if len(points) and (keypoints.min() < 0 or keypoints.max() >= len(points)):
-        raise IndexError("keypoint index out of range")
+    if keypoints.min() < 0 or keypoints.max() >= len(points):
+        raise ShapeError("keypoint index out of range")
     # (N, K) distance matrix; argmin picks the first (lowest) index on ties.
     diffs = points[:, None, :] - points[keypoints][None, :, :]
     dists = np.linalg.norm(diffs, axis=2)

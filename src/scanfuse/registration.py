@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateSource, EmptyInput, InvalidConfig, NoOverlap
-from .geometry import RigidTransform, apply_points
+from .geometry import RigidTransform, apply_points, centroid
 
 
 @dataclass
@@ -50,13 +50,13 @@ def centroid_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     target = np.asarray(target, dtype=np.float64).reshape(-1, 3)
     if len(source) == 0 or len(target) == 0:
         raise EmptyInput("centroid_align needs nonempty source and target")
-    return RigidTransform(np.eye(3), target.mean(axis=0) - source.mean(axis=0))
+    return RigidTransform(np.eye(3), centroid(target) - centroid(source))
 
 
 def _check_source_rank(source: np.ndarray) -> None:
     if len(source) < 3:
         raise DegenerateSource(f"need >= 3 source points, got {len(source)}")
-    centered = source - source.mean(axis=0)
+    centered = source - centroid(source)
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals[1] <= 1e-8:
         raise DegenerateSource("source points are (near-)collinear")
@@ -69,8 +69,8 @@ def fit_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     """
     source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    src_mean = source.mean(axis=0)
-    tgt_mean = target.mean(axis=0)
+    src_mean = centroid(source)
+    tgt_mean = centroid(target)
     h = (source - src_mean).T @ (target - tgt_mean)
     u, _, vt = np.linalg.svd(h)
     rotation = vt.T @ u.T

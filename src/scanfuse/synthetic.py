@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig
-from .geometry import RigidTransform, apply_points, invert, rotation_about_z
+from .geometry import RigidTransform, apply_points, centroid, invert, rotation_about_z
 from .kitti_io import LabelSet, PointCloud, SequenceData
 
 
@@ -169,7 +169,7 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
             ) * s
             rot = rotation_about_z(spec.yaw_rate * s)
             world_pts = offsets[j] @ rot.T + center_s
-            centroids[j, s] = world_pts.mean(axis=0)
+            centroids[j, s] = centroid(world_pts)
             parts.append(world_pts)
         sensor_pts = apply_points(invert(poses[s]), np.vstack(parts))
         scans.append(PointCloud(sensor_pts, remission.copy()))

@@ -12,7 +12,12 @@ trains through its own (weighted) segmentation loss.
 Each branch's segmentation pass (forward, cross-entropy, backward) runs over
 blocks of ``BLOCK_ROWS`` rows, and no (N, H) array outlives its block. Each
 block's cross-entropy gradient is scaled by the block's share of the rows,
-and the blocks' parameter gradients are summed. The distillation terms read
+and the blocks' parameter gradients are summed. The pass visits the blocks
+holding hard rows first, then the others; it keeps each block's loss share
+and gradients and sums them in row order after the last block, so the
+visit order changes no bit. The bias gradients are ``np.einsum("ij->j",
+d)``, which sums the rows of ``d`` one after another, as ``d.sum(axis=0)``
+does on a C-ordered array, in a third of its time. The distillation terms read
 only the hard-class rows of the current-scan prefix, so the pass also copies
 the activations of those rows into compact arrays. The losses run on these
 copies; their gradients go back through the student's copies alone, since
@@ -35,8 +40,8 @@ A step runs on two threads. The teacher branch shares nothing with the
 student branch until the distillation terms, which read only its hard-row
 copies; so one worker thread runs it while the calling thread runs the
 student's pass. The teacher hands over its copies (or the error that came
-first) once the block holding the last hard row is done, and goes on through
-the appended rows while the caller computes the distillation terms. NumPy
+first) once the blocks holding hard rows are done, and goes on through the
+other blocks while the caller computes the distillation terms. NumPy
 releases the interpreter lock inside each large array operation, so the two
 overlap on two cores. While they do, OpenBLAS is held to one thread, and its
 own worker threads stop competing with the two branches for the cores. Each
@@ -232,26 +237,26 @@ def _backward(
     t = np.empty_like(h3)
 
     gw4 = h3.T @ d_logits
-    gb4 = d_logits.sum(axis=0)
+    gb4 = np.einsum("ij->j", d_logits)
     d3 = d_logits @ params.w4.T
     if d_h3_extra is not None:
         d3 += d_h3_extra
     _tanh_grad(d3, h3, t)
 
     gw3 = h2.T @ d3
-    gb3 = d3.sum(axis=0)
+    gb3 = np.einsum("ij->j", d3)
     d2 = d3 @ params.w3.T
     if d_h2_extra is not None:
         d2 += d_h2_extra
     _tanh_grad(d2, h2, t)
 
     gw2 = h1.T @ d2
-    gb2 = d2.sum(axis=0)
+    gb2 = np.einsum("ij->j", d2)
     d1 = np.matmul(d2, params.w2.T, out=d3)
     _tanh_grad(d1, h1, t)
 
     gw1 = x.T @ d1
-    gb1 = d1.sum(axis=0)
+    gb1 = np.einsum("ij->j", d1)
     return ToyNetParams(gw1, gb1, gw2, gb2, gw3, gb3, gw4, gb4)
 
 
@@ -365,38 +370,49 @@ def _blocked_pass(
     Returns the mean cross-entropy over all rows of ``cloud``; the gradients
     of ``weight`` times it (None when ``weight`` is 0); and the activations
     of the ascending row indices ``rows``, copied into compact (len(rows), .)
-    arrays. ``on_rows`` receives those copies as soon as the block holding
-    the last of ``rows`` is done. Each block's gradient is the block's
-    cross-entropy gradient scaled by its share of the rows, so the blocks
-    sum to the gradient of the whole mean.
+    arrays. Each block's gradient is the block's cross-entropy gradient
+    scaled by its share of the rows, so the blocks sum to the gradient of
+    the whole mean.
+
+    The blocks holding ``rows`` go first, in row order, then the others;
+    ``on_rows`` receives the copies as soon as the first group is done.
+    Each block's loss share and gradients are kept and summed in row order
+    after the last block, so the visit order changes no bit of the result.
     """
     n = len(cloud)
     hidden, n_classes = params.w4.shape
     kept = ForwardResult(
         *(np.empty((len(rows), width)) for width in (4, hidden, hidden, hidden, n_classes))
     )
-    last_row = rows[-1] if len(rows) else -1
-    loss = 0.0
-    grads = None
-    for lo, hi, block in _blocks(cloud):
+    blocks = list(_blocks(cloud))
+    holding = set((rows // BLOCK_ROWS).tolist())
+    order = sorted(range(len(blocks)), key=lambda k: k not in holding)
+    losses = [0.0] * len(blocks)
+    block_grads: list[ToyNetParams | None] = [None] * len(blocks)
+    if on_rows is not None and not holding:
+        on_rows(kept)
+    for visited, k in enumerate(order, 1):
+        lo, hi, block = blocks[k]
         out = forward(params, block)
         seg, d_logits = cross_entropy(out.logits, targets[lo:hi])
         share = (hi - lo) / max(n, 1)
-        loss += seg * share
+        losses[k] = seg * share
         if weight != 0.0:
             d_logits *= weight * share
-            block_grads = _backward(params, out, d_logits)
-            if grads is None:
-                grads = block_grads
-            else:
-                _add_into(grads, block_grads)
+            block_grads[k] = _backward(params, out, d_logits)
         a, b = np.searchsorted(rows, (lo, hi))
         for dst, src in zip(vars(kept).values(), vars(out).values()):
             dst[a:b] = src[rows[a:b] - lo]
-        if on_rows is not None and hi > last_row:
+        if on_rows is not None and visited == len(holding):
             on_rows(kept)
-            on_rows = None
         del out, d_logits  # before the next block allocates its own
+    loss = 0.0
+    for part in losses:  # not sum(), which compensates on Python >= 3.12
+        loss += part
+    grads = block_grads[0]
+    if grads is not None:
+        for part in block_grads[1:]:
+            _add_into(grads, part)
     return loss, grads, kept
 
 

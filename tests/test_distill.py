@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import log_softmax
 
 from scanfuse import distill
@@ -213,6 +215,104 @@ def test_iaad_skips_tiny_instances():
     loss, grad = iaad_loss(feats, other, [np.array([2])])
     assert loss == 0.0
     assert np.abs(grad).max() == 0.0
+
+
+def _iaad_per_instance(teacher, student, instances):
+    """IAAD computed instance by instance, each on its own gathered rows,
+    with the gradient scattered by ``np.add.at``: the implementation before
+    the members were gathered at once, kept as a bitwise oracle."""
+    grad = np.zeros_like(student)
+    terms = []
+    for instance in instances:
+        idx = np.asarray(instance, dtype=np.int64).reshape(-1)
+        if len(idx) < 2:
+            continue
+        pairs = np.hstack([teacher[idx], student[idx]])
+        idx = idx[np.argsort(pairs.view(f"V{pairs[0].nbytes}").ravel(), kind="stable")]
+        units = []
+        for rows in (teacher[idx], student[idx]):
+            norms = np.linalg.norm(rows, axis=1)
+            unit = rows / norms[:, None]
+            units.append((unit @ unit.T, unit, norms))
+        (a_teacher, _, _), (a_student, unit, norms) = units
+        diff = a_student - a_teacher
+        n = len(idx)
+        terms.append(float((diff * diff).sum()) / (n * n))
+        g_unit = (4.0 / (n * n)) * diff @ unit
+        g_rows = (g_unit - (np.sum(g_unit * unit, axis=1, keepdims=True)) * unit) / norms[
+            :, None
+        ]
+        np.add.at(grad, idx, g_rows)
+    terms = np.sort(np.array(terms))
+    return float(terms.sum()), grad
+
+
+@st.composite
+def iaad_partitions(draw):
+    """Features of up to 600 rows and 1 to 20 columns, and a random partition
+    of a random subset of the rows into instances (1-member ones included);
+    every other draw rounds the features so members tie in their first
+    bytes."""
+    n = draw(st.integers(1, 600))
+    width = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    teacher = rng.normal(size=(n, width)) + 0.05
+    student = rng.normal(size=(n, width)) + 0.05
+    if draw(st.booleans()):
+        teacher, student = np.round(teacher, 1) + 0.05, np.round(student, 1) + 0.05
+    members = rng.permutation(n)[: draw(st.integers(1, n))]
+    n_cuts = draw(st.integers(0, len(members) - 1))
+    cuts = np.sort(rng.choice(np.arange(1, len(members)), size=n_cuts, replace=False))
+    instances = np.split(members, cuts)
+    if draw(st.booleans()):
+        instances = [np.sort(idx) for idx in instances]
+    return teacher, student, instances
+
+
+@settings(max_examples=120, deadline=None)
+@given(iaad_partitions())
+def test_iaad_is_bit_identical_to_the_per_instance_oracle(case):
+    teacher, student, instances = case
+    loss, grad = iaad_loss(teacher, student, instances)
+    expected_loss, expected_grad = _iaad_per_instance(teacher, student, instances)
+    assert loss == expected_loss
+    assert grad.tobytes() == expected_grad.tobytes()
+
+
+@pytest.mark.parametrize(
+    "instances",
+    [
+        [np.array([0, 1, 2]), np.array([2, 3])],
+        [np.array([0, 1, 1])],
+        [np.array([0, 5])],
+        [np.array([-1, 0])],
+    ],
+    ids=["overlap", "repeat", "past-end", "negative"],
+)
+def test_iaad_overlapping_repeated_or_out_of_range_members_are_shape_errors(instances):
+    rng = np.random.default_rng(12)
+    teacher, student = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    with pytest.raises(ShapeError):
+        iaad_loss(teacher, student, instances)
+
+
+def test_iaad_ignores_one_member_instances_when_checking_members():
+    rng = np.random.default_rng(13)
+    teacher, student = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    pair = [np.array([0, 1])]
+    expected = iaad_loss(teacher, student, pair)
+    for extra in ([np.array([1])], [np.array([9])]):
+        loss, grad = iaad_loss(teacher, student, pair + extra)
+        assert loss == expected[0] and np.array_equal(grad, expected[1])
+
+
+@pytest.mark.parametrize("side", ["teacher", "student"])
+def test_iaad_zero_norm_member_of_a_later_instance_is_numeric_error(side):
+    rng = np.random.default_rng(14)
+    features = {"teacher": rng.normal(size=(6, 3)), "student": rng.normal(size=(6, 3))}
+    features[side][4] = 0.0
+    with pytest.raises(NumericError):
+        iaad_loss(features["teacher"], features["student"], [np.arange(3), np.arange(3, 6)])
 
 
 # --- combined objective -------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from scanfuse.geometry import (
     RigidTransform,
     apply_points,
+    centroid,
     compose,
     invert,
     rotation_about_z,
@@ -108,3 +109,12 @@ def test_rigid_transform_shape_validation():
         RigidTransform(np.eye(4), np.zeros(3))
     with pytest.raises(ValueError):
         RigidTransform(np.eye(3), np.zeros(2))
+
+
+def test_centroid_is_bit_identical_to_the_mean_of_rows():
+    # The fusion path's byte-identical outputs rely on this: a contiguous
+    # point set, a row-strided view into (N, 4) records and single points.
+    rng = np.random.default_rng(9)
+    records = rng.normal(size=(1000, 4)) * 50.0
+    for points in (records[:400, :3].copy(), records[:, :3], records[:1, :3], records[:7, :3]):
+        assert centroid(points).tobytes() == points.mean(axis=0).tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scanfuse.errors import EmptyInput, InvalidConfig
+from scanfuse.errors import EmptyInput, InvalidConfig, ShapeError
 from scanfuse.instance_gen import (
     InstanceGenConfig,
     cluster_by_keypoints,
@@ -116,6 +116,16 @@ def test_cluster_tie_goes_to_lower_keypoint_index():
 def test_cluster_empty_keypoints():
     with pytest.raises(EmptyInput):
         cluster_by_keypoints(np.zeros((3, 3)), np.array([], dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "n_points, keypoints",
+    [(3, [0, 3]), (3, [-1]), (0, [0])],
+    ids=["past-end", "negative", "no-points"],
+)
+def test_cluster_keypoint_out_of_range_is_shape_error(n_points, keypoints):
+    with pytest.raises(ShapeError):
+        cluster_by_keypoints(np.zeros((n_points, 3)), np.array(keypoints))
 
 
 def test_cluster_matches_brute_force():

@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -376,6 +377,111 @@ def test_hard_row_hand_off_holds_under_frequent_thread_switches():
             assert teacher_grads.equals(expected_teacher)
     finally:
         sys.setswitchinterval(interval)
+
+
+def in_order_blocked_pass(params, cloud, targets, weight, rows):
+    """``_blocked_pass`` visiting its blocks in row order and adding each
+    block's loss share and gradients as it goes."""
+    hidden, n_classes = params.w4.shape
+    kept = [np.empty((len(rows), w)) for w in (4, hidden, hidden, hidden, n_classes)]
+    loss, grads = 0.0, None
+    for lo, hi, block in toynet._blocks(cloud):
+        out = forward(params, block)
+        seg, d_logits = cross_entropy(out.logits, targets[lo:hi])
+        share = (hi - lo) / max(len(cloud), 1)
+        loss += seg * share
+        if weight != 0.0:
+            d_logits *= weight * share
+            part = _backward(params, out, d_logits)
+            if grads is None:
+                grads = part
+            else:
+                toynet._add_into(grads, part)
+        a, b = np.searchsorted(rows, (lo, hi))
+        for dst, src in zip(kept, vars(out).values()):
+            dst[a:b] = src[rows[a:b] - lo]
+    return loss, grads, kept
+
+
+@pytest.mark.usefixtures("several_blocks")
+@pytest.mark.parametrize("hard_classes", [frozenset({81, 18}), frozenset()], ids=["hard", "none"])
+def test_teacher_publishes_after_exactly_its_hard_row_blocks(hard_classes, monkeypatch):
+    state, current, fused, labels = sign_and_truck_step()
+    state = replace(state, hard_classes=hard_classes)
+    hard, _ = distill_rows(labels, hard_classes)
+    n_blocks = -(-len(fused.cloud) // SMALL_BLOCK)
+    holding = sorted(set((hard // SMALL_BLOCK).tolist()))
+    if hard_classes:
+        # Blocks of ground rows come before the hard rows, appended rows after.
+        assert 0 < holding[0] and holding[-1] < n_blocks - 1
+    rest = [k for k in range(n_blocks) if k not in holding]
+
+    # The teacher's blocks are views into the fused cloud; the student's are not.
+    events = []
+    base = fused.cloud.points
+
+    def recording_forward(params, block):
+        if np.shares_memory(block.points, base):
+            offset = block.points.ctypes.data - base.ctypes.data
+            events.append(offset // base.strides[0] // SMALL_BLOCK)
+        return forward(params, block)
+
+    class PublishingFuture(Future):
+        def set_result(self, result):
+            events.append("published")
+            super().set_result(result)
+
+    monkeypatch.setattr(toynet, "forward", recording_forward)
+    monkeypatch.setattr(toynet, "Future", PublishingFuture)
+    compute_gradients(state, current, fused, labels)
+    assert events == holding + ["published"] + rest
+
+
+@pytest.mark.usefixtures("several_blocks")
+@pytest.mark.parametrize("weight", [0.5, 0.0])
+def test_blocked_pass_is_bit_identical_to_visiting_blocks_in_row_order(weight):
+    state, current, fused, labels = sign_and_truck_step()
+    hard, _ = distill_rows(labels, state.hard_classes)
+    targets = remap_semantic(fused.labels.semantic, state.class_to_index)
+    loss, grads, kept = toynet._blocked_pass(state.teacher, fused.cloud, targets, weight, hard)
+    expected_loss, expected_grads, expected_kept = in_order_blocked_pass(
+        state.teacher, fused.cloud, targets, weight, hard
+    )
+    assert loss == expected_loss
+    if weight == 0.0:
+        assert grads is None and expected_grads is None
+    else:
+        assert grads.equals(expected_grads)
+    for got, expected in zip(vars(kept).values(), expected_kept):
+        assert got.tobytes() == expected.tobytes()
+
+
+def _with_specials(a, rng):
+    """``a`` with +-0, +-inf and NaN written over a few random entries of its
+    first columns; the last column stays finite."""
+    a = a.copy()
+    for value in (0.0, -0.0, np.inf, -np.inf, np.nan) if len(a) else ():
+        rows = rng.integers(0, len(a), size=3)
+        cols = rng.integers(0, max(a.shape[1] - 1, 1), size=3)
+        a[rows, cols] = value
+    return a
+
+
+@pytest.mark.parametrize(
+    "shape", [(4096, 16), (4096, 9), (2500, 16), (7, 16), (1, 9), (400, 3), (0, 16)]
+)
+def test_einsum_column_sums_are_bit_identical_to_sum_over_rows(shape):
+    # _backward's bias gradients and geometry.centroid rely on this; a
+    # NumPy that changes either reduction's order fails here.
+    rng = np.random.default_rng(sum(shape))
+    plain = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    arrays = [plain, _with_specials(plain, rng), np.full(shape, -0.0)]
+    if shape[1] == 3:
+        wide = rng.normal(size=(shape[0], 4))
+        arrays += [wide[:, :3], _with_specials(wide, rng)[:, :3]]
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        for a in arrays:
+            assert np.einsum("ij->j", a).tobytes() == a.sum(axis=0).tobytes()
 
 
 @pytest.mark.usefixtures("several_blocks")
