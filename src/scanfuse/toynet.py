@@ -34,7 +34,9 @@ Sums over blocks round differently from one sum, so the segmentation terms
 and the gradients agree with a whole-array step to about 1e-15 relative. The
 block size can also move a logit by an ulp: OpenBLAS multiplies a product of
 at most 10^6 multiply-adds with a separate small-matrix kernel, which rounds
-the edge columns of a narrow layer differently.
+the edge columns of a narrow layer differently. That kernel is also 2-3
+times faster per row, so ``BLOCK_ROWS`` keeps every product of a block with
+H = 16 under the bound.
 
 A step runs on two threads. The teacher branch shares nothing with the
 student branch until the distillation terms, which read only its hard-row
@@ -87,10 +89,13 @@ from .metrics import accumulate_confusion, miou
 # their sensitive range. Remission is already in [0, 1].
 COORD_SCALE = 0.1
 
-# Rows per block of a step's, a prediction's and an evaluation's passes:
-# 4096 rows of H = 16 float64 values are 512 KiB per array. Chosen by a
-# sweep of the train-distill benchmark (CHANGES.md).
-BLOCK_ROWS = 4096
+# Rows per block of a step's, a prediction's and an evaluation's passes.
+# At H = 16 a block's layer products take 3840 * 16 * 16 = 983,040
+# multiply-adds, under the 10^6 up to which OpenBLAS uses its small-matrix
+# kernel, 2-3 times faster per row than the kernel of larger products; 3840
+# is a multiple of 256 and read best in a sweep of the train-distill
+# benchmark over sizes up to 3906 rows (CHANGES.md).
+BLOCK_ROWS = 3840
 
 
 @dataclass(eq=False)
@@ -233,26 +238,28 @@ def _backward(
     x, h1, h2, h3 = out.x, out.h1, out.encoder, out.head
     # Each d_k holds d(loss)/d(h_k) until _tanh_grad turns it, in place, into
     # the gradient wrt that layer's pre-activation. Three (N, H) buffers
-    # serve all layers: d1 reuses d3's.
+    # serve all layers: d1 reuses d3's. The weights go in as contiguous
+    # transposes: OpenBLAS multiplies by a ``.T`` view on its slower
+    # transposed path, with the same bits.
     t = np.empty_like(h3)
 
     gw4 = h3.T @ d_logits
     gb4 = np.einsum("ij->j", d_logits)
-    d3 = d_logits @ params.w4.T
+    d3 = d_logits @ np.ascontiguousarray(params.w4.T)
     if d_h3_extra is not None:
         d3 += d_h3_extra
     _tanh_grad(d3, h3, t)
 
     gw3 = h2.T @ d3
     gb3 = np.einsum("ij->j", d3)
-    d2 = d3 @ params.w3.T
+    d2 = d3 @ np.ascontiguousarray(params.w3.T)
     if d_h2_extra is not None:
         d2 += d_h2_extra
     _tanh_grad(d2, h2, t)
 
     gw2 = h1.T @ d2
     gb2 = np.einsum("ij->j", d2)
-    d1 = np.matmul(d2, params.w2.T, out=d3)
+    d1 = np.matmul(d2, np.ascontiguousarray(params.w2.T), out=d3)
     _tanh_grad(d1, h1, t)
 
     gw1 = x.T @ d1

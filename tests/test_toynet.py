@@ -484,6 +484,31 @@ def test_einsum_column_sums_are_bit_identical_to_sum_over_rows(shape):
             assert np.einsum("ij->j", a).tobytes() == a.sum(axis=0).tobytes()
 
 
+@pytest.mark.parametrize("width", [16, 9])
+@pytest.mark.parametrize("n", [BLOCK_ROWS, 1136, 37, 2, 0])
+def test_products_with_contiguous_transposes_are_bit_identical_to_transposed_views(
+    n, width
+):
+    # _backward multiplies by np.ascontiguousarray(w.T), which OpenBLAS runs
+    # on its plain path, in place of the .T view, which it runs on its
+    # transposed path; a BLAS whose two paths round differently fails here.
+    # (In iaad_loss, unit @ unit.T on the two paths does differ.)
+    rng = np.random.default_rng(n + width)
+    d = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-8, 9, size=(n, width))
+    w = rng.normal(size=(16, width))
+    same = (d @ w.T).tobytes() == (d @ np.ascontiguousarray(w.T)).tobytes()
+    with toynet._blas_held_to_one_thread():  # as in compute_gradients
+        same_held = (d @ w.T).tobytes() == (d @ np.ascontiguousarray(w.T)).tobytes()
+    assert same and same_held
+
+
+def test_block_products_stay_on_the_small_matrix_kernel():
+    # OpenBLAS multiplies a product of at most 10^6 multiply-adds with its
+    # small-matrix kernel, 2-3 times faster per row at H = 16 than the
+    # kernel a larger product takes.
+    assert BLOCK_ROWS * 16 * 16 <= 10**6
+
+
 @pytest.mark.usefixtures("several_blocks")
 def test_distillation_terms_are_bit_identical_under_row_permutation_in_several_blocks():
     # Shuffling the current scan's rows (and the fused prefix with them) and
