@@ -69,6 +69,9 @@ class FusionConfig:
         self.hard_classes = frozenset(int(c) for c in self.hard_classes)
         if not self.hard_classes:
             raise InvalidConfig("hard_classes must be nonempty")
+        outside = sorted(c for c in self.hard_classes if not 0 <= c <= 0xFFFF)
+        if outside:
+            raise InvalidConfig(f"hard_classes {outside} outside 0..65535")
         if not self.window >= 1:
             raise InvalidConfig("window must be >= 1")
         if not self.moving_threshold >= 0.0:
@@ -439,6 +442,8 @@ class InstanceDatabase:
                 raise ScanFuseError(f"{where}: non-integer field") from None
             if not (0 <= instance <= 0xFFFF and 0 <= class_id <= 0xFFFF):
                 raise ScanFuseError(f"{where}: instance or class_id outside 0..65535")
+            if dirname in (".", "..") or Path(dirname).name != dirname:
+                raise ScanFuseError(f"{where}: directory name is not one path component")
             entry_dir = path / dirname
             cloud = parse_scan((entry_dir / "fused.bin").read_bytes())
             labels = parse_labels((entry_dir / "fused.label").read_bytes())

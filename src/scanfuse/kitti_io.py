@@ -306,10 +306,11 @@ def write_calib(calib: RigidTransform) -> str:
 def parse_class_map(text: str) -> dict[int, tuple[int, str]]:
     """Parse a class-map file: ``raw_id train_id name`` per line.
 
-    Lines starting with ``#`` and blank lines are skipped. Returns
-    raw_id -> (train_id, name).
+    Lines starting with ``#`` and blank lines are skipped; a raw ID listed
+    twice is an error. Returns raw_id -> (train_id, name).
     """
     mapping: dict[int, tuple[int, str]] = {}
+    seen_at: dict[int, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -328,6 +329,12 @@ def parse_class_map(text: str) -> dict[int, tuple[int, str]]:
             raise InvalidConfig(
                 f"class-map line {line_no}: raw ID {raw_id} is outside the 16-bit range"
             )
+        if raw_id in seen_at:
+            raise InvalidConfig(
+                f"class-map line {line_no}: raw ID {raw_id} already listed on line "
+                f"{seen_at[raw_id]}"
+            )
+        seen_at[raw_id] = line_no
         mapping[raw_id] = (train_id, tokens[2])
     return mapping
 

@@ -12,23 +12,23 @@ trains through its own (weighted) segmentation loss.
 Each branch's segmentation pass (forward, cross-entropy, backward) runs over
 blocks of ``BLOCK_ROWS`` rows, and no (N, H) array outlives its block. Each
 block's cross-entropy gradient is scaled by the block's share of the rows,
-and the blocks' parameter gradients are summed. The pass visits the blocks
-holding hard rows first, then the others; it keeps each block's loss share
-and gradients and sums them in row order after the last block, so the
-visit order changes no bit. The bias gradients are ``np.einsum("ij->j",
-d)``, which sums the rows of ``d`` one after another, as ``d.sum(axis=0)``
-does on a C-ordered array, in a third of its time. The distillation terms read
-only the hard-class rows of the current-scan prefix, so the pass also copies
-the activations of those rows into compact arrays. The losses run on these
-copies; their gradients go back through the student's copies alone, since
-backprop is linear in the upstream gradient, and add to the pass's. A step's
-working memory so follows the block size and the hard-row count, not the
-scan: block-sized arrays can come from memory the allocator keeps, where
-whole-scan ones (tens of MB on a 64k-row step) go back to the kernel after
-each step and are faulted in again on the next. ``supervised_step``,
-``predict`` and ``evaluate`` run over the same blocks, and the betas-zero
-step stays bit-identical to ``supervised_step``. ``forward`` and the
-backward pass never write into an array a caller passed or still holds.
+and the blocks' parameter gradients are summed. Each block's loss share and
+gradients are kept and summed in row order after the last block, so the
+order the blocks ran in changes no bit. The bias gradients are
+``np.einsum("ij->j", d)``, which sums the rows of ``d`` one after another,
+as ``d.sum(axis=0)`` does on a C-ordered array, in a third of its time. The
+distillation terms read only the hard-class rows of the current-scan
+prefix, so the pass also copies the activations of those rows into compact
+arrays. The losses run on these copies; their gradients go back through the
+student's copies alone, since backprop is linear in the upstream gradient,
+and add to the pass's. A step's working memory so follows the block size
+and the hard-row count, not the scan: block-sized arrays can come from
+memory the allocator keeps, where whole-scan ones (tens of MB on a 64k-row
+step) go back to the kernel after each step and are faulted in again on the
+next. ``supervised_step``, ``predict`` and ``evaluate`` run over the same
+blocks, and the betas-zero step stays bit-identical to ``supervised_step``.
+``forward`` and the backward pass never write into an array a caller passed
+or still holds.
 
 Sums over blocks round differently from one sum, so the segmentation terms
 and the gradients agree with a whole-array step to about 1e-15 relative. The
@@ -40,13 +40,15 @@ H = 16 under the bound.
 
 A step runs on two threads. The teacher branch shares nothing with the
 student branch until the distillation terms, which read only its hard-row
-copies; so one worker thread runs it while the calling thread runs the
-student's pass. The teacher hands over its copies (or the error that came
-first) once the blocks holding hard rows are done, and goes on through the
-other blocks while the caller computes the distillation terms. NumPy
-releases the interpreter lock inside each large array operation, so the two
-overlap on two cores. While they do, OpenBLAS is held to one thread, and its
-own worker threads stop competing with the two branches for the cores. Each
+copies; so a one-worker pool runs it while the calling thread runs the
+student's pass. The pool's tasks run in order: the teacher's targets, its
+blocks holding hard rows, then its other blocks. The caller reads the
+teacher's copies (or the error that came first) from the second task's
+future, computes the distillation terms while the worker runs the third,
+and then sums both tasks' blocks in row order. NumPy releases the
+interpreter lock inside each large array operation, so the two overlap on
+two cores. While they do, OpenBLAS is held to one thread, and its own
+worker threads stop competing with the two branches for the cores. Each
 branch runs the same operations in the same order as a serial composition of
 the blocked passes, so every result is bit-identical to one.
 """
@@ -57,11 +59,11 @@ import ctypes
 import functools
 import itertools
 import math
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -355,97 +357,73 @@ def _add_into(total: ToyNetParams, part: ToyNetParams) -> None:
         a += b
 
 
-def _blocks(cloud: PointCloud) -> Iterator[tuple[int, int, PointCloud]]:
-    """``(lo, hi, rows lo:hi of cloud)`` over consecutive blocks of at most
-    ``BLOCK_ROWS`` rows; an empty cloud is one empty block."""
-    n = len(cloud)
-    for lo in range(0, max(n, 1), BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        yield lo, hi, PointCloud(cloud.points[lo:hi], cloud.remission[lo:hi])
+def _all_blocks(cloud: PointCloud) -> range:
+    """Indices of the blocks of ``BLOCK_ROWS`` rows tiling ``cloud`` (one if empty)."""
+    return range(max(-(-len(cloud) // BLOCK_ROWS), 1))
 
 
-def _blocked_pass(
+def _block(cloud: PointCloud, k: int) -> tuple[int, int, PointCloud]:
+    """``(lo, hi, rows lo:hi of cloud)`` of block ``k``."""
+    lo = k * BLOCK_ROWS
+    hi = min(lo + BLOCK_ROWS, len(cloud))
+    return lo, hi, PointCloud(cloud.points[lo:hi], cloud.remission[lo:hi])
+
+
+_BlockPart = tuple[int, float, ToyNetParams | None]
+
+
+def _pass(
     params: ToyNetParams,
     cloud: PointCloud,
     targets: np.ndarray,
     weight: float,
     rows: np.ndarray,
-    on_rows: Callable[[ForwardResult], None] | None = None,
-) -> tuple[float, ToyNetParams | None, ForwardResult]:
-    """One branch's segmentation pass, block by block.
+    ks: Iterable[int],
+) -> tuple[list[_BlockPart], ForwardResult]:
+    """A branch's segmentation pass over the blocks ``ks`` of ``cloud``.
 
-    Returns the mean cross-entropy over all rows of ``cloud``; the gradients
-    of ``weight`` times it (None when ``weight`` is 0); and the activations
-    of the ascending row indices ``rows``, copied into compact (len(rows), .)
-    arrays. Each block's gradient is the block's cross-entropy gradient
-    scaled by its share of the rows, so the blocks sum to the gradient of
-    the whole mean.
-
-    The blocks holding ``rows`` go first, in row order, then the others;
-    ``on_rows`` receives the copies as soon as the first group is done.
-    Each block's loss share and gradients are kept and summed in row order
-    after the last block, so the visit order changes no bit of the result.
+    Each block's forward, cross-entropy and, unless ``weight`` is 0,
+    backward give its part: ``(k, loss share, gradients or None)``. A
+    block's gradient is its cross-entropy gradient scaled by ``weight`` and
+    its share of the rows, so the parts of all blocks sum (``_summed``) to
+    the gradient of ``weight`` times the whole mean. Also returns the
+    activations of the ascending row indices ``rows``, which must lie in
+    the blocks ``ks``, copied into compact (len(rows), .) arrays.
     """
     n = len(cloud)
     hidden, n_classes = params.w4.shape
     kept = ForwardResult(
         *(np.empty((len(rows), width)) for width in (4, hidden, hidden, hidden, n_classes))
     )
-    blocks = list(_blocks(cloud))
-    holding = set((rows // BLOCK_ROWS).tolist())
-    order = sorted(range(len(blocks)), key=lambda k: k not in holding)
-    losses = [0.0] * len(blocks)
-    block_grads: list[ToyNetParams | None] = [None] * len(blocks)
-    if on_rows is not None and not holding:
-        on_rows(kept)
-    for visited, k in enumerate(order, 1):
-        lo, hi, block = blocks[k]
+    parts: list[_BlockPart] = []
+    for k in ks:
+        lo, hi, block = _block(cloud, k)
         out = forward(params, block)
         seg, d_logits = cross_entropy(out.logits, targets[lo:hi])
         share = (hi - lo) / max(n, 1)
-        losses[k] = seg * share
+        grads = None
         if weight != 0.0:
             d_logits *= weight * share
-            block_grads[k] = _backward(params, out, d_logits)
+            grads = _backward(params, out, d_logits)
+        parts.append((k, seg * share, grads))
         a, b = np.searchsorted(rows, (lo, hi))
         for dst, src in zip(vars(kept).values(), vars(out).values()):
             dst[a:b] = src[rows[a:b] - lo]
-        if on_rows is not None and visited == len(holding):
-            on_rows(kept)
         del out, d_logits  # before the next block allocates its own
-    loss = 0.0
-    for part in losses:  # not sum(), which compensates on Python >= 3.12
-        loss += part
-    grads = block_grads[0]
-    if grads is not None:
-        for part in block_grads[1:]:
+    return parts, kept
+
+
+def _summed(parts: list[_BlockPart]) -> tuple[float, ToyNetParams | None]:
+    """The loss shares and the gradients of ``parts``, summed in row order
+    whatever order the blocks ran in."""
+    loss, grads = 0.0, None
+    for _, share, part in sorted(parts, key=lambda p: p[0]):
+        loss += share  # not sum(), which compensates on Python >= 3.12
+        if grads is None:
+            grads = part
+        else:
             _add_into(grads, part)
-    return loss, grads, kept
-
-
-def _teacher_branch(
-    params: ToyNetParams,
-    cloud: PointCloud,
-    semantic: np.ndarray,
-    class_to_index: dict[int, int],
-    weight: float,
-    rows: np.ndarray,
-    rows_ready: Future,
-) -> tuple[float, ToyNetParams | None]:
-    """The teacher's segmentation loss on the fused cloud and, unless
-    ``weight`` is 0, the gradients of ``weight`` times it. ``rows_ready``
-    receives the teacher's activations at ``rows``, or the error that came
-    before them."""
-    try:
-        targets = remap_semantic(semantic, class_to_index)
-        seg, grads, _ = _blocked_pass(
-            params, cloud, targets, weight, rows, rows_ready.set_result
-        )
-    except BaseException as exc:
-        if not rows_ready.done():
-            rows_ready.set_exception(exc)
-        raise
-    return seg, grads
+    return loss, grads
 
 
 def compute_gradients(
@@ -473,25 +451,29 @@ def compute_gradients(
 
     with _blas_held_to_one_thread(), ThreadPoolExecutor(max_workers=1) as pool:
         hard_idx, instances = distill_rows(labels, state.hard_classes)
-        teacher_rows = Future()
-        teacher_job = pool.submit(
-            _teacher_branch,
-            state.teacher,
-            fused_scan.cloud,
-            fused_scan.labels.semantic,
-            state.class_to_index,
-            b1,
-            hard_idx,
-            teacher_rows,
+        # The pool's one worker runs its tasks in order: the teacher's
+        # targets, its blocks holding hard rows, then its other blocks.
+        teacher_targets = pool.submit(
+            remap_semantic, fused_scan.labels.semantic, state.class_to_index
         )
 
+        def teacher_pass(ks: list[int], rows: np.ndarray):
+            targets = teacher_targets.result()
+            return _pass(state.teacher, fused_scan.cloud, targets, b1, rows, ks)
+
+        holding = np.unique(hard_idx // BLOCK_ROWS).tolist()
+        others = [k for k in _all_blocks(fused_scan.cloud) if k not in holding]
+        first = pool.submit(teacher_pass, holding, hard_idx)
+        rest = pool.submit(teacher_pass, others, hard_idx[:0])
+
         targets_cur = remap_semantic(labels.semantic, state.class_to_index)
-        seg_s, student_grads, s = _blocked_pass(
-            state.student, current_scan, targets_cur, 1.0, hard_idx
+        student_parts, s = _pass(
+            state.student, current_scan, targets_cur, 1.0, hard_idx, _all_blocks(current_scan)
         )
+        seg_s, student_grads = _summed(student_parts)
         # The fused cloud's first n_cur rows are the current scan, row for
         # row, so the teacher's hard rows are the student's.
-        t = teacher_rows.result()
+        teacher_parts, t = first.result()
 
         fd_enc, g_enc = feature_distill_loss(t.encoder, s.encoder, cfg.smooth_l1_T)
         fd_head, g_head = feature_distill_loss(t.head, s.head, cfg.smooth_l1_T)
@@ -510,7 +492,7 @@ def compute_gradients(
             student_grads,
             _backward(state.student, s, b3 * g_sld, b2 * g_enc, d_h3_extra),
         )
-        seg_t, teacher_grads = teacher_job.result()
+        seg_t, teacher_grads = _summed(teacher_parts + rest.result()[0])
 
     breakdown = LossBreakdown(
         seg_student=seg_s,
@@ -554,14 +536,16 @@ def supervised_step(
 ) -> tuple[ToyNetParams, float]:
     """Distillation-free baseline: one cross-entropy step on a single scan."""
     targets = remap_semantic(labels.semantic, class_to_index)
-    loss, grads, _ = _blocked_pass(params, scan, targets, 1.0, np.empty(0, dtype=np.intp))
+    parts, _ = _pass(params, scan, targets, 1.0, np.empty(0, dtype=np.intp), _all_blocks(scan))
+    loss, grads = _summed(parts)
     return _sgd(params, grads, learning_rate), loss
 
 
 def predict(params: ToyNetParams, cloud: PointCloud) -> np.ndarray:
     """Per-point argmax class indices."""
     pred = np.empty(len(cloud), dtype=np.intp)
-    for lo, hi, block in _blocks(cloud):
+    for k in _all_blocks(cloud):
+        lo, hi, block = _block(cloud, k)
         pred[lo:hi] = np.argmax(forward(params, block).logits, axis=1)
     return pred
 

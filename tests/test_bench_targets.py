@@ -74,8 +74,8 @@ def test_train_step_total_matches_the_benchmark_reference():
 def test_train_step_on_two_threads_closes_every_traced_span():
     # The teacher branch's forward, remap and cross-entropy run on a worker
     # thread while the student's run on the caller's, both through the
-    # tracer's one span stack; each branch calls forward and cross-entropy
-    # once per block of rows.
+    # tracer's one span stack; each branch remaps its labels once and calls
+    # forward and cross-entropy once per block of rows.
     state, pasted = pasted_step()
     tracer = tracing.Tracer()
     try:
@@ -89,7 +89,12 @@ def test_train_step_on_two_threads_closes_every_traced_span():
     assert tracer._stack == []
     assert all(math.isfinite(end) for end in tracer.ends)
     blocks = sum(-(-n // toynet.BLOCK_ROWS) for n in (pasted.n_current, len(pasted.cloud)))
-    per_step = {"toynet.train_step": 1, "toynet.forward": blocks, "toynet.cross_entropy": blocks}
+    per_step = {
+        "toynet.train_step": 1,
+        "toynet.remap_semantic": 2,
+        "toynet.forward": blocks,
+        "toynet.cross_entropy": blocks,
+    }
     for name, calls in per_step.items():
         assert tracer.names.count(name) == 2 * calls
 

@@ -188,6 +188,17 @@ def test_fuse_nan_value_or_unknown_key_is_data_error(seq_dir, tmp_path, capsys, 
     assert not (tmp_path / "fused.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["fuse", "build-augdb"])
+def test_hard_classes_outside_16_bits_are_a_data_error(seq_dir, tmp_path, capsys, command):
+    cfg = tmp_path / "fusion.cfg"
+    cfg.write_text("hard_classes = 70000, -3\n")
+    out = tmp_path / "out"
+    argv = [command, "--seq", str(seq_dir), "--config", str(cfg), "--out", str(out)]
+    assert main(argv + (["--scan", "4"] if command == "fuse" else [])) == 2
+    assert "hard_classes [-3, 70000] outside 0..65535" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == {seq_dir, cfg}  # nothing written
+
+
 def test_train_toy_nan_config_value_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("smooth_l1_T = nan\n")
@@ -376,6 +387,20 @@ def test_eval_miou_ground_truth_class_missing_from_class_map_is_data_error(
     argv = ["--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")]
     assert main(["eval-miou", *argv, "--classmap", str(classmap)]) == 2
     assert "classes [30, 50] missing from the class map" in capsys.readouterr().err
+
+
+def test_eval_miou_class_map_listing_a_raw_id_twice_is_data_error(tmp_path, capsys):
+    from scanfuse.kitti_io import LabelSet
+
+    for name in ("gt", "pred"):
+        (tmp_path / name).mkdir()
+        labels = LabelSet(np.array([40, 10], dtype=np.uint16), np.zeros(2, dtype=np.uint16))
+        (tmp_path / name / "000000.label").write_bytes(write_labels(labels))
+    classmap = tmp_path / "classes.txt"
+    classmap.write_text("40 0 road\n10 1 car\n10 2 bus\n")
+    argv = ["--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt")]
+    assert main(["eval-miou", *argv, "--classmap", str(classmap)]) == 2
+    assert "line 3: raw ID 10 already listed on line 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw_id", [-1, 70000])

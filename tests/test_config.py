@@ -117,6 +117,12 @@ def test_nan_field_is_invalid_config(make, field):
         make(**{field: float("nan")})
 
 
+@pytest.mark.parametrize("value", ["70000", "-3", "18, 65536"])
+def test_hard_classes_outside_16_bits_are_invalid_config(value):
+    with pytest.raises(InvalidConfig, match=r"hard_classes \[.*\] outside 0\.\.65535"):
+        fusion_config_from({"hard_classes": value})
+
+
 def test_unknown_key_is_invalid_config():
     with pytest.raises(InvalidConfig, match="windw"):
         parse_kv_text("window = 2\nwindw = 1\n")

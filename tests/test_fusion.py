@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,24 @@ def test_db_load_rejects_a_bad_manifest_line(scene, tmp_path, edit, message):
     lines[1] = " ".join(edit(lines[1].split(), len(db.entries[1].fused_cloud)))
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(ScanFuseError, match=f"line 2 .*{message}"):
+        InstanceDatabase.load(tmp_path / "augdb")
+
+
+@pytest.mark.parametrize("where", ["absolute", "../elsewhere", "sub/dir", ".", ".."])
+def test_db_load_rejects_a_directory_name_that_is_not_one_component(scene, tmp_path, where):
+    # A copy of an entry outside the database: a manifest must not reach it.
+    db = build_instance_db(scene.data, FusionConfig())
+    db.save(tmp_path / "augdb")
+    manifest = tmp_path / "augdb" / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    fields = lines[1].split()
+    elsewhere = tmp_path / "elsewhere"
+    shutil.copytree(tmp_path / "augdb" / fields[-1], elsewhere)
+    shutil.copytree(elsewhere, tmp_path / "augdb" / "sub" / "dir")
+    fields[-1] = str(elsewhere) if where == "absolute" else where
+    lines[1] = " ".join(fields)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ScanFuseError, match="line 2 .*directory name is not one path component"):
         InstanceDatabase.load(tmp_path / "augdb")
 
 

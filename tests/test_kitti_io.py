@@ -296,6 +296,11 @@ def test_class_map_rejects_short_lines():
         parse_class_map("40 0\n")
 
 
+def test_class_map_rejects_a_raw_id_listed_twice_naming_both_lines():
+    with pytest.raises(InvalidConfig, match=r"line 3: raw ID 10 already listed on line 1"):
+        parse_class_map("10 1 car\n# the same raw ID again\n10 2 bus\n")
+
+
 @pytest.mark.parametrize("raw_id", [-1, 70000])
 def test_class_map_rejects_raw_ids_outside_16_bits(raw_id):
     with pytest.raises(InvalidConfig):

@@ -1,7 +1,7 @@
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +68,30 @@ SMALL_BLOCK = 7
 @pytest.fixture
 def several_blocks(monkeypatch):
     monkeypatch.setattr(toynet, "BLOCK_ROWS", SMALL_BLOCK)
+
+
+@pytest.fixture
+def pool_events(monkeypatch):
+    """What the step's pool runs, in order: ``("returned", result)`` or
+    ``("raised", error)`` as each task ends, recorded on its worker, plus
+    whatever a test's own hooks append."""
+    events = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            def recorded():
+                try:
+                    result = fn(*args, **kwargs)
+                except BaseException as exc:
+                    events.append(("raised", exc))
+                    raise
+                events.append(("returned", result))
+                return result
+
+            return super().submit(recorded)
+
+    monkeypatch.setattr(toynet, "ThreadPoolExecutor", RecordingPool)
+    return events
 
 
 # --- forward -------------------------------------------------------
@@ -310,19 +334,22 @@ def full_array_step(state, current, fused, labels):
 
 def blocked_serial_step(state, current, fused, labels):
     """The same gradients composed serially from the blocked pass: each
-    branch's segmentation pass, then the distillation terms on the hard-row
-    copies, back-propagated through the student's copies alone."""
+    branch's segmentation pass over all its blocks in row order, then the
+    distillation terms on the hard-row copies, back-propagated through the
+    student's copies alone."""
     cfg = state.distill
     b1, b2, b3, b4 = cfg.betas
     c2i = state.class_to_index
     hard, instances = distill_rows(labels, state.hard_classes)
 
-    _, teacher, t = toynet._blocked_pass(
-        state.teacher, fused.cloud, remap_semantic(fused.labels.semantic, c2i), b1, hard
-    )
-    _, student, s = toynet._blocked_pass(
-        state.student, current, remap_semantic(labels.semantic, c2i), 1.0, hard
-    )
+    def branch(params, cloud, semantic, weight):
+        targets = remap_semantic(semantic, c2i)
+        blocks = toynet._all_blocks(cloud)
+        parts, kept = toynet._pass(params, cloud, targets, weight, hard, blocks)
+        return toynet._summed(parts)[1], kept
+
+    teacher, t = branch(state.teacher, fused.cloud, fused.labels.semantic, b1)
+    student, s = branch(state.student, current, labels.semantic, 1.0)
     _, g_enc = feature_distill_loss(t.encoder, s.encoder, cfg.smooth_l1_T)
     _, g_head = feature_distill_loss(t.head, s.head, cfg.smooth_l1_T)
     _, g_sld = soft_logits_kl_loss(t.logits, s.logits, cfg.temperature_P)
@@ -363,9 +390,10 @@ def test_overlapped_step_matches_a_serial_composition_in_several_blocks():
 
 @pytest.mark.usefixtures("several_blocks")
 def test_hard_row_hand_off_holds_under_frequent_thread_switches():
-    # The teacher hands its hard-row copies to the caller through a future
-    # and goes on with later blocks; with the interpreter switching threads
-    # every microsecond, the caller must still read only finished rows.
+    # The teacher hands its hard-row copies to the caller through its first
+    # block task's future and goes on with the other blocks; with the
+    # interpreter switching threads every microsecond, the caller must still
+    # read only finished rows.
     state, current, fused, labels = sign_and_truck_step()
     expected_student, expected_teacher = blocked_serial_step(state, current, fused, labels)
     interval = sys.getswitchinterval()
@@ -380,12 +408,13 @@ def test_hard_row_hand_off_holds_under_frequent_thread_switches():
 
 
 def in_order_blocked_pass(params, cloud, targets, weight, rows):
-    """``_blocked_pass`` visiting its blocks in row order and adding each
-    block's loss share and gradients as it goes."""
+    """A branch's blocked pass visiting its blocks in row order and adding
+    each block's loss share and gradients as it goes."""
     hidden, n_classes = params.w4.shape
     kept = [np.empty((len(rows), w)) for w in (4, hidden, hidden, hidden, n_classes)]
     loss, grads = 0.0, None
-    for lo, hi, block in toynet._blocks(cloud):
+    for k in toynet._all_blocks(cloud):
+        lo, hi, block = toynet._block(cloud, k)
         out = forward(params, block)
         seg, d_logits = cross_entropy(out.logits, targets[lo:hi])
         share = (hi - lo) / max(len(cloud), 1)
@@ -405,7 +434,9 @@ def in_order_blocked_pass(params, cloud, targets, weight, rows):
 
 @pytest.mark.usefixtures("several_blocks")
 @pytest.mark.parametrize("hard_classes", [frozenset({81, 18}), frozenset()], ids=["hard", "none"])
-def test_teacher_publishes_after_exactly_its_hard_row_blocks(hard_classes, monkeypatch):
+def test_teacher_publishes_after_exactly_its_hard_row_blocks(
+    hard_classes, monkeypatch, pool_events
+):
     state, current, fused, labels = sign_and_truck_step()
     state = replace(state, hard_classes=hard_classes)
     hard, _ = distill_rows(labels, hard_classes)
@@ -417,41 +448,44 @@ def test_teacher_publishes_after_exactly_its_hard_row_blocks(hard_classes, monke
     rest = [k for k in range(n_blocks) if k not in holding]
 
     # The teacher's blocks are views into the fused cloud; the student's are not.
-    events = []
     base = fused.cloud.points
 
     def recording_forward(params, block):
         if np.shares_memory(block.points, base):
             offset = block.points.ctypes.data - base.ctypes.data
-            events.append(offset // base.strides[0] // SMALL_BLOCK)
+            pool_events.append(offset // base.strides[0] // SMALL_BLOCK)
         return forward(params, block)
 
-    class PublishingFuture(Future):
-        def set_result(self, result):
-            events.append("published")
-            super().set_result(result)
-
     monkeypatch.setattr(toynet, "forward", recording_forward)
-    monkeypatch.setattr(toynet, "Future", PublishingFuture)
     compute_gradients(state, current, fused, labels)
-    assert events == holding + ["published"] + rest
+    # The teacher's targets, its blocks holding hard rows (handing their
+    # copies over as the task returns), then its other blocks.
+    steps = [e if isinstance(e, int) else e[0] for e in pool_events]
+    assert steps == ["returned", *holding, "returned", *rest, "returned"]
+    copies = pool_events[len(holding) + 1][1][1]
+    assert len(copies.head) == len(hard)
 
 
 @pytest.mark.usefixtures("several_blocks")
 @pytest.mark.parametrize("weight", [0.5, 0.0])
-def test_blocked_pass_is_bit_identical_to_visiting_blocks_in_row_order(weight):
+def test_blocked_pass_is_bit_identical_to_visiting_blocks_in_row_order(weight, pool_events):
+    # The teacher's pass runs its blocks holding hard rows first, as one
+    # task, and the others as a second.
     state, current, fused, labels = sign_and_truck_step()
+    betas = (weight, *state.distill.betas[1:])
+    state = replace(state, distill=replace(state.distill, betas=betas))
     hard, _ = distill_rows(labels, state.hard_classes)
     targets = remap_semantic(fused.labels.semantic, state.class_to_index)
-    loss, grads, kept = toynet._blocked_pass(state.teacher, fused.cloud, targets, weight, hard)
+    losses, _, grads = compute_gradients(state, current, fused, labels)
     expected_loss, expected_grads, expected_kept = in_order_blocked_pass(
         state.teacher, fused.cloud, targets, weight, hard
     )
-    assert loss == expected_loss
+    assert losses.seg_teacher == expected_loss
     if weight == 0.0:
         assert grads is None and expected_grads is None
     else:
         assert grads.equals(expected_grads)
+    kept = pool_events[1][1][1]  # the copies the hard-row task returned
     for got, expected in zip(vars(kept).values(), expected_kept):
         assert got.tobytes() == expected.tobytes()
 
@@ -565,35 +599,19 @@ def _nan_in_the_last_appended_row(state, fused):
     fused.cloud.points[-1, 0] = np.nan
 
 
-class RecordingFuture(Future):
-    """Records whether the teacher published its hard-row copies or an error."""
-
-    outcomes: list[str] = []
-
-    def set_result(self, result):
-        self.outcomes.append("rows")
-        super().set_result(result)
-
-    def set_exception(self, exception):
-        self.outcomes.append("error")
-        super().set_exception(exception)
-
-
 @pytest.mark.usefixtures("several_blocks")
 @pytest.mark.parametrize(
     "breakage, published",
     [(_break_teacher_input, "error"), (_nan_in_the_last_appended_row, "rows")],
 )
 def test_teacher_failure_before_or_after_its_hard_rows_raises_in_several_blocks(
-    breakage, published, monkeypatch
+    breakage, published, pool_events
 ):
     state, current, fused, labels = sign_and_truck_step()
     hard, _ = distill_rows(labels, state.hard_classes)
     # The last block holds appended rows only, after the last hard row's.
     assert hard[-1] // SMALL_BLOCK < (len(fused.cloud) - 1) // SMALL_BLOCK
     breakage(state, fused)
-    monkeypatch.setattr(toynet, "Future", RecordingFuture)
-    monkeypatch.setattr(RecordingFuture, "outcomes", [])
     calls = toynet._openblas_thread_calls()
     before = calls[0]() if calls else None
     threads_before = set(threading.enumerate())
@@ -610,7 +628,10 @@ def test_teacher_failure_before_or_after_its_hard_rows_raises_in_several_blocks(
     caller.join(timeout=60)
     assert not caller.is_alive() and raised == [True]
     assert set(threading.enumerate()) == threads_before
-    assert RecordingFuture.outcomes == [published]
+    # The targets, then the hard-row blocks' copies or their error, then the
+    # other blocks' error.
+    handed_over = {"rows": "returned", "error": "raised"}[published]
+    assert [outcome for outcome, _ in pool_events] == ["returned", handed_over, "raised"]
     if calls:
         assert calls[0]() == before
 
