@@ -47,6 +47,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="scanfuse", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    scene = default_scene()  # make-synthetic's and train-toy's scene defaults
 
     p = sub.add_parser("inspect", help="print point count and bounding box of a scan")
     p.add_argument("path", help=".bin scan or .label file")
@@ -54,8 +55,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("make-synthetic", help="generate a synthetic sequence")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True, help="output sequence directory")
-    p.add_argument("--scans", type=int, default=5)
-    p.add_argument("--points-per-object", type=int, default=60)
+    p.add_argument("--scans", type=int, default=scene.n_scans)
+    p.add_argument("--points-per-object", type=int, default=scene.points_per_object)
 
     p = sub.add_parser("gen-instances", help="assign instance IDs to one class")
     p.add_argument("scan", help="input .bin scan")
@@ -86,7 +87,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--config", default=None)
-    p.add_argument("--scans", type=int, default=5)
+    p.add_argument("--scans", type=int, default=scene.n_scans)
     p.add_argument("--hidden", type=int, default=16)
     p.add_argument("--learning-rate", type=float, default=1e-2)
 

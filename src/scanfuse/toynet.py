@@ -464,7 +464,15 @@ def compute_gradients(
         holding = np.unique(hard_idx // BLOCK_ROWS).tolist()
         others = [k for k in _all_blocks(fused_scan.cloud) if k not in holding]
         first = pool.submit(teacher_pass, holding, hard_idx)
-        rest = pool.submit(teacher_pass, others, hard_idx[:0])
+
+        def rest_pass():
+            # ``first`` is done when this starts. Once it has failed, the
+            # step raises its error, so the other blocks are not run.
+            if first.exception() is not None:
+                return [], None
+            return teacher_pass(others, hard_idx[:0])
+
+        rest = pool.submit(rest_pass)
 
         targets_cur = remap_semantic(labels.semantic, state.class_to_index)
         student_parts, s = _pass(

@@ -9,10 +9,13 @@ perfbench/tests``) catch both too, but run for many seconds.
 """
 
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import reference  # noqa: E402
 import tracing  # noqa: E402
@@ -41,6 +44,41 @@ def test_every_traced_target_exists():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+# What the benchmark worker does before its traced run, in a fresh
+# interpreter: ``install`` patches only the ``scanfuse`` modules imported
+# before it, so whichever modules other tests imported cannot hide one that
+# the worker leaves unimported.
+WORKER_INSTALL = """
+import importlib
+import tracing
+from workloads import WORKLOADS
+
+tracer = tracing.Tracer()
+tracer.install(tracing.TARGETS)
+wrapper = tracer.wrap("probe", len).__code__
+for target in tracing.TARGETS:
+    owner = importlib.import_module("scanfuse." + target.module)
+    for part in target.attr.split("."):
+        owner = getattr(owner, part)
+    assert owner.__code__ is wrapper, target.name
+print(len(tracing.TARGETS))
+"""
+
+
+def test_the_worker_wraps_every_traced_target_where_it_is_defined():
+    path = os.pathsep.join(str(ROOT / d) for d in ("perfbench", "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", WORKER_INSTALL],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(len(tracing.TARGETS))]
 
 
 def pasted_step():

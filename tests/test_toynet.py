@@ -629,11 +629,35 @@ def test_teacher_failure_before_or_after_its_hard_rows_raises_in_several_blocks(
     assert not caller.is_alive() and raised == [True]
     assert set(threading.enumerate()) == threads_before
     # The targets, then the hard-row blocks' copies or their error, then the
-    # other blocks' error.
-    handed_over = {"rows": "returned", "error": "raised"}[published]
-    assert [outcome for outcome, _ in pool_events] == ["returned", handed_over, "raised"]
+    # other blocks' error, or nothing from them once the hard-row blocks failed.
+    handed_over, others = {"rows": ("returned", "raised"), "error": ("raised", "returned")}[
+        published
+    ]
+    assert [outcome for outcome, _ in pool_events] == ["returned", handed_over, others]
     if calls:
         assert calls[0]() == before
+
+
+@pytest.mark.usefixtures("several_blocks")
+def test_teacher_failure_runs_no_block_after_the_failing_one(monkeypatch):
+    state, current, fused, labels = sign_and_truck_step()
+    hard, _ = distill_rows(labels, state.hard_classes)
+    fused.cloud.points[hard[0], 0] = np.nan  # the teacher's input only
+    caller = threading.get_ident()
+    base = fused.cloud.points
+    worker_blocks = []
+
+    def recording_forward(params, block):
+        if threading.get_ident() != caller:
+            offset = block.points.ctypes.data - base.ctypes.data
+            worker_blocks.append(offset // base.strides[0] // SMALL_BLOCK)
+        return forward(params, block)
+
+    monkeypatch.setattr(toynet, "forward", recording_forward)
+    with pytest.raises(NumericError):
+        compute_gradients(state, current, fused, labels)
+    # The first hard-row block fails; no other teacher block runs after it.
+    assert worker_blocks == [hard[0] // SMALL_BLOCK]
 
 
 def test_blas_thread_count_is_held_during_the_step_and_restored(monkeypatch):
