@@ -468,8 +468,9 @@ def build_instance_db(
 
     Each labelled scan is indexed once and every window holding it shares
     that index; a labelled scan whose window holds an unlabelled one raises
-    ``MissingLabels``, as in ``fuse_scan``. Coordinates are quantized to the
-    on-disk 32-bit precision so that ``load(save(db)) == db`` holds exactly.
+    ``MissingLabels``, as in ``fuse_scan``. Coordinates are stored in
+    float32, the on-disk precision, so that ``load(save(db)) == db`` holds
+    exactly.
     """
     seq = _as_data(seq)
     index = {

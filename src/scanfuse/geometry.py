@@ -1,8 +1,9 @@
 """SE(3) rigid transforms.
 
 Rotations are stored as 3x3 matrices (matching the on-disk pose format),
-translations as 3-vectors in meters. All functions are pure and operate on
-float64 arrays.
+translations as 3-vectors in meters. All functions are pure and compute in
+float64: they widen point arrays of another dtype (such as a parsed scan's
+float32 rows) first, so a result does not depend on its input's dtype.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ def apply_points(t: RigidTransform, points: np.ndarray) -> np.ndarray:
 
 def centroid(points: np.ndarray) -> np.ndarray:
     """Mean of an (N, 3) point set: the same bits as ``points.mean(axis=0)``,
-    which also sums row after row, in half the time on a few hundred points."""
+    which also sums row after row, in half the time on a few hundred points.
+    Float32 points are widened first, so the sums run in float64."""
+    points = np.asarray(points, dtype=np.float64)
     return np.einsum("ij->j", points) / len(points)
 
 

@@ -6,12 +6,14 @@ On-disk formats:
   poses    ``poses.txt``    12 decimals per line, row-major 3x4, left-camera frame
   calib    ``calib.txt``    line starting ``Tr:`` holds the 3x4 velodyne-to-camera transform
 
-Coordinates are widened to float64 in memory (float32 -> float64 is exact, so
-byte-level round trips are preserved); a parsed scan's ``points`` and
-``remission`` are column views of one (N, 4) float64 block. Writers quantize
-back to the 32-bit disk format. Labels stay in the raw SemanticKITTI class-ID
-space; remapping to a training space is a separate, config-driven table (see
-``parse_class_map``).
+A parsed scan keeps the file's float32 records: its ``points`` and
+``remission`` are read-only column views of the bytes it was parsed from, so
+a scan in memory takes the 16 bytes per point it takes on disk. Code that
+computes on coordinates widens the rows it gathers to float64 (exact for
+float32), so results do not depend on whether a cloud came from disk or was
+built in float64. Writers quantize back to the 32-bit disk format. Labels
+stay in the raw SemanticKITTI class-ID space; remapping to a training space
+is a separate, config-driven table (see ``parse_class_map``).
 """
 
 from __future__ import annotations
@@ -40,19 +42,31 @@ LABEL_RECORD_BYTES = 4  # 1 uint32 per point
 DEFAULT_HARD_CLASSES = frozenset({11, 15, 18, 20, 30, 31, 32, 81})
 
 
+def _float_array(values) -> np.ndarray:
+    """``values`` as a float32 or float64 array, converting anything else to
+    float64."""
+    values = np.asarray(values)
+    if values.dtype in (np.float32, np.float64):
+        return values
+    return values.astype(np.float64)
+
+
 @dataclass(eq=False)
 class PointCloud:
     """Ordered 3D points with per-point remission.
 
-    ``points`` is (N, 3) float64, ``remission`` is (N,) float64 in [0, 1].
+    ``points`` is (N, 3), ``remission`` is (N,) with values in [0, 1]. Both
+    keep a float32 or float64 dtype as given (a parsed scan's are read-only
+    float32 views of its file bytes); any other input becomes float64.
+    ``copy()`` returns writable arrays.
     """
 
     points: np.ndarray
     remission: np.ndarray
 
     def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        self.remission = np.asarray(self.remission, dtype=np.float64).reshape(-1)
+        self.points = _float_array(self.points).reshape(-1, 3)
+        self.remission = _float_array(self.remission).reshape(-1)
         if len(self.points) != len(self.remission):
             raise ValueError(
                 f"points ({len(self.points)}) and remission "
@@ -189,7 +203,8 @@ class SequenceIndex:
 
 
 def parse_scan(data: bytes) -> PointCloud:
-    """Decode packed float32 scan bytes into a PointCloud."""
+    """Decode packed float32 scan bytes into a PointCloud whose arrays are
+    read-only float32 column views of ``data`` (nothing is copied)."""
     if len(data) % SCAN_RECORD_BYTES != 0:
         raise MalformedScan(
             f"scan length {len(data)} is not a multiple of {SCAN_RECORD_BYTES}"
@@ -197,9 +212,7 @@ def parse_scan(data: bytes) -> PointCloud:
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
     if not np.isfinite(raw).all():
         raise MalformedScan("scan contains non-finite values")
-    # one contiguous widening, then column views: cheaper than two strided casts
-    block = raw.astype(np.float64)
-    return PointCloud(points=block[:, :3], remission=block[:, 3])
+    return PointCloud(points=raw[:, :3], remission=raw[:, 3])
 
 
 def write_scan(cloud: PointCloud) -> bytes:

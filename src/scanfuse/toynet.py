@@ -208,7 +208,8 @@ def _dense_tanh(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def forward(params: ToyNetParams, cloud: PointCloud) -> ForwardResult:
     """Deterministic per-point evaluation, keeping what backprop needs."""
     x = np.empty((len(cloud), 4))
-    np.multiply(cloud.points, COORD_SCALE, out=x[:, :3])
+    # dtype: a float32 cloud is scaled in float64, as a float64 one is
+    np.multiply(cloud.points, COORD_SCALE, out=x[:, :3], dtype=np.float64)
     x[:, 3] = cloud.remission
     h1 = _dense_tanh(x, params.w1, params.b1)
     h2 = _dense_tanh(h1, params.w2, params.b2)

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_scan_bytes_roundtrip_random():
         assert write_scan(parse_scan(data)) == data
 
 
-def test_parse_scan_widens_each_column_bit_exactly():
+def test_parse_scan_keeps_each_float32_column_bit_exactly():
     f32 = np.finfo(np.float32)
     special = np.array(
         [
@@ -103,13 +104,45 @@ def test_parse_scan_widens_each_column_bit_exactly():
 
     cloud = parse_scan(data)
     # tobytes compares every bit, the sign of zero and subnormals included
-    assert cloud.points.tobytes() == raw[:, :3].astype(np.float64).tobytes()
-    assert cloud.remission.tobytes() == raw[:, 3].astype(np.float64).tobytes()
+    assert cloud.points.dtype == cloud.remission.dtype == np.float32
+    assert cloud.points.tobytes() == raw[:, :3].tobytes()
+    assert cloud.remission.tobytes() == raw[:, 3].tobytes()
+    # the widening that computations apply is exact
+    wide = raw.astype(np.float64)
+    assert cloud.points.astype(np.float64).tobytes() == wide[:, :3].tobytes()
+    assert cloud.remission.astype(np.float64).tobytes() == wide[:, 3].tobytes()
+    assert PointCloud(wide[:, :3], wide[:, 3]) == cloud
     assert write_scan(cloud) == data
 
-    remission = cloud.remission.copy()
-    cloud.points[:] = 7.0
-    assert cloud.remission.tobytes() == remission.tobytes()
+    # the parsed arrays are views of the caller's bytes, so they are read-only
+    with pytest.raises(ValueError):
+        cloud.points[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        cloud.remission[0] = 7.0
+
+    copy = cloud.copy()
+    copy.points[:] = 7.0
+    assert copy.remission.tobytes() == raw[:, 3].tobytes()
+    copy.remission[:] = 0.5
+    assert (copy.points == 7.0).all()
+    assert cloud.points.tobytes() == raw[:, :3].tobytes()
+    assert cloud.remission.tobytes() == raw[:, 3].tobytes()
+
+
+def test_parse_scan_allocates_no_copy_of_the_scan():
+    n = 100_000
+    data = random_scan_bytes(np.random.default_rng(14), n)
+    parse_scan(data)  # warm up, so one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        cloud = parse_scan(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) == n
+    # the non-finite check's mask takes 4 bytes per point; widening the
+    # scan to float64 would take 32
+    assert peak <= 5 * n
 
 
 def test_scan_cloud_roundtrip_for_f32_clean_clouds():
