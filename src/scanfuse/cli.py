@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .config import distill_config_from, fusion_config_from, load_kv_file
 from .distill import verify_gradients
-from .errors import ScanFuseError
+from .errors import InvalidConfig, ScanFuseError
 from .fusion import FusionConfig, build_instance_db, fuse_scan
 from .instance_gen import InstanceGenConfig, generate_instance_ids
 from .kitti_io import (
@@ -24,14 +24,13 @@ from .kitti_io import (
     parse_class_map,
     parse_labels,
     parse_scan,
-    raw_to_train_table,
     write_labels,
     write_scan,
     write_sequence,
 )
 from .metrics import accumulate_confusion, format_iou_table, miou
 from .synthetic import default_scene, make_synthetic_sequence
-from .toynet import ToyNetParams, TrainState, evaluate, train_step
+from .toynet import ToyNetParams, TrainState, evaluate, remap_semantic, train_step
 
 
 class _Parser(argparse.ArgumentParser):
@@ -247,12 +246,20 @@ def _cmd_train_toy(args) -> int:
     return 0
 
 
+def _train_ids(semantic: np.ndarray, raw_to_train: dict[int, int], where: str) -> np.ndarray:
+    """``remap_semantic`` with ``where`` (a file and its role) in its errors."""
+    try:
+        return remap_semantic(semantic, raw_to_train)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{where}: {exc}") from None
+
+
 def _cmd_eval_miou(args) -> int:
     mapping = parse_class_map(Path(args.classmap).read_text())
-    train_ids = {raw: train for raw, (train, _) in mapping.items() if train >= 0}
-    if not train_ids:
+    raw_to_train = {raw: train for raw, (train, _) in mapping.items()}
+    n_classes = max(raw_to_train.values(), default=-1) + 1
+    if n_classes == 0:
         raise ScanFuseError("class map has no non-ignored classes")
-    n_classes = max(train_ids.values()) + 1
     names = ["?"] * n_classes
     for raw, (train, name) in mapping.items():
         if train >= 0 and names[train] == "?":
@@ -264,31 +271,26 @@ def _cmd_eval_miou(args) -> int:
     if not gt_files:
         raise ScanFuseError(f"no .label files under {gt_dir}")
 
-    lookup = raw_to_train_table(train_ids)
-
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     for gt_path in gt_files:
         pred_path = pred_dir / gt_path.name
         if not pred_path.is_file():
             raise ScanFuseError(f"missing prediction for {gt_path.name}")
         gt = parse_labels(gt_path.read_bytes())
-        missing = np.setdiff1d(gt.semantic, list(mapping))
-        if len(missing):
-            raise ScanFuseError(
-                f"{gt_path.name}: ground-truth classes {missing.tolist()} "
-                "missing from the class map"
-            )
+        gt_train = _train_ids(gt.semantic, raw_to_train, f"{gt_path.name}: ground truth")
         pred = parse_labels(pred_path.read_bytes())
         if len(gt) != len(pred):
             raise ScanFuseError(
                 f"{gt_path.name}: {len(gt)} gt labels vs {len(pred)} predictions"
             )
-        gt_train = lookup[gt.semantic.astype(np.int64)]
-        pred_train = lookup[pred.semantic.astype(np.int64)]
+        # Only counted points' predictions are looked up: at an ignored
+        # point a prediction may carry any class.
         keep = gt_train >= 0
-        if (pred_train[keep] < 0).any():
-            raise ScanFuseError(f"{pred_path.name}: prediction has unmapped classes")
-        cm += accumulate_confusion(pred_train[keep], gt_train[keep], n_classes)
+        where = f"{pred_path.name}: prediction"
+        pred_train = _train_ids(pred.semantic[keep], raw_to_train, where)
+        if (pred_train < 0).any():
+            raise ScanFuseError(f"{where} has ignored classes at counted points")
+        cm += accumulate_confusion(pred_train, gt_train[keep], n_classes)
     per_class, mean = miou(cm)
     print(format_iou_table(names, per_class, mean, label="pred"))
     return 0

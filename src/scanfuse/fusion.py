@@ -104,7 +104,9 @@ class FusedScan:
     then any pasted single-scan instances); the rest is teacher-only density.
     Teacher row i is student row i for every i < ``n_current``.
     ``origin_index`` holds the relative scan (-1..-K) each appended point came
-    from, 0 for pasted points.
+    from, 0 for pasted points. ``registration_warnings`` holds an
+    ``(instance_id, s - t)`` for each past scan s of a moving instance placed
+    without ICP: its source was degenerate or had no overlap.
     """
 
     cloud: PointCloud
@@ -167,8 +169,7 @@ def _instance_index(
     its centroids."""
     return {
         label: (idx, centroid(scan.points[idx]))
-        for label, idx in instance_rows(labels).items()
-        if unpack_label(label)[1] in hard_classes
+        for label, idx in instance_rows(labels, hard_classes).items()
     }
 
 
@@ -276,9 +277,7 @@ def _fuse_instance(
             init = centroid_align(pts, tree.data)
             try:
                 align = icp_register(pts, tree, init, config.registration).transform
-            except DegenerateSource:
-                align = init
-            except NoOverlap:
+            except (DegenerateSource, NoOverlap):
                 align = init
                 warnings.append((track.instance_id, s - scan_t))
             pts = apply_points(align, pts)

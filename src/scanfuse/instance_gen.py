@@ -25,6 +25,8 @@ class InstanceGenConfig:
     min_cluster_points: int = 5
 
     def __post_init__(self) -> None:
+        if not 0 <= self.target_class <= 0xFFFF:
+            raise InvalidConfig(f"target_class {self.target_class} outside 0..65535")
         if not self.stop_distance > 0.0:
             raise InvalidConfig("stop_distance must be > 0")
         if not self.min_cluster_points >= 1:

@@ -12,12 +12,13 @@ a scan in memory takes the 16 bytes per point it takes on disk. Code that
 computes on coordinates widens the rows it gathers to float64 (exact for
 float32), so results do not depend on whether a cloud came from disk or was
 built in float64. Writers quantize back to the 32-bit disk format. Labels
-stay in the raw SemanticKITTI class-ID space; remapping to a training space
-is a separate, config-driven table (see ``parse_class_map``).
+stay in the raw SemanticKITTI class-ID space; ``toynet.remap_semantic``
+maps them to train IDs (see ``parse_class_map``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -238,19 +239,25 @@ def write_labels(labels: LabelSet) -> bytes:
     return labels.packed().astype("<u4").tobytes()
 
 
-def instance_rows(labels: LabelSet) -> dict[int, np.ndarray]:
-    """Ascending row indices of each instance of a scan, keyed by its packed
-    label ``(instance << 16) | semantic``; keys ascend.
+def instance_rows(labels: LabelSet, classes: Collection[int]) -> dict[int, np.ndarray]:
+    """Ascending row indices of each instance of a scan whose semantic class
+    is in ``classes``, keyed by its packed label ``(instance << 16) |
+    semantic``; keys ascend.
 
     An instance is one packed label with instance ID != 0; rows with
-    instance 0 belong to no instance.
+    instance 0 belong to no instance. Fusion, the instance database and
+    IAAD all take their hard-class instances from here.
     """
     rows = np.flatnonzero(labels.instance != 0)
     # two stable (16-bit radix) sorts: by semantic, then by instance
     rows = rows[np.argsort(labels.semantic[rows], kind="stable")]
     rows = rows[np.argsort(labels.instance[rows], kind="stable")]
     keys, starts = np.unique(labels.packed()[rows], return_index=True)
-    return dict(zip(keys.tolist(), np.split(rows, starts[1:])))
+    return {
+        key: idx
+        for key, idx in zip(keys.tolist(), np.split(rows, starts[1:]))
+        if unpack_label(key)[1] in classes
+    }
 
 
 def _parse_3x4(
@@ -350,16 +357,6 @@ def parse_class_map(text: str) -> dict[int, tuple[int, str]]:
         seen_at[raw_id] = line_no
         mapping[raw_id] = (train_id, tokens[2])
     return mapping
-
-
-def raw_to_train_table(raw_to_train: dict[int, int]) -> np.ndarray:
-    """Lookup table over every 16-bit raw class ID; -1 marks unmapped IDs."""
-    table = np.full(0x10000, -1, dtype=np.int64)
-    for raw, train in raw_to_train.items():
-        if not 0 <= raw <= 0xFFFF:
-            raise InvalidConfig(f"raw class ID {raw} is outside the 16-bit range")
-        table[raw] = train
-    return table
 
 
 def load_sequence_index(seq_dir: str | Path) -> SequenceIndex:

@@ -69,7 +69,6 @@ class ObjectTruth:
 @dataclass
 class SceneTruth:
     objects: list[ObjectTruth]
-    ground_count: int
 
 
 @dataclass
@@ -198,7 +197,7 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
         calib=RigidTransform.identity(),
         name=config.name,
     )
-    truth = SceneTruth(objects=truths, ground_count=config.ground_points)
+    truth = SceneTruth(objects=truths)
     return SyntheticSequence(data=data, truth=truth)
 
 

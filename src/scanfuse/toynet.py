@@ -82,8 +82,6 @@ from .kitti_io import (
     LabelSet,
     PointCloud,
     instance_rows,
-    raw_to_train_table,
-    unpack_label,
 )
 from .metrics import accumulate_confusion, miou
 
@@ -135,16 +133,7 @@ class ToyNetParams:
 
     @classmethod
     def zeros(cls, hidden: int, n_classes: int) -> "ToyNetParams":
-        return cls(
-            w1=np.zeros((4, hidden)),
-            b1=np.zeros(hidden),
-            w2=np.zeros((hidden, hidden)),
-            b2=np.zeros(hidden),
-            w3=np.zeros((hidden, hidden)),
-            b3=np.zeros(hidden),
-            w4=np.zeros((hidden, n_classes)),
-            b4=np.zeros(n_classes),
-        )
+        return cls(*[np.zeros_like(a) for a in cls.init(0, hidden, n_classes).arrays()])
 
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.w4, self.b4]
@@ -296,12 +285,25 @@ def _sgd(params: ToyNetParams, grads: ToyNetParams, lr: float) -> ToyNetParams:
     )
 
 
-def remap_semantic(semantic: np.ndarray, class_to_index: dict[int, int]) -> np.ndarray:
-    """Vectorized raw-class to train-class lookup; unmapped IDs are an error."""
-    out = raw_to_train_table(class_to_index)[np.asarray(semantic, dtype=np.int64)]
-    if (out < 0).any():
-        missing = sorted(set(np.asarray(semantic)[out < 0].tolist()))
-        raise InvalidConfig(f"classes {missing} missing from the class map")
+def remap_semantic(semantic: np.ndarray, raw_to_train: dict[int, int]) -> np.ndarray:
+    """Train IDs of raw class IDs: the one raw->train lookup.
+
+    A raw ID mapped to -1 stays -1 (ignored; only eval-miou drops such
+    points). InvalidConfig names every raw ID in ``semantic`` the map lacks;
+    a map entry outside raw 0..65535 or below train ID -1 raises it too.
+    """
+    table = np.full(0x10000, -2, dtype=np.int64)  # -2: missing; train IDs are >= -1
+    for raw, train in raw_to_train.items():
+        if not 0 <= raw <= 0xFFFF:
+            raise InvalidConfig(f"raw class ID {raw} is outside the 16-bit range")
+        if train < -1:
+            raise InvalidConfig(f"raw class ID {raw} has train ID {train} below -1")
+        table[raw] = train
+    out = table[np.asarray(semantic, dtype=np.int64)]
+    missing = out == -2
+    if missing.any():
+        ids = sorted(set(np.asarray(semantic)[missing].tolist()))
+        raise InvalidConfig(f"classes {ids} missing from the class map")
     return out
 
 
@@ -312,9 +314,7 @@ def distill_rows(
     hard-class instance (see ``instance_rows``) with at least 2 of them."""
     hard_idx = np.flatnonzero(np.isin(labels.semantic, list(hard_classes)))
     instances = [
-        members
-        for label, members in instance_rows(labels).items()
-        if unpack_label(label)[1] in hard_classes and len(members) >= 2
+        members for members in instance_rows(labels, hard_classes).values() if len(members) >= 2
     ]
     return hard_idx, instances
 

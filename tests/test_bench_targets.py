@@ -147,8 +147,8 @@ def test_fuse_scan_passes_each_instance_through_the_traced_layers(monkeypatch):
     # per past scan and one KD-tree per moving instance behind them.
     seq = make_synthetic_sequence(default_scene(n_scans=5), seed=3).data
     config = FusionConfig(window=4)
-    rows = [instance_rows(labels) for labels in seq.labels]
-    hard = [label for label in rows[4] if unpack_label(label)[1] in config.hard_classes]
+    rows = [instance_rows(labels, config.hard_classes) for labels in seq.labels]
+    hard = list(rows[4])
     assert len(hard) == 2  # the static sign and the moving truck
 
     trees = []

@@ -233,6 +233,25 @@ def test_gen_instances_nan_stop_distance_is_data_error(seq_dir, tmp_path, capsys
     assert "stop_distance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("class_id", [70000, -1])
+def test_gen_instances_class_outside_16_bits_is_data_error(seq_dir, tmp_path, capsys, class_id):
+    out = tmp_path / "updated.label"
+    code = main(
+        [
+            "gen-instances",
+            str(seq_dir / "velodyne" / "000004.bin"),
+            str(seq_dir / "labels" / "000004.label"),
+            "--class",
+            str(class_id),
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 2
+    assert f"target_class {class_id} outside 0..65535" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_instances_cli(tmp_path, capsys):
     config = SyntheticConfig(
         n_scans=1,
@@ -426,3 +445,57 @@ def test_eval_miou_class_map_id_outside_16_bits_is_data_error(tmp_path, capsys, 
     )
     assert code == 2
     assert "16-bit" in capsys.readouterr().err
+
+
+def eval_miou_argv(tmp_path, gt, pred, classmap):
+    """``eval-miou`` arguments over one ground-truth and one prediction file."""
+    from scanfuse.kitti_io import LabelSet
+
+    for name, semantic in (("gt", gt), ("pred", pred)):
+        (tmp_path / name).mkdir()
+        labels = LabelSet(
+            np.array(semantic, dtype=np.uint16), np.zeros(len(semantic), dtype=np.uint16)
+        )
+        (tmp_path / name / "000000.label").write_bytes(write_labels(labels))
+    (tmp_path / "classes.txt").write_text(classmap)
+    return [
+        "eval-miou",
+        "--pred",
+        str(tmp_path / "pred"),
+        "--gt",
+        str(tmp_path / "gt"),
+        "--classmap",
+        str(tmp_path / "classes.txt"),
+    ]
+
+
+IGNORING_0 = "0 -1 unlabeled\n40 0 road\n81 1 traffic-sign\n"
+
+
+@pytest.mark.parametrize(
+    ("predicted", "error"),
+    [
+        (30, "000000.label: prediction: classes [30] missing from the class map"),
+        (0, "000000.label: prediction has ignored classes at counted points"),
+    ],
+    ids=["unlisted", "listed-ignored"],
+)
+def test_eval_miou_prediction_at_a_counted_point_must_be_a_counted_class(
+    tmp_path, capsys, predicted, error
+):
+    argv = eval_miou_argv(tmp_path, [0, 40, 81, 81], [0, 40, predicted, 81], IGNORING_0)
+    assert main(argv) == 2
+    assert error in capsys.readouterr().err
+
+
+def test_eval_miou_prediction_at_an_ignored_point_may_be_unlisted(tmp_path, capsys):
+    argv = eval_miou_argv(tmp_path, [0, 0, 40, 81], [30, 65535, 40, 81], IGNORING_0)
+    assert main(argv) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1]
+    assert row.split()[1:] == ["100.0", "100.0", "100.0"]
+
+
+def test_eval_miou_class_map_train_id_below_minus_one_is_data_error(tmp_path, capsys):
+    argv = eval_miou_argv(tmp_path, [40, 81], [40, 81], IGNORING_0 + "10 -2 car\n")
+    assert main(argv) == 2
+    assert "raw class ID 10 has train ID -2 below -1" in capsys.readouterr().err

@@ -88,7 +88,8 @@ def scene(request, tmp_path_factory):
 def test_centroid(scene):
     _, disk, wide = scene
     for scan, scan64, labels in zip(disk.scans, wide.scans, disk.labels):
-        rows = [slice(None), *instance_rows(labels).values()]
+        every_class = set(labels.semantic.tolist())
+        rows = [slice(None), *instance_rows(labels, every_class).values()]
         for idx in rows:
             c = centroid(scan.points[idx])
             assert c.dtype == np.float64

@@ -238,6 +238,19 @@ def test_fuse_no_overlap_falls_back_with_warning():
     assert any(iid == truck_id for iid, _ in fused.registration_warnings)
 
 
+def test_fuse_degenerate_past_view_falls_back_with_warning():
+    # The truck keeps 2 of its rows in scan 2: too few for ICP to fit
+    # (DegenerateSource), so fusion places them by the centroid
+    # initialization and records the scan, as it does for NoOverlap.
+    seq = make_synthetic_sequence(mixed_scene(), seed=11)
+    truck = seq.truth.objects[1]
+    seq.data.labels[2].instance[truck.indices()[2:]] = 0
+    fused = fuse_scan(seq.data, 4, FusionConfig())
+    assert (truck.instance_id, -2) in fused.registration_warnings
+    appended = fused.labels.instance[fused.n_current :]
+    assert np.count_nonzero((fused.origin_index == -2) & (appended == truck.instance_id)) == 2
+
+
 def test_fuse_accepts_sequence_index(tmp_path, scene):
     from scanfuse.kitti_io import write_sequence
 

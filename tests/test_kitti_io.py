@@ -27,7 +27,6 @@ from scanfuse.kitti_io import (
     parse_labels,
     parse_poses,
     parse_scan,
-    raw_to_train_table,
     write_calib,
     write_labels,
     write_poses,
@@ -198,15 +197,18 @@ ids_16bit = st.sampled_from([0, 1, 2, 5, 0xFFFF])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(ids_16bit, ids_16bit), max_size=40))
-@example([])  # empty scan
-@example([(0, 40), (0, 81), (0, 0xFFFF)])  # no row belongs to an instance
-@example([(0xFFFF, 0xFFFF), (1, 81), (1, 18), (0, 81)])  # one-row instances
-def test_instance_rows_groups_rows_by_packed_label(rows):
+@given(st.lists(st.tuples(ids_16bit, ids_16bit), max_size=40), st.frozensets(ids_16bit))
+@example([], frozenset({0}))  # empty scan
+@example([(0, 40), (0, 81), (0, 0xFFFF)], frozenset({40, 81}))  # no row in an instance
+@example([(0xFFFF, 0xFFFF), (1, 81), (1, 18), (0, 81)], frozenset({81, 18, 0xFFFF}))
+@example([(1, 81), (1, 18), (2, 18)], frozenset({18}))  # ID 1 of class 81 is not kept
+def test_instance_rows_groups_rows_by_packed_label(rows, classes):
     labels = LabelSet([sem for _, sem in rows], [inst for inst, _ in rows])
     packed = labels.packed()
-    in_instance = np.flatnonzero(labels.instance != 0)
-    groups = instance_rows(labels)
+    in_instance = np.flatnonzero(
+        (labels.instance != 0) & np.isin(labels.semantic, list(classes))
+    )
+    groups = instance_rows(labels, classes)
     assert list(groups) == sorted(set(packed[in_instance].tolist()))
     for key, idx in groups.items():
         assert np.array_equal(idx, np.flatnonzero(packed == key))
@@ -338,19 +340,6 @@ def test_class_map_rejects_a_raw_id_listed_twice_naming_both_lines():
 def test_class_map_rejects_raw_ids_outside_16_bits(raw_id):
     with pytest.raises(InvalidConfig):
         parse_class_map(f"40 0 road\n{raw_id} 1 other\n")
-
-
-@pytest.mark.parametrize("raw_id", [-1, 0x10000])
-def test_raw_to_train_table_rejects_raw_ids_outside_16_bits(raw_id):
-    with pytest.raises(InvalidConfig):
-        raw_to_train_table({40: 0, raw_id: 1})
-
-
-def test_raw_to_train_table_marks_unmapped_ids():
-    table = raw_to_train_table({0: 2, 40: 0, 0xFFFF: 1})
-    assert table.shape == (0x10000,)
-    assert (table[0], table[40], table[0xFFFF]) == (2, 0, 1)
-    assert (table == -1).sum() == 0x10000 - 3
 
 
 # --- synthetic sequences ------------------------------------------------------

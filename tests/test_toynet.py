@@ -746,6 +746,25 @@ def test_distill_rows_splits_an_id_shared_by_two_classes():
     assert [set(labels.semantic[rows].tolist()) for rows in instances] == [{18}, {81}]
 
 
+# --- remap_semantic ----------------------------------------------------
+
+
+@pytest.mark.parametrize("raw_id", [-1, 0x10000])
+def test_remap_semantic_rejects_raw_ids_outside_16_bits(raw_id):
+    with pytest.raises(InvalidConfig, match=f"raw class ID {raw_id} is outside the 16-bit"):
+        remap_semantic(np.array([40], dtype=np.uint16), {40: 0, raw_id: 1})
+
+
+def test_remap_semantic_keeps_ignored_ids_and_names_every_missing_one():
+    raw_to_train = {0: 2, 40: 0, 0xFFFF: 1, 7: -1}
+    out = remap_semantic(np.array([0, 40, 0xFFFF, 7, 40], dtype=np.uint16), raw_to_train)
+    assert out.dtype == np.int64
+    assert out.tolist() == [2, 0, 1, -1, 0]
+    semantic = np.array([5, 40, 9, 5, 0xFFFE, 7], dtype=np.uint16)
+    with pytest.raises(InvalidConfig, match=r"classes \[5, 9, 65534\] missing from the class map"):
+        remap_semantic(semantic, raw_to_train)
+
+
 def test_train_step_rejects_misaligned_map():
     cloud, labels = separable_two_class_scene(seed=13)
     fused = trivial_fused(cloud, labels)
