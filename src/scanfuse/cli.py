@@ -258,7 +258,7 @@ def _cmd_eval_miou(args) -> int:
     mapping = parse_class_map(Path(args.classmap).read_text())
     raw_to_train = {raw: train for raw, (train, _) in mapping.items()}
     n_classes = max(raw_to_train.values(), default=-1) + 1
-    if n_classes == 0:
+    if n_classes < 1:
         raise ScanFuseError("class map has no non-ignored classes")
     names = ["?"] * n_classes
     for raw, (train, name) in mapping.items():

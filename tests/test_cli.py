@@ -495,7 +495,17 @@ def test_eval_miou_prediction_at_an_ignored_point_may_be_unlisted(tmp_path, caps
     assert row.split()[1:] == ["100.0", "100.0", "100.0"]
 
 
-def test_eval_miou_class_map_train_id_below_minus_one_is_data_error(tmp_path, capsys):
-    argv = eval_miou_argv(tmp_path, [40, 81], [40, 81], IGNORING_0 + "10 -2 car\n")
+@pytest.mark.parametrize(
+    ("classmap", "error"),
+    [
+        (IGNORING_0 + "10 -2 car\n", "raw class ID 10 has train ID -2 below -1"),
+        ("10 -2 car\n", "class map has no non-ignored classes"),
+    ],
+    ids=["with-counted-classes", "alone"],
+)
+def test_eval_miou_class_map_train_id_below_minus_one_is_data_error(
+    tmp_path, capsys, classmap, error
+):
+    argv = eval_miou_argv(tmp_path, [40, 81], [40, 81], classmap)
     assert main(argv) == 2
-    assert "raw class ID 10 has train ID -2 below -1" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
