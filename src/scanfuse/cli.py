@@ -135,10 +135,6 @@ def _cmd_make_synthetic(args) -> int:
 def _cmd_gen_instances(args) -> int:
     cloud = parse_scan(Path(args.scan).read_bytes())
     labels = parse_labels(Path(args.labels).read_bytes())
-    if len(cloud) != len(labels):
-        raise ScanFuseError(
-            f"scan has {len(cloud)} points but labels cover {len(labels)}"
-        )
     config = InstanceGenConfig(
         target_class=args.class_id,
         stop_distance=args.stop_distance,

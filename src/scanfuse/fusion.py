@@ -42,6 +42,7 @@ from .kitti_io import (
     PointCloud,
     SequenceData,
     SequenceIndex,
+    fresh_instance_ids,
     instance_rows,
     pack_label,
     parse_labels,
@@ -82,8 +83,7 @@ class FusionConfig:
 class InstanceTrack:
     """Where one instance's points live in each scan of the window."""
 
-    instance_id: int
-    class_id: int
+    label: int  # the instance's packed (instance << 16) | semantic label
     scan_indices: list[int]  # ascending, ending at the current scan
     point_indices: list[np.ndarray]  # parallel to scan_indices; empty where absent
     sensor_centroids: list[np.ndarray | None]  # per scan, sensor-frame centroid
@@ -104,9 +104,9 @@ class FusedScan:
     then any pasted single-scan instances); the rest is teacher-only density.
     Teacher row i is student row i for every i < ``n_current``.
     ``origin_index`` holds the relative scan (-1..-K) each appended point came
-    from, 0 for pasted points. ``registration_warnings`` holds an
-    ``(instance_id, s - t)`` for each past scan s of a moving instance placed
-    without ICP: its source was degenerate or had no overlap.
+    from, 0 for pasted points. ``registration_warnings`` holds a
+    ``(packed label, s - t)`` for each past scan s of a moving instance
+    placed without ICP: its source was degenerate or had no overlap.
     """
 
     cloud: PointCloud
@@ -188,10 +188,8 @@ def gather_instance_track(
     scan_indices = list(range(max(0, scan_t - window), scan_t + 1))
     absent = (np.empty(0, dtype=np.intp), None)
     point_indices, sensor_centroids = zip(*(index[s].get(label, absent) for s in scan_indices))
-    instance_id, class_id = unpack_label(label)
     return InstanceTrack(
-        instance_id=instance_id,
-        class_id=class_id,
+        label=label,
         scan_indices=scan_indices,
         point_indices=list(point_indices),
         sensor_centroids=list(sensor_centroids),
@@ -279,7 +277,7 @@ def _fuse_instance(
                 align = icp_register(pts, tree, init, config.registration).transform
             except (DegenerateSource, NoOverlap):
                 align = init
-                warnings.append((track.instance_id, s - scan_t))
+                warnings.append((track.label, s - scan_t))
             pts = apply_points(align, pts)
         blocks.append((pts, *rest))
         origins.append(np.full(len(idx), s - scan_t, dtype=np.int64))
@@ -486,7 +484,7 @@ def build_instance_db(
             cloud, labels = _concat([_take(current, cur_labels, single), *rows], np.float32)
             entries.append(
                 InstancePair(
-                    key=(seq.name, scan_t, pack_label(track.instance_id, track.class_id)),
+                    key=(seq.name, scan_t, track.label),
                     fused_cloud=cloud,
                     fused_labels=labels,
                     n_single=len(single),
@@ -502,10 +500,11 @@ def sample_and_paste(
 
     Each draw picks one entry and one transform (random yaw about the
     single-scan centroid plus a planar move within the current scene bounds)
-    and moves the entry's fused rows under a fresh instance ID. The first
-    ``n_single`` of them land in the student-visible region, the rest in the
-    appended region, so the teacher sees each pasted row once, as it does
-    for the real instances of ``fuse_scan``.
+    and moves the entry's fused rows under a fresh instance ID (see
+    ``kitti_io.fresh_instance_ids``). The first ``n_single`` of them land in
+    the student-visible region, the rest in the appended region, so the
+    teacher sees each pasted row once, as it does for the real instances of
+    ``fuse_scan``.
     """
     if n < 0:
         raise InvalidConfig("n must be >= 0")
@@ -526,15 +525,11 @@ def sample_and_paste(
         xy_min = np.array([-10.0, -10.0])
         xy_max = np.array([10.0, 10.0])
 
-    next_id = int(scan.labels.instance.max()) + 1 if len(scan.labels) else 1
-
     singles: list[Rows] = []
     appended: list[Rows] = []
     records: list[PasteRecord] = []
 
-    for _ in range(n):
-        if next_id > np.iinfo(np.uint16).max:
-            raise InvalidConfig("instance ID space (16-bit) exhausted")
+    for new_id in fresh_instance_ids(scan.labels, n):
         entry = db.entries[int(rng.integers(0, len(db)))]
         yaw = float(rng.uniform(0.0, 2.0 * np.pi))
         tx = float(rng.uniform(xy_min[0], xy_max[0]))
@@ -547,13 +542,12 @@ def sample_and_paste(
         cloud, k = entry.fused_cloud, entry.n_single
         points = apply_points(transform, cloud.points)
         semantic = entry.fused_labels.semantic
-        instance = np.full(len(cloud), next_id, dtype=np.uint16)
+        instance = np.full(len(cloud), new_id, dtype=np.uint16)
         singles.append((points[:k], cloud.remission[:k], semantic[:k], instance[:k]))
         appended.append((points[k:], cloud.remission[k:], semantic[k:], instance[k:]))
         records.append(
-            PasteRecord(key=entry.key, transform=transform, new_instance_id=next_id)
+            PasteRecord(key=entry.key, transform=transform, new_instance_id=new_id)
         )
-        next_id += 1
 
     nc = scan.n_current
     cloud, labels = _concat(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyInput, InvalidConfig, ShapeError
 from .geometry import centroid
-from .kitti_io import LabelSet, PointCloud
+from .kitti_io import LabelSet, PointCloud, fresh_instance_ids
 
 
 @dataclass
@@ -36,8 +36,8 @@ class InstanceGenConfig:
 def filter_by_class(cloud: PointCloud, labels: LabelSet, class_id: int) -> np.ndarray:
     """Ascending indices of points whose semantic label equals class_id."""
     if len(cloud) != len(labels):
-        raise ValueError(
-            f"cloud ({len(cloud)}) and labels ({len(labels)}) lengths differ"
+        raise ShapeError(
+            f"scan has {len(cloud)} points but labels cover {len(labels)}"
         )
     return np.flatnonzero(labels.semantic == class_id)
 
@@ -92,9 +92,9 @@ def generate_instance_ids(
 ) -> LabelSet:
     """Assign fresh instance IDs to clusters of the target class.
 
-    Only target-class points change; new IDs are consecutive starting just
-    above the current maximum instance ID. Clusters smaller than
-    ``min_cluster_points`` are left untouched.
+    Only target-class points change; the new IDs come from
+    ``kitti_io.fresh_instance_ids``, one per cluster in keypoint order.
+    Clusters smaller than ``min_cluster_points`` are left untouched.
     """
     indices = filter_by_class(cloud, labels, config.target_class)
     out = labels.copy()
@@ -105,13 +105,8 @@ def generate_instance_ids(
     keypoints = farthest_point_sample(class_points, config.stop_distance)
     assignment = cluster_by_keypoints(class_points, keypoints)
 
-    next_id = int(labels.instance.max()) + 1
-    for cluster in range(len(keypoints)):
-        members = indices[assignment == cluster]
-        if len(members) < config.min_cluster_points:
-            continue
-        if next_id > np.iinfo(np.uint16).max:
-            raise InvalidConfig("instance ID space (16-bit) exhausted")
-        out.instance[members] = next_id
-        next_id += 1
+    clusters = [indices[assignment == cluster] for cluster in range(len(keypoints))]
+    clusters = [members for members in clusters if len(members) >= config.min_cluster_points]
+    for members, new_id in zip(clusters, fresh_instance_ids(labels, len(clusters))):
+        out.instance[members] = new_id
     return out

@@ -260,10 +260,19 @@ def instance_rows(labels: LabelSet, classes: Collection[int]) -> dict[int, np.nd
     }
 
 
+def fresh_instance_ids(labels: LabelSet, n: int) -> range:
+    """``n`` new instance IDs, consecutive above the largest instance ID in
+    ``labels`` (from 1 for an empty scan); ``InvalidConfig`` past 65535."""
+    start = int(labels.instance.max(initial=0)) + 1
+    if start + n - 1 > 0xFFFF:
+        raise InvalidConfig("instance ID space (16-bit) exhausted")
+    return range(start, start + n)
+
+
 def _parse_3x4(
     tokens: list[str], error: type[ScanFuseError], where: str
 ) -> RigidTransform:
-    """A rigid transform from 12 row-major 3x4 values; ``error`` names ``where``."""
+    """A rigid transform from 12 finite row-major 3x4 values; ``error`` names ``where``."""
     if len(tokens) != 12:
         raise error(f"{where}: expected 12 values, got {len(tokens)}")
     try:
@@ -271,6 +280,8 @@ def _parse_3x4(
     except ValueError as exc:
         raise error(f"{where}: {exc}") from None
     m = np.array(values, dtype=np.float64).reshape(3, 4)
+    if not np.isfinite(m).all():
+        raise error(f"{where}: non-finite value")
     t = RigidTransform(m[:, :3], m[:, 3])
     if t.rigidity_error() > 1e-4:
         raise error(
@@ -327,7 +338,8 @@ def parse_class_map(text: str) -> dict[int, tuple[int, str]]:
     """Parse a class-map file: ``raw_id train_id name`` per line.
 
     Lines starting with ``#`` and blank lines are skipped; a raw ID listed
-    twice is an error. Returns raw_id -> (train_id, name).
+    twice or a train ID below -1 (the ignore ID) is an error. Returns
+    raw_id -> (train_id, name).
     """
     mapping: dict[int, tuple[int, str]] = {}
     seen_at: dict[int, int] = {}
@@ -349,6 +361,8 @@ def parse_class_map(text: str) -> dict[int, tuple[int, str]]:
             raise InvalidConfig(
                 f"class-map line {line_no}: raw ID {raw_id} is outside the 16-bit range"
             )
+        if train_id < -1:
+            raise InvalidConfig(f"class-map line {line_no}: train ID {train_id} is below -1")
         if raw_id in seen_at:
             raise InvalidConfig(
                 f"class-map line {line_no}: raw ID {raw_id} already listed on line "

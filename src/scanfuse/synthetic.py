@@ -18,6 +18,10 @@ from .errors import InvalidConfig
 from .geometry import RigidTransform, apply_points, centroid, invert, rotation_about_z
 from .kitti_io import LabelSet, PointCloud, SequenceData
 
+# The sensor moves this far per scan (m) and turns this much (rad).
+SENSOR_VELOCITY = (0.8, 0.0, 0.0)
+SENSOR_YAW_RATE = 0.02
+
 
 @dataclass
 class ObjectSpec:
@@ -46,8 +50,6 @@ class SyntheticConfig:
     ground_points: int = 200
     ground_extent: float = 15.0
     ground_class: int = 40
-    sensor_velocity: tuple[float, float, float] = (0.8, 0.0, 0.0)
-    sensor_yaw_rate: float = 0.02
     name: str = "synth"
 
 
@@ -57,7 +59,6 @@ class ObjectTruth:
 
     instance_id: int
     class_id: int
-    spec: ObjectSpec
     start: int  # index of the object's first point in every scan
     stop: int
     world_centroids: np.ndarray  # (n_scans, 3)
@@ -149,11 +150,9 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
     )
     remission = np.concatenate([ground_remission] + remissions)
 
-    sensor_velocity = np.asarray(config.sensor_velocity, dtype=np.float64)
+    sensor_velocity = np.asarray(SENSOR_VELOCITY, dtype=np.float64)
     poses = [
-        RigidTransform(
-            rotation_about_z(config.sensor_yaw_rate * s), sensor_velocity * s
-        )
+        RigidTransform(rotation_about_z(SENSOR_YAW_RATE * s), sensor_velocity * s)
         for s in range(config.n_scans)
     ]
 
@@ -182,7 +181,6 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
             ObjectTruth(
                 instance_id=instance_ids[j],
                 class_id=spec.class_id,
-                spec=spec,
                 start=start,
                 stop=stop,
                 world_centroids=centroids[j],

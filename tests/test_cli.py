@@ -133,6 +133,25 @@ def test_labels_not_covering_their_scan_are_a_data_error(seq_dir, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 3], ids=["rotation", "translation"])
+def test_non_finite_pose_is_a_data_error(seq_dir, tmp_path, capsys, value, column):
+    poses = seq_dir / "poses.txt"
+    lines = poses.read_text().splitlines()
+    tokens = lines[2].split()
+    tokens[column] = value
+    lines[2] = " ".join(tokens)
+    poses.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    for argv in (
+        ["fuse", "--seq", str(seq_dir), "--scan", "4", "--out", str(out / "fused")],
+        ["build-augdb", "--seq", str(seq_dir), "--out", str(out / "db")],
+    ):
+        assert main(argv) == 2
+        assert "pose line 3: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fuse_flags_override_config_file(seq_dir, tmp_path):
     cfg = tmp_path / "fusion.cfg"
     cfg.write_text("window = 3\n")
@@ -249,6 +268,18 @@ def test_gen_instances_class_outside_16_bits_is_data_error(seq_dir, tmp_path, ca
     )
     assert code == 2
     assert f"target_class {class_id} outside 0..65535" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_instances_labels_not_covering_the_scan_are_a_data_error(seq_dir, tmp_path, capsys):
+    labels = tmp_path / "short.label"
+    labels.write_bytes((seq_dir / "labels" / "000004.label").read_bytes()[:-40])
+    n_points = len(parse_scan((seq_dir / "velodyne" / "000004.bin").read_bytes()))
+    out = tmp_path / "updated.label"
+    argv = ["gen-instances", str(seq_dir / "velodyne" / "000004.bin"), str(labels)]
+    assert main([*argv, "--class", "81", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"scan has {n_points} points but labels cover {n_points - 10}" in err
     assert not out.exists()
 
 
@@ -498,8 +529,8 @@ def test_eval_miou_prediction_at_an_ignored_point_may_be_unlisted(tmp_path, caps
 @pytest.mark.parametrize(
     ("classmap", "error"),
     [
-        (IGNORING_0 + "10 -2 car\n", "raw class ID 10 has train ID -2 below -1"),
-        ("10 -2 car\n", "class map has no non-ignored classes"),
+        (IGNORING_0 + "10 -2 car\n", "class-map line 4: train ID -2 is below -1"),
+        ("10 -2 car\n", "class-map line 1: train ID -2 is below -1"),
     ],
     ids=["with-counted-classes", "alone"],
 )

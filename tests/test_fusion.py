@@ -78,7 +78,7 @@ def test_gather_full_track(scene, rows):
     track = gather_instance_track(rows, 4, packed(truck), window=4)
     assert track.scan_indices == [0, 1, 2, 3, 4]
     assert all(len(idx) == 50 for idx in track.point_indices)
-    assert (track.instance_id, track.class_id) == (truck.instance_id, 18)
+    assert track.label == (truck.instance_id << 16) | 18
 
 
 def test_gather_instance_only_in_current_scan(scene, rows):
@@ -125,8 +125,7 @@ def test_motion_displacement_is_normalized_over_scan_gaps():
 
     poses = [RigidTransform.identity() for _ in range(4)]
     track = InstanceTrack(
-        instance_id=1,
-        class_id=18,
+        label=(1 << 16) | 18,
         scan_indices=[0, 1, 2, 3],
         point_indices=[np.array([0]), np.array([]), np.array([]), np.array([0])],
         sensor_centroids=[np.zeros(3), None, None, np.array([0.45, 0.0, 0.0])],
@@ -233,9 +232,9 @@ def test_fuse_no_overlap_falls_back_with_warning():
         registration=RegistrationConfig(max_correspondence_dist=1e-9)
     )
     fused = fuse_scan(seq.data, 4, config)
-    truck_id = seq.truth.objects[1].instance_id
     assert fused.n_appended > 0
-    assert any(iid == truck_id for iid, _ in fused.registration_warnings)
+    truck = packed(seq.truth.objects[1])
+    assert any(label == truck for label, _ in fused.registration_warnings)
 
 
 def test_fuse_degenerate_past_view_falls_back_with_warning():
@@ -246,9 +245,20 @@ def test_fuse_degenerate_past_view_falls_back_with_warning():
     truck = seq.truth.objects[1]
     seq.data.labels[2].instance[truck.indices()[2:]] = 0
     fused = fuse_scan(seq.data, 4, FusionConfig())
-    assert (truck.instance_id, -2) in fused.registration_warnings
+    assert (packed(truck), -2) in fused.registration_warnings
     appended = fused.labels.instance[fused.n_current :]
     assert np.count_nonzero((fused.origin_index == -2) & (appended == truck.instance_id)) == 2
+
+
+def test_registration_warning_names_the_packed_label_of_a_shared_id():
+    # The sign and the truck both carry ID 5; only the truck's scan-2 view
+    # (cut to 2 rows) falls back, so the one warning names the truck's
+    # packed label and none names the sign's.
+    seq = shared_id_scene()
+    truck = seq.truth.objects[1]
+    seq.data.labels[2].instance[truck.indices()[2:]] = 0
+    fused = fuse_scan(seq.data, 4, FusionConfig())
+    assert fused.registration_warnings == [(packed(truck), -2)]
 
 
 def test_fuse_accepts_sequence_index(tmp_path, scene):

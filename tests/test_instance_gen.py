@@ -46,6 +46,13 @@ def test_filter_matches_linear_scan_oracle():
     assert got.tolist() == expected
 
 
+def test_generate_rejects_labels_not_covering_the_scan():
+    cloud, _ = small_cloud([[0, 0, 0], [1, 0, 0]], [81, 81])
+    labels = LabelSet([81], [0])
+    with pytest.raises(ShapeError, match="scan has 2 points but labels cover 1"):
+        generate_instance_ids(cloud, labels, InstanceGenConfig(target_class=81))
+
+
 # --- farthest_point_sample ----------------------------------------------------
 
 

@@ -15,11 +15,20 @@ from scanfuse.errors import (
     MalformedScan,
     MissingLabels,
 )
-from scanfuse.fusion import FusionConfig, fuse_scan
+from scanfuse.fusion import (
+    FusedScan,
+    FusionConfig,
+    InstanceDatabase,
+    InstancePair,
+    fuse_scan,
+    sample_and_paste,
+)
 from scanfuse.geometry import RigidTransform, rotation_about_z
+from scanfuse.instance_gen import InstanceGenConfig, generate_instance_ids
 from scanfuse.kitti_io import (
     LabelSet,
     PointCloud,
+    fresh_instance_ids,
     instance_rows,
     load_sequence_index,
     parse_calib,
@@ -224,6 +233,66 @@ def test_parallel_arrays_must_agree_in_length():
         LabelSet(np.zeros(3, dtype=np.uint16), np.zeros(4, dtype=np.uint16))
 
 
+# --- fresh instance IDs ------------------------------------------------------
+
+
+def test_fresh_instance_ids_start_at_1_in_an_empty_scan():
+    assert fresh_instance_ids(LabelSet([], []), 2) == range(1, 3)
+
+
+def two_blobs_with_largest_id(largest):
+    """Blobs of 20 and 10 class-81 points without instance IDs, 10 m apart,
+    and one road point carrying instance ID ``largest``."""
+    rng = np.random.default_rng(0)
+    points = np.vstack(
+        [
+            rng.normal(scale=0.2, size=(20, 3)),
+            rng.normal(scale=0.2, size=(10, 3)) + [10.0, 0.0, 0.0],
+            [[0.0, 30.0, 0.0]],
+        ]
+    )
+    semantic = np.array([81] * 30 + [40], dtype=np.uint16)
+    instance = np.array([0] * 30 + [largest], dtype=np.uint16)
+    return PointCloud(points, np.zeros(31)), LabelSet(semantic, instance)
+
+
+def generated_ids(cloud, labels, n):
+    """The IDs ``generate_instance_ids`` gives the blobs: both blobs are
+    clusters for n = 2, only the 20-point one for n = 1, neither for n = 0."""
+    config = InstanceGenConfig(target_class=81, min_cluster_points={2: 5, 1: 15, 0: 25}[n])
+    out = generate_instance_ids(cloud, labels, config)
+    return sorted(set(out.instance[:30].tolist()) - {0})
+
+
+def pasted_ids(cloud, labels, n):
+    """The IDs of ``n`` pastes of the blobs into their own scan."""
+    scan = FusedScan(cloud, labels, n_current=len(cloud), origin_index=[])
+    entry = InstancePair(("00", 0, (1 << 16) | 81), cloud, labels, n_single=len(cloud))
+    out = sample_and_paste(scan, InstanceDatabase([entry]), n, rng_seed=0)
+    return [record.new_instance_id for record in out.pastes]
+
+
+@pytest.mark.parametrize("new_ids", [generated_ids, pasted_ids])
+@pytest.mark.parametrize(
+    ("largest", "n", "expected"),
+    [
+        (65533, 2, [65534, 65535]),
+        (65534, 1, [65535]),
+        (65534, 2, None),
+        (65535, 1, None),
+        (65535, 0, []),
+    ],
+    ids=["65533+2", "65534+1", "65534+2-exhausted", "65535+1-exhausted", "65535+0"],
+)
+def test_new_instance_ids_stop_at_the_16_bit_bound(new_ids, largest, n, expected):
+    cloud, labels = two_blobs_with_largest_id(largest)
+    if expected is None:
+        with pytest.raises(InvalidConfig, match="instance ID space"):
+            new_ids(cloud, labels, n)
+    else:
+        assert new_ids(cloud, labels, n) == expected
+
+
 # --- poses and calib --------------------------------------------------------
 
 
@@ -312,6 +381,21 @@ def test_parse_calib_malformed_tr_line(tr, message):
         parse_calib(f"Tr: {tr}\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [5, 7], ids=["rotation", "translation"])
+def test_parse_poses_and_calib_reject_non_finite_values(value, column):
+    # a NaN on the rotation's diagonal would pass the rigidity check, since
+    # every comparison with NaN is false
+    tokens = "1 0 0 0.5 0 1 0 0 0 0 1 -0.1".split()
+    tokens[column] = value
+    line = " ".join(tokens)
+    identity = "1 0 0 0 0 1 0 0 0 0 1 0"
+    with pytest.raises(MalformedPose, match="pose line 2: non-finite value"):
+        parse_poses(f"{identity}\n{line}\n", RigidTransform.identity())
+    with pytest.raises(MalformedCalib, match="calib Tr line: non-finite value"):
+        parse_calib(f"P0: {identity}\nTr: {line}\n")
+
+
 def test_calib_text_roundtrip():
     calib = RigidTransform(rotation_about_z(0.1), np.array([0.1, 0.2, 0.3]))
     assert write_calib(parse_calib(write_calib(calib))) == write_calib(calib)
@@ -334,6 +418,11 @@ def test_class_map_rejects_short_lines():
 def test_class_map_rejects_a_raw_id_listed_twice_naming_both_lines():
     with pytest.raises(InvalidConfig, match=r"line 3: raw ID 10 already listed on line 1"):
         parse_class_map("10 1 car\n# the same raw ID again\n10 2 bus\n")
+
+
+def test_class_map_rejects_a_train_id_below_minus_one_at_its_line():
+    with pytest.raises(InvalidConfig, match=r"class-map line 2: train ID -2 is below -1"):
+        parse_class_map("0 -1 unlabeled\n10 -2 car\n")
 
 
 @pytest.mark.parametrize("raw_id", [-1, 70000])
