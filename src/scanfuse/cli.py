@@ -42,6 +42,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _non_negative_int(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below 0")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scanfuse", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -52,7 +58,7 @@ def _build_parser() -> _Parser:
     p.add_argument("path", help=".bin scan or .label file")
 
     p = sub.add_parser("make-synthetic", help="generate a synthetic sequence")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=1)
     p.add_argument("--out", required=True, help="output sequence directory")
     p.add_argument("--scans", type=int, default=scene.n_scans)
     p.add_argument("--points-per-object", type=int, default=scene.points_per_object)
@@ -80,11 +86,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("loss-check", help="verify distillation-loss gradients")
     p.add_argument("--cases", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
     p = sub.add_parser("train-toy", help="run the toy distillation loop")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--steps", type=_non_negative_int, default=200)
     p.add_argument("--config", default=None)
     p.add_argument("--scans", type=int, default=scene.n_scans)
     p.add_argument("--hidden", type=int, default=16)

@@ -384,77 +384,71 @@ class InstancePair:
         )
 
 
-@dataclass(eq=False)
+@dataclass
 class InstanceDatabase:
     entries: list[InstancePair] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InstanceDatabase):
-            return NotImplemented
-        return self.entries == other.entries
-
     def save(self, path: str | Path) -> None:
-        """Persist as one directory per entry (``fused.bin``, ``fused.label``)
-        plus a manifest of ``seq scan instance class_id n_single dirname``."""
+        """Persist as ``entries.bin`` and ``entries.label``, every entry's fused
+        rows back to back in the scan and label formats, then ``manifest.txt``
+        with one ``seq scan instance class_id n_single n_rows`` line per entry."""
         path = Path(path)
         try:
             path.mkdir(parents=True, exist_ok=True)
             manifest_lines = []
-            for entry in self.entries:
-                seq_name, scan, label = entry.key
-                instance, class_id = unpack_label(label)
-                dirname = f"{seq_name}_{scan:06d}_{instance:06d}_{class_id:06d}"
-                entry_dir = path / dirname
-                entry_dir.mkdir(exist_ok=True)
-                (entry_dir / "fused.bin").write_bytes(write_scan(entry.fused_cloud))
-                (entry_dir / "fused.label").write_bytes(write_labels(entry.fused_labels))
-                manifest_lines.append(
-                    f"{seq_name} {scan} {instance} {class_id} {entry.n_single} {dirname}"
-                )
-            (path / "manifest.txt").write_text("\n".join(manifest_lines) + "\n")
+            with (
+                open(path / "entries.bin", "wb") as bin_file,
+                open(path / "entries.label", "wb") as label_file,
+            ):
+                for entry in self.entries:
+                    bin_file.write(write_scan(entry.fused_cloud))
+                    label_file.write(write_labels(entry.fused_labels))
+                    seq_name, scan, label = entry.key
+                    instance, class_id = unpack_label(label)
+                    manifest_lines.append(
+                        f"{seq_name} {scan} {instance} {class_id} {entry.n_single} "
+                        f"{len(entry.fused_cloud)}\n"
+                    )
+            (path / "manifest.txt").write_text("".join(manifest_lines))
         except OSError as exc:
             raise DbWriteError(f"failed to write instance database: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "InstanceDatabase":
-        path = Path(path)
-        manifest = path / "manifest.txt"
-        if not manifest.is_file():
-            raise FileNotFoundError(f"no manifest.txt under {path}")
+        """Read what ``save`` wrote; entries are row views of one parsed file pair."""
+        manifest = Path(path) / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        cloud = parse_scan((manifest.parent / "entries.bin").read_bytes())
+        labels = parse_labels((manifest.parent / "entries.label").read_bytes())
         entries: list[InstancePair] = []
-        for line_no, line in enumerate(manifest.read_text().splitlines(), start=1):
+        start = 0
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             where = f"{manifest} line {line_no} {line!r}"
             fields = line.split()
             if len(fields) != 6:
                 raise ScanFuseError(f"{where}: expected 6 fields, got {len(fields)}")
-            seq_name, *numbers, dirname = fields
             try:
-                scan, instance, class_id, n_single = (int(v) for v in numbers)
+                scan, instance, class_id, n_single, n_rows = (int(v) for v in fields[1:])
             except ValueError:
                 raise ScanFuseError(f"{where}: non-integer field") from None
             if not (0 <= instance <= 0xFFFF and 0 <= class_id <= 0xFFFF):
                 raise ScanFuseError(f"{where}: instance or class_id outside 0..65535")
-            if dirname in (".", "..") or Path(dirname).name != dirname:
-                raise ScanFuseError(f"{where}: directory name is not one path component")
-            entry_dir = path / dirname
-            cloud = parse_scan((entry_dir / "fused.bin").read_bytes())
-            labels = parse_labels((entry_dir / "fused.label").read_bytes())
-            if len(labels) != len(cloud):
-                raise ScanFuseError(
-                    f"{where}: {len(labels)} label records for {len(cloud)} points"
-                )
-            if not 1 <= n_single <= len(cloud):
-                raise ScanFuseError(f"{where}: n_single outside 1..{len(cloud)}")
-            entries.append(
-                InstancePair(
-                    (seq_name, scan, pack_label(instance, class_id)), cloud, labels, n_single
-                )
-            )
+            if not 1 <= n_single <= n_rows:
+                raise ScanFuseError(f"{where}: n_single outside 1..{n_rows}")
+            rows = slice(start, start + n_rows)
+            start += n_rows
+            cloud_rows = PointCloud(cloud.points[rows], cloud.remission[rows])
+            label_rows = LabelSet(labels.semantic[rows], labels.instance[rows])
+            key = (fields[0], scan, pack_label(instance, class_id))
+            entries.append(InstancePair(key, cloud_rows, label_rows, n_single))
+        if not start == len(cloud) == len(labels):
+            sizes = f"entries.bin holds {len(cloud)}, entries.label {len(labels)}"
+            raise ScanFuseError(f"{manifest}: {start} rows listed; {sizes}")
         return cls(entries=entries)
 
 

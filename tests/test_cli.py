@@ -54,6 +54,26 @@ def test_missing_required_flag_is_usage_error():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make-synthetic", "--seed", "-1", "--out", "never"],
+        ["train-toy", "--seed", "-1", "--steps", "1"],
+        ["train-toy", "--steps", "-1"],
+        ["loss-check", "--seed", "-1"],
+    ],
+    ids=["make-synthetic-seed", "train-toy-seed", "train-toy-steps", "loss-check-seed"],
+)
+def test_negative_seed_or_steps_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {argv[1]}: -1 is below 0" in err
+    assert "Traceback" not in err
+
+
 def test_inspect_scan(seq_dir, capsys):
     code = main(["inspect", str(seq_dir / "velodyne" / "000000.bin")])
     assert code == 0
@@ -331,9 +351,7 @@ def test_build_augdb_cli(seq_dir, tmp_path, capsys):
     assert code == 0
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert len(manifest) > 0
-    # on-disk layout: one directory per entry holding the fused rows
-    first_dir = out / manifest[0].split()[-1]
-    assert sorted(p.name for p in first_dir.iterdir()) == ["fused.bin", "fused.label"]
+    assert sorted(p.name for p in out.iterdir()) == ["entries.bin", "entries.label", "manifest.txt"]
 
 
 def test_loss_check_cli(capsys):
@@ -363,6 +381,13 @@ def test_train_toy_cli(capsys):
     lines = [l for l in out.splitlines() if l.strip()]
     assert any("total" in l for l in lines[:1])  # header row
     assert "mIoU" in out
+
+
+def test_train_toy_zero_steps_only_evaluates(capsys):
+    assert main(["train-toy", "--steps", "0", "--scans", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "mIoU" in out
+    assert not any(l.split()[0].isdigit() for l in out.splitlines() if l.strip())  # no step rows
 
 
 def test_train_toy_is_seed_reproducible(capsys):

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from scanfuse import fusion
 from scanfuse.errors import EmptyDatabase, InstanceNotFound, MissingLabels, ScanFuseError
 from scanfuse.fusion import (
     FusionConfig,
     InstanceDatabase,
+    InstancePair,
     Motion,
     _instance_index,
     build_instance_db,
@@ -334,33 +336,109 @@ def test_db_load_rejects_a_bad_manifest_line(scene, tmp_path, edit, message):
         InstanceDatabase.load(tmp_path / "augdb")
 
 
-@pytest.mark.parametrize("where", ["absolute", "../elsewhere", "sub/dir", ".", ".."])
-def test_db_load_rejects_a_directory_name_that_is_not_one_component(scene, tmp_path, where):
-    # A copy of an entry outside the database: a manifest must not reach it.
+@pytest.mark.parametrize(
+    "name, cut, message",
+    [
+        ("entries.bin", 16, "rows listed; entries.bin holds {n}, entries.label {n1}"),
+        ("entries.bin", 4, "not a multiple of 16"),
+        ("entries.label", 4, "rows listed; entries.bin holds {n1}, entries.label {n}"),
+    ],
+    ids=["bin-record", "bin-partial-record", "label-record"],
+)
+def test_db_load_rejects_a_truncated_entry_file(scene, tmp_path, name, cut, message):
     db = build_instance_db(scene.data, FusionConfig())
+    db.save(tmp_path / "augdb")
+    entry_file = tmp_path / "augdb" / name
+    entry_file.write_bytes(entry_file.read_bytes()[:-cut])
+    n1 = sum(len(entry.fused_cloud) for entry in db.entries)
+    with pytest.raises(ScanFuseError, match=message.format(n=n1 - 1, n1=n1)):
+        InstanceDatabase.load(tmp_path / "augdb")
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_db_load_rejects_a_manifest_listing_other_row_counts(scene, tmp_path, delta):
+    db = build_instance_db(scene.data, FusionConfig())
+    assert db.entries[-1].n_single < len(db.entries[-1].fused_cloud)
     db.save(tmp_path / "augdb")
     manifest = tmp_path / "augdb" / "manifest.txt"
     lines = manifest.read_text().splitlines()
-    fields = lines[1].split()
-    elsewhere = tmp_path / "elsewhere"
-    shutil.copytree(tmp_path / "augdb" / fields[-1], elsewhere)
-    shutil.copytree(elsewhere, tmp_path / "augdb" / "sub" / "dir")
-    fields[-1] = str(elsewhere) if where == "absolute" else where
-    lines[1] = " ".join(fields)
+    *fields, n_rows = lines[-1].split()
+    lines[-1] = " ".join(fields + [str(int(n_rows) + delta)])
     manifest.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ScanFuseError, match="line 2 .*directory name is not one path component"):
+    n = sum(len(entry.fused_cloud) for entry in db.entries)
+    with pytest.raises(ScanFuseError, match=f"{n + delta} rows listed; entries.bin holds {n},"):
         InstanceDatabase.load(tmp_path / "augdb")
 
 
-def test_db_load_rejects_a_short_label_file(scene, tmp_path):
+def test_db_load_rejects_the_manifest_of_another_save(scene, tmp_path):
+    build_instance_db(scene.data, FusionConfig()).save(tmp_path / "augdb")
+    build_instance_db(shared_id_scene().data, FusionConfig(window=4)).save(tmp_path / "other")
+    shutil.copy(tmp_path / "other" / "manifest.txt", tmp_path / "augdb" / "manifest.txt")
+    with pytest.raises(ScanFuseError, match="rows listed"):
+        InstanceDatabase.load(tmp_path / "augdb")
+
+
+def test_empty_db_roundtrips_through_disk(tmp_path):
+    InstanceDatabase().save(tmp_path / "augdb")
+    assert sorted(p.name for p in (tmp_path / "augdb").iterdir()) == [
+        "entries.bin",
+        "entries.label",
+        "manifest.txt",
+    ]
+    assert InstanceDatabase.load(tmp_path / "augdb") == InstanceDatabase()
+
+
+def test_db_load_parses_each_file_once_and_entries_are_views(scene, tmp_path, monkeypatch):
+    parsed = []
+
+    def recording(parse):
+        def wrapper(data):
+            parsed.append(parse(data))
+            return parsed[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(fusion, "parse_scan", recording(fusion.parse_scan))
+    monkeypatch.setattr(fusion, "parse_labels", recording(fusion.parse_labels))
     db = build_instance_db(scene.data, FusionConfig())
     db.save(tmp_path / "augdb")
-    dirname = (tmp_path / "augdb" / "manifest.txt").read_text().splitlines()[1].split()[-1]
-    label_file = tmp_path / "augdb" / dirname / "fused.label"
-    label_file.write_bytes(label_file.read_bytes()[:-4])
-    n = len(db.entries[1].fused_cloud)
-    with pytest.raises(ScanFuseError, match=f"line 2 .*{n - 1} label records for {n} points"):
-        InstanceDatabase.load(tmp_path / "augdb")
+    loaded = InstanceDatabase.load(tmp_path / "augdb")
+    assert loaded == db
+    cloud, labels = parsed  # one call each
+    assert isinstance(cloud, PointCloud) and isinstance(labels, LabelSet)
+    for entry in loaded.entries:
+        assert np.shares_memory(entry.fused_cloud.points, cloud.points)
+        assert np.shares_memory(entry.fused_cloud.remission, cloud.remission)
+        assert np.shares_memory(entry.fused_labels.semantic, labels.semantic)
+        assert np.shares_memory(entry.fused_labels.instance, labels.instance)
+
+
+_ID = st.one_of(st.sampled_from([0, 1, 0xFFFE, 0xFFFF]), st.integers(0, 0xFFFF))
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _db_entries(draw):
+    """One entry of 1 to 20 float32-exact rows; IDs often at the 16-bit ends."""
+    n_rows = draw(st.integers(1, 20))
+    n_single = draw(st.one_of(st.just(n_rows), st.integers(1, n_rows)))
+    records = draw(st.lists(_F32, min_size=4 * n_rows, max_size=4 * n_rows))
+    records = np.array(records, dtype=np.float32).reshape(n_rows, 4)
+    ids = draw(st.lists(_ID, min_size=2 * n_rows, max_size=2 * n_rows))
+    semantic, instance = np.array(ids, dtype=np.uint16).reshape(2, n_rows)
+    seq_name = draw(st.text("0123456789abz_", min_size=1, max_size=4))
+    key = (seq_name, draw(st.integers(0, 4540)), (draw(_ID) << 16) | draw(_ID))
+    cloud = PointCloud(records[:, :3], records[:, 3])
+    return InstancePair(key, cloud, LabelSet(semantic, instance), n_single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(entries=st.lists(_db_entries(), max_size=6))
+def test_db_roundtrip_property(entries, tmp_path_factory):
+    db = InstanceDatabase(entries=entries)
+    out = tmp_path_factory.mktemp("augdb")
+    db.save(out)
+    assert InstanceDatabase.load(out) == db
 
 
 def test_an_id_shared_by_two_classes_is_two_instances(tmp_path):
