@@ -24,6 +24,8 @@ from .kitti_io import (
     parse_class_map,
     parse_labels,
     parse_scan,
+    read_file,
+    unpack_label,
     write_labels,
     write_scan,
     write_sequence,
@@ -106,15 +108,14 @@ def _build_parser() -> _Parser:
 
 def _cmd_inspect(args) -> int:
     path = Path(args.path)
-    data = path.read_bytes()
     if path.suffix == ".label":
-        labels = parse_labels(data)
+        labels = read_file(path, parse_labels)
         classes, counts = np.unique(labels.semantic, return_counts=True)
         print(f"{path}: {len(labels)} labels")
         for c, n in zip(classes, counts):
             print(f"  class {int(c):3d}: {int(n)} points")
         return 0
-    cloud = parse_scan(data)
+    cloud = read_file(path, parse_scan)
     print(f"{path}: {len(cloud)} points")
     if len(cloud):
         lo = cloud.points.min(axis=0)
@@ -139,8 +140,8 @@ def _cmd_make_synthetic(args) -> int:
 
 
 def _cmd_gen_instances(args) -> int:
-    cloud = parse_scan(Path(args.scan).read_bytes())
-    labels = parse_labels(Path(args.labels).read_bytes())
+    cloud = read_file(args.scan, parse_scan)
+    labels = read_file(args.labels, parse_labels)
     config = InstanceGenConfig(
         target_class=args.class_id,
         stop_distance=args.stop_distance,
@@ -175,6 +176,10 @@ def _cmd_fuse(args) -> int:
     origins, rows = np.unique(fused.origin_index, return_inverse=True)
     lines = np.array([f"{origin}\n" for origin in origins.tolist()], dtype=object)
     Path(str(prefix) + ".origins.txt").write_text("".join(lines[rows].tolist()))
+    for label, origin in fused.registration_warnings:
+        instance, class_id = unpack_label(label)
+        what = f"moving instance {instance} (class {class_id}) from scan {args.scan + origin}"
+        print(f"scanfuse fuse: warning: ICP failed; {what} placed by centroid", file=sys.stderr)
     print(
         f"fused scan {args.scan}: {fused.n_current} current + "
         f"{fused.n_appended} appended points",
@@ -257,7 +262,7 @@ def _train_ids(semantic: np.ndarray, raw_to_train: dict[int, int], where: str) -
 
 
 def _cmd_eval_miou(args) -> int:
-    mapping = parse_class_map(Path(args.classmap).read_text())
+    mapping = read_file(args.classmap, lambda data: parse_class_map(data.decode()))
     raw_to_train = {raw: train for raw, (train, _) in mapping.items()}
     n_classes = max(raw_to_train.values(), default=-1) + 1
     if n_classes < 1:
@@ -278,9 +283,9 @@ def _cmd_eval_miou(args) -> int:
         pred_path = pred_dir / gt_path.name
         if not pred_path.is_file():
             raise ScanFuseError(f"missing prediction for {gt_path.name}")
-        gt = parse_labels(gt_path.read_bytes())
+        gt = read_file(gt_path, parse_labels)
         gt_train = _train_ids(gt.semantic, raw_to_train, f"{gt_path.name}: ground truth")
-        pred = parse_labels(pred_path.read_bytes())
+        pred = read_file(pred_path, parse_labels)
         if len(gt) != len(pred):
             raise ScanFuseError(
                 f"{gt_path.name}: {len(gt)} gt labels vs {len(pred)} predictions"

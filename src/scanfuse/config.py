@@ -18,6 +18,7 @@ from pathlib import Path
 from .distill import DistillConfig
 from .errors import InvalidConfig
 from .fusion import FusionConfig
+from .kitti_io import read_file
 
 
 def _comma_ints(text: str) -> frozenset[int]:
@@ -59,7 +60,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def load_kv_file(path: str | Path) -> dict[str, str]:
-    return parse_kv_text(Path(path).read_text())
+    return read_file(path, lambda data: parse_kv_text(data.decode()))
 
 
 def _parsed(values: dict[str, str], parsers: dict) -> dict[str, object]:

@@ -47,6 +47,7 @@ from .kitti_io import (
     pack_label,
     parse_labels,
     parse_scan,
+    read_file,
     unpack_label,
     write_labels,
     write_scan,
@@ -347,7 +348,7 @@ def fuse_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass
 class InstancePair:
     """One instance in its fused form, in the ``FusedScan`` layout.
 
@@ -372,16 +373,6 @@ class InstancePair:
         """The single-scan member: a view of the first ``n_single`` rows."""
         cloud = self.fused_cloud
         return PointCloud(cloud.points[: self.n_single], cloud.remission[: self.n_single])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InstancePair):
-            return NotImplemented
-        return (
-            self.key == other.key
-            and self.n_single == other.n_single
-            and self.fused_cloud == other.fused_cloud
-            and self.fused_labels == other.fused_labels
-        )
 
 
 @dataclass
@@ -420,9 +411,9 @@ class InstanceDatabase:
     def load(cls, path: str | Path) -> "InstanceDatabase":
         """Read what ``save`` wrote; entries are row views of one parsed file pair."""
         manifest = Path(path) / "manifest.txt"
-        lines = manifest.read_text().splitlines()
-        cloud = parse_scan((manifest.parent / "entries.bin").read_bytes())
-        labels = parse_labels((manifest.parent / "entries.label").read_bytes())
+        lines = read_file(manifest, bytes.decode).splitlines()
+        cloud = read_file(manifest.parent / "entries.bin", parse_scan)
+        labels = read_file(manifest.parent / "entries.label", parse_labels)
         entries: list[InstancePair] = []
         start = 0
         for line_no, line in enumerate(lines, start=1):

@@ -18,9 +18,10 @@ maps them to train IDs (see ``parse_class_map``).
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -41,6 +42,8 @@ LABEL_RECORD_BYTES = 4  # 1 uint32 per point
 # motorcycle, truck, other-vehicle, person, bicyclist, motorcyclist,
 # traffic-sign.
 DEFAULT_HARD_CLASSES = frozenset({11, 15, 18, 20, 30, 31, 32, 81})
+
+T = TypeVar("T")
 
 
 def _float_array(values) -> np.ndarray:
@@ -184,13 +187,13 @@ class SequenceIndex:
         return len(self.scan_paths)
 
     def load_scan(self, i: int) -> PointCloud:
-        return parse_scan(self.scan_paths[i].read_bytes())
+        return read_file(self.scan_paths[i], parse_scan)
 
     def load_labels(self, i: int) -> LabelSet | None:
         path = self.label_paths[i]
         if path is None:
             return None
-        return parse_labels(path.read_bytes())
+        return read_file(path, parse_labels)
 
     def load(self) -> SequenceData:
         """Materialize every scan and label file into memory."""
@@ -201,6 +204,18 @@ class SequenceIndex:
             calib=self.calib,
             name=self.name,
         )
+
+
+def read_file(path: str | Path, parse: Callable[[bytes], T]) -> T:
+    """``parse`` of the bytes of file ``path``. A data error it raises keeps its
+    class and names the file, as does text that is not UTF-8 (``ScanFuseError``)."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data)
+    except UnicodeDecodeError as exc:
+        raise ScanFuseError(f"{path}: not UTF-8 text: {exc}") from None
+    except ScanFuseError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def parse_scan(data: bytes) -> PointCloud:
@@ -395,18 +410,13 @@ def load_sequence_index(seq_dir: str | Path) -> SequenceIndex:
         label_paths.append(candidate if candidate.is_file() else None)
 
     calib_path = seq_dir / "calib.txt"
-    calib = (
-        parse_calib(calib_path.read_text())
-        if calib_path.is_file()
-        else RigidTransform.identity()
-    )
-    poses_path = seq_dir / "poses.txt"
-    if not poses_path.is_file():
-        raise FileNotFoundError(f"no poses.txt under {seq_dir}")
+    calib = RigidTransform.identity()
+    if calib_path.is_file():
+        calib = read_file(calib_path, lambda data: parse_calib(data.decode()))
     return SequenceIndex(
         scan_paths=scan_paths,
         label_paths=label_paths,
-        poses=parse_poses(poses_path.read_text(), calib),
+        poses=read_file(seq_dir / "poses.txt", lambda data: parse_poses(data.decode(), calib)),
         calib=calib,
         name=seq_dir.name,
     )

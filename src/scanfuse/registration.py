@@ -4,9 +4,8 @@ The refinement loop alternates nearest-neighbor correspondences (within a
 distance gate) with the closed-form SVD rigid fit. The best transform seen is
 kept, so the accepted-RMS sequence is non-increasing by construction.
 
-The target is an (M, 3) array or a ``cKDTree`` already built over one; a
-caller registering several sources onto the same target builds the tree once
-and passes it each time, with the same result as passing the array.
+The target is a ``cKDTree`` that the caller builds over its points, once for
+every source it registers onto them.
 """
 
 from __future__ import annotations
@@ -82,23 +81,18 @@ def fit_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
 
 def icp_register(
     source: np.ndarray,
-    target: np.ndarray | cKDTree,
+    tree: cKDTree,
     init: RigidTransform,
     config: RegistrationConfig,
 ) -> RegistrationResult:
-    """Refine ``init`` so the transformed source matches the target.
+    """Refine ``init`` so the transformed source matches the points ``tree``
+    was built over.
 
-    ``target`` is the target points or a ``cKDTree`` built over them.
     Raises DegenerateSource for sources that cannot constrain a rigid fit
     (fewer than 3 points or near-collinear spread) and NoOverlap when the
     initial transform yields zero gated correspondences.
     """
     source = np.asarray(source, dtype=np.float64).reshape(-1, 3)
-    tree = (
-        target
-        if isinstance(target, cKDTree)
-        else cKDTree(np.asarray(target, dtype=np.float64).reshape(-1, 3))
-    )
     target = tree.data
     if len(target) == 0:
         raise EmptyInput("icp_register needs a nonempty target")

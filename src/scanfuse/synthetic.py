@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .geometry import RigidTransform, apply_points, centroid, invert, rotation_about_z
-from .kitti_io import LabelSet, PointCloud, SequenceData
+from .kitti_io import LabelSet, PointCloud, SequenceData, fresh_instance_ids
 
 # The sensor moves this far per scan (m) and turns this much (rad).
 SENSOR_VELOCITY = (0.8, 0.0, 0.0)
@@ -28,7 +28,8 @@ class ObjectSpec:
     """One rigid object in the scene.
 
     ``size`` is (sx, sy, sz) for boxes and (radius, height) for cylinders.
-    ``instance_id`` None means auto-assign; an explicit 0 leaves the object
+    ``instance_id`` None means auto-assign: ``kitti_io.fresh_instance_ids``
+    above the explicit IDs, in object order. An explicit 0 leaves the object
     without an instance ID (the input condition for instance generation).
     """
 
@@ -124,15 +125,12 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
         offsets.append(_sample_body_offsets(spec, n, rng))
         remissions.append(rng.uniform(0.0, 1.0, size=n))
 
-    # Instance IDs: auto-assigned ones are consecutive starting at 1.
-    next_auto = 1
-    instance_ids: list[int] = []
-    for spec in config.objects:
-        if spec.instance_id is None:
-            instance_ids.append(next_auto)
-            next_auto += 1
-        else:
-            instance_ids.append(spec.instance_id)
+    explicit = [spec.instance_id for spec in config.objects if spec.instance_id is not None]
+    taken = LabelSet(semantic=np.zeros(len(explicit)), instance=explicit)
+    fresh = iter(fresh_instance_ids(taken, len(config.objects) - len(explicit)))
+    instance_ids = [
+        next(fresh) if spec.instance_id is None else spec.instance_id for spec in config.objects
+    ]
 
     semantic = np.concatenate(
         [np.full(config.ground_points, config.ground_class, dtype=np.uint16)]

@@ -76,6 +76,28 @@ def sparse_hard_instance_scene(
     return current, labels, fused, eval_cloud, eval_labels
 
 
+def mixed_scene(n_scans=5, yaw_rate=0.0):
+    """Static traffic sign + moving truck + road plane."""
+    return SyntheticConfig(
+        n_scans=n_scans,
+        ground_points=80,
+        points_per_object=50,
+        objects=[
+            ObjectSpec(
+                shape="cylinder", class_id=81, center=(8.0, 3.0, 1.0), size=(0.4, 1.2)
+            ),
+            ObjectSpec(
+                shape="box",
+                class_id=18,
+                center=(6.0, -4.0, 1.2),
+                size=(3.0, 2.0, 1.8),
+                velocity=(0.5, 0.0, 0.0),
+                yaw_rate=yaw_rate,
+            ),
+        ],
+    )
+
+
 def shared_id_scene(seed: int = 3):
     """5 scans of a static sign (81) and a moving truck (18), 30 points each,
     both carrying instance ID 5."""

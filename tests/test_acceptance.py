@@ -174,7 +174,7 @@ def test_criterion_4_registration_recovery():
         translation *= rng.uniform(0.0, 2.0) / max(np.linalg.norm(translation), 1e-12)
         true = RigidTransform(rotation_from_axis_angle(axis, angle), translation)
         target = apply_points(true, source)
-        result = icp_register(source, target, centroid_align(source, target), config)
+        result = icp_register(source, cKDTree(target), centroid_align(source, target), config)
         rot_err = np.linalg.norm(result.transform.rotation - true.rotation)
         tr_err = np.linalg.norm(result.transform.translation - true.translation)
         if rot_err < 1e-5 and tr_err < 1e-5:

@@ -20,7 +20,6 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import reference  # noqa: E402
 import tracing  # noqa: E402
 
-import numpy as np  # noqa: E402
 from scipy.spatial import cKDTree  # noqa: E402
 
 from scanfuse import fusion, registration, toynet  # noqa: E402
@@ -32,7 +31,6 @@ from scanfuse.fusion import (  # noqa: E402
     sample_and_paste,
 )
 from scanfuse.kitti_io import instance_rows, unpack_label  # noqa: E402
-from scanfuse.registration import RegistrationConfig, centroid_align  # noqa: E402
 from scanfuse.synthetic import default_scene, make_synthetic_sequence  # noqa: E402
 from scanfuse.toynet import ToyNetParams, TrainState, train_step  # noqa: E402
 
@@ -175,22 +173,3 @@ def test_fuse_scan_passes_each_instance_through_the_traced_layers(monkeypatch):
     holding = [s for s in range(4) if mover in rows[s]]
     assert tracer.names.count("registration.icp_register") == len(holding) == 4
     assert trees == [len(rows[4][mover])]
-
-
-def test_icp_register_with_a_prebuilt_tree_matches_the_array_target():
-    rng = np.random.default_rng(5)
-    target = rng.uniform(-1.0, 1.0, size=(300, 3)) * [2.0, 1.0, 0.5]
-    source = target[rng.permutation(300)[:200]] + [0.3, -0.2, 0.05]
-    init = centroid_align(source, target)
-    config = RegistrationConfig()
-    from_array = registration.icp_register(source, target, init, config)
-    from_tree = registration.icp_register(source, cKDTree(target), init, config)
-    assert from_tree.transform.rotation.tobytes() == from_array.transform.rotation.tobytes()
-    assert from_tree.transform.translation.tobytes() == from_array.transform.translation.tobytes()
-    assert (from_tree.rms_error, from_tree.iterations_used, from_tree.converged) == (
-        from_array.rms_error,
-        from_array.iterations_used,
-        from_array.converged,
-    )
-    assert from_tree.rms_history == from_array.rms_history
-    assert from_array.iterations_used > 1

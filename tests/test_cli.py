@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from scanfuse.kitti_io import (
     write_labels,
     write_sequence,
 )
+from scanfuse.registration import RegistrationConfig
 from scanfuse.synthetic import ObjectSpec, SyntheticConfig, make_synthetic_sequence
+
+from scenes import mixed_scene
 
 
 @pytest.fixture()
@@ -151,6 +155,122 @@ def test_labels_not_covering_their_scan_are_a_data_error(seq_dir, tmp_path, caps
         assert main(argv) == 2
         assert f"scan 2: {n_points - 300} labels for {n_points} points" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture()
+def data_files(seq_dir, tmp_path, monkeypatch, capsys):
+    """Run in ``tmp_path``, which holds ``seq`` (the make-synthetic sequence),
+    ``pred`` (a copy of its labels), its class map ``classes.txt`` and a
+    config ``run.cfg``."""
+    shutil.copytree(seq_dir / "labels", tmp_path / "pred")
+    (tmp_path / "classes.txt").write_text("18 0 truck\n40 1 road\n81 2 traffic-sign\n")
+    (tmp_path / "run.cfg").write_text("window = 3\n")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()  # make-synthetic's report
+
+
+FUSE = "fuse --seq seq --scan 4 --out out/fused"
+BUILD_AUGDB = "build-augdb --seq seq --out out/db"
+GEN_INSTANCES = "gen-instances seq/velodyne/000001.bin seq/labels/000001.label --class 81 --out x"
+EVAL_MIOU = "eval-miou --pred pred --gt seq/labels --classmap classes.txt"
+
+
+@pytest.mark.parametrize(
+    ("argv", "damaged"),
+    [
+        (FUSE, "seq/velodyne/000002.bin"),
+        (FUSE, "seq/labels/000003.label"),
+        (BUILD_AUGDB, "seq/velodyne/000002.bin"),
+        (BUILD_AUGDB, "seq/labels/000003.label"),
+        ("inspect seq/velodyne/000001.bin", "seq/velodyne/000001.bin"),
+        ("inspect seq/labels/000001.label", "seq/labels/000001.label"),
+        (GEN_INSTANCES, "seq/velodyne/000001.bin"),
+        (GEN_INSTANCES, "seq/labels/000001.label"),
+        (EVAL_MIOU, "seq/labels/000001.label"),
+        (EVAL_MIOU, "pred/000001.label"),
+    ],
+    ids=[
+        "fuse-scan",
+        "fuse-labels",
+        "build-augdb-scan",
+        "build-augdb-labels",
+        "inspect-scan",
+        "inspect-labels",
+        "gen-instances-scan",
+        "gen-instances-labels",
+        "eval-miou-gt",
+        "eval-miou-pred",
+    ],
+)
+def test_a_malformed_scan_or_label_file_is_a_data_error_naming_it(
+    data_files, capsys, argv, damaged
+):
+    # A scan cut by 3 bytes or a label file cut by 1 leaves a partial record.
+    path = Path(damaged)
+    kind, record, cut = ("scan", 16, 3) if path.suffix == ".bin" else ("label", 4, 1)
+    path.write_bytes(path.read_bytes()[:-cut])
+    assert main(argv.split()) == 2
+    size = path.stat().st_size
+    assert capsys.readouterr().err == (
+        f"scanfuse {argv.split()[0]}: error: {damaged}: "
+        f"{kind} length {size} is not a multiple of {record}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    ("argv", "damaged"),
+    [
+        (f"{FUSE} --config run.cfg", "run.cfg"),
+        ("train-toy --steps 1 --scans 3 --config run.cfg", "run.cfg"),
+        (EVAL_MIOU, "classes.txt"),
+        (FUSE, "seq/poses.txt"),
+        (FUSE, "seq/calib.txt"),
+        (BUILD_AUGDB, "seq/poses.txt"),
+    ],
+    ids=["fuse-config", "train-toy-config", "eval-miou-classmap", "poses", "calib", "augdb-poses"],
+)
+def test_text_that_is_not_utf8_is_a_data_error_naming_the_file(
+    data_files, capsys, argv, damaged
+):
+    path = Path(damaged)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, *rest = captured.err.splitlines()
+    assert line.startswith(f"scanfuse {argv.split()[0]}: error: {damaged}: not UTF-8 text")
+    assert rest == []
+
+
+def test_fuse_reports_each_registration_fallback_on_stderr(tmp_path, capsys):
+    # The no-overlap scene of the fusion tests, on disk: the truck turns and
+    # a 1e-9 m correspondence gate leaves ICP no match in any past scan.
+    seq = make_synthetic_sequence(mixed_scene(yaw_rate=0.3), seed=12)
+    write_sequence(seq.data, tmp_path / "seq")
+    (tmp_path / "icp.cfg").write_text("max_correspondence_dist = 1e-9\n")
+    argv = ["fuse", "--seq", str(tmp_path / "seq"), "--scan", "4"]
+    assert main([*argv, "--config", str(tmp_path / "icp.cfg"), "--out", str(tmp_path / "f")]) == 0
+    *warnings, summary = capsys.readouterr().err.splitlines()
+    assert summary.startswith("fused scan 4: ")
+
+    config = FusionConfig(registration=RegistrationConfig(max_correspondence_dist=1e-9))
+    fused = fuse_scan(load_sequence_index(tmp_path / "seq"), 4, config)
+    truck = seq.truth.objects[1]
+    packed = (truck.instance_id << 16) | truck.class_id
+    assert fused.registration_warnings == [(packed, s - 4) for s in range(4)]
+    assert warnings == [
+        f"scanfuse fuse: warning: ICP failed; moving instance {truck.instance_id} "
+        f"(class {truck.class_id}) from scan {s} placed by centroid"
+        for s in range(4)
+    ]
+
+
+def test_fuse_prints_no_warning_on_the_default_scene(seq_dir, tmp_path, capsys):
+    capsys.readouterr()  # make-synthetic's report
+    argv = ["fuse", "--seq", str(seq_dir), "--scan", "4", "--out", str(tmp_path / "f")]
+    assert main(argv) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("fused scan 4: ")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

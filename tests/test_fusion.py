@@ -30,29 +30,7 @@ from scanfuse.synthetic import (
     make_synthetic_sequence,
 )
 
-from scenes import shared_id_scene
-
-
-def mixed_scene(n_scans=5, yaw_rate=0.0):
-    """Static traffic sign + moving truck + road plane."""
-    return SyntheticConfig(
-        n_scans=n_scans,
-        ground_points=80,
-        points_per_object=50,
-        objects=[
-            ObjectSpec(
-                shape="cylinder", class_id=81, center=(8.0, 3.0, 1.0), size=(0.4, 1.2)
-            ),
-            ObjectSpec(
-                shape="box",
-                class_id=18,
-                center=(6.0, -4.0, 1.2),
-                size=(3.0, 2.0, 1.8),
-                velocity=(0.5, 0.0, 0.0),
-                yaw_rate=yaw_rate,
-            ),
-        ],
-    )
+from scenes import mixed_scene, shared_id_scene
 
 
 @pytest.fixture(scope="module")
@@ -340,10 +318,11 @@ def test_db_load_rejects_a_bad_manifest_line(scene, tmp_path, edit, message):
     "name, cut, message",
     [
         ("entries.bin", 16, "rows listed; entries.bin holds {n}, entries.label {n1}"),
-        ("entries.bin", 4, "not a multiple of 16"),
+        ("entries.bin", 4, r"augdb/entries.bin: scan length \d+ is not a multiple of 16"),
         ("entries.label", 4, "rows listed; entries.bin holds {n1}, entries.label {n}"),
+        ("entries.label", 1, r"augdb/entries.label: label length \d+ is not a multiple of 4"),
     ],
-    ids=["bin-record", "bin-partial-record", "label-record"],
+    ids=["bin-record", "bin-partial-record", "label-record", "label-partial-record"],
 )
 def test_db_load_rejects_a_truncated_entry_file(scene, tmp_path, name, cut, message):
     db = build_instance_db(scene.data, FusionConfig())
@@ -352,6 +331,14 @@ def test_db_load_rejects_a_truncated_entry_file(scene, tmp_path, name, cut, mess
     entry_file.write_bytes(entry_file.read_bytes()[:-cut])
     n1 = sum(len(entry.fused_cloud) for entry in db.entries)
     with pytest.raises(ScanFuseError, match=message.format(n=n1 - 1, n1=n1)):
+        InstanceDatabase.load(tmp_path / "augdb")
+
+
+def test_db_load_rejects_a_manifest_that_is_not_utf8(scene, tmp_path):
+    build_instance_db(scene.data, FusionConfig()).save(tmp_path / "augdb")
+    manifest = tmp_path / "augdb" / "manifest.txt"
+    manifest.write_bytes(manifest.read_bytes().replace(b" ", b"\xff", 1))
+    with pytest.raises(ScanFuseError, match="augdb/manifest.txt: not UTF-8 text"):
         InstanceDatabase.load(tmp_path / "augdb")
 
 

@@ -487,6 +487,26 @@ def test_synthetic_rejects_nonpositive_points():
         make_synthetic_sequence(config, seed=1)
 
 
+def test_synthetic_auto_ids_come_above_the_explicit_ones():
+    # An explicit ID 1 and an auto-assigned box of the same class 10 m away
+    # are two instances: the auto box takes the fresh ID 2, not a second 1.
+    truck = {"shape": "box", "class_id": 18, "size": (2.0, 1.5, 1.5)}
+    config = SyntheticConfig(
+        n_scans=1,
+        ground_points=40,
+        objects=[
+            ObjectSpec(center=(5.0, 0.0, 1.0), instance_id=1, **truck),
+            ObjectSpec(center=(5.0, 10.0, 1.0), **truck),
+        ],
+    )
+    seq = make_synthetic_sequence(config, seed=1)
+    assert [obj.instance_id for obj in seq.truth.objects] == [1, 2]
+    rows = instance_rows(seq.data.labels[0], {18})
+    assert [idx.tolist() for idx in rows.values()] == [
+        obj.indices().tolist() for obj in seq.truth.objects
+    ]
+
+
 def test_write_sequence_roundtrips_through_disk(tmp_path):
     seq = make_synthetic_sequence(moving_box_config(n_scans=3), seed=2)
     index = write_sequence(seq.data, tmp_path / "seq")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from scanfuse.errors import DegenerateSource, EmptyInput, NoOverlap
 from scanfuse.geometry import (
@@ -61,7 +62,9 @@ def test_centroid_empty_inputs():
 
 def test_icp_identity_on_identical_clouds():
     source = box_cloud(np.random.default_rng(3))
-    result = icp_register(source, source, RigidTransform.identity(), RegistrationConfig())
+    result = icp_register(
+        source, cKDTree(source), RigidTransform.identity(), RegistrationConfig()
+    )
     assert result.converged
     assert result.iterations_used == 1
     assert result.rms_error < 1e-12
@@ -74,7 +77,8 @@ def test_icp_recovers_known_transform():
     true = RigidTransform(rotation_about_z(np.deg2rad(15)), np.array([0.5, -0.3, 0.1]))
     target = apply_points(true, source)
     init = centroid_align(source, target)
-    result = icp_register(source, target, init, RegistrationConfig(max_correspondence_dist=5.0))
+    result = config = RegistrationConfig(max_correspondence_dist=5.0)
+    result = icp_register(source, cKDTree(target), init, config)
     assert np.abs(result.transform.rotation - true.rotation).max() < 1e-6
     assert np.abs(result.transform.translation - true.translation).max() < 1e-6
 
@@ -84,7 +88,7 @@ def test_icp_rejects_too_few_points():
     with pytest.raises(DegenerateSource):
         icp_register(
             np.array([[0.0, 0, 0], [1.0, 0, 0]]),
-            target,
+            cKDTree(target),
             RigidTransform.identity(),
             RegistrationConfig(),
         )
@@ -94,7 +98,7 @@ def test_icp_rejects_collinear_points():
     target = box_cloud(np.random.default_rng(6))
     collinear = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0], [3.0, 0, 0]])
     with pytest.raises(DegenerateSource):
-        icp_register(collinear, target, RigidTransform.identity(), RegistrationConfig())
+        icp_register(collinear, cKDTree(target), RigidTransform.identity(), RegistrationConfig())
 
 
 def test_icp_no_overlap_at_init():
@@ -102,7 +106,7 @@ def test_icp_no_overlap_at_init():
     source = box_cloud(rng)
     target = source + np.array([100.0, 0.0, 0.0])
     with pytest.raises(NoOverlap):
-        icp_register(source, target, RigidTransform.identity(), RegistrationConfig())
+        icp_register(source, cKDTree(target), RigidTransform.identity(), RegistrationConfig())
 
 
 def test_icp_accepted_rms_non_increasing():
@@ -117,7 +121,7 @@ def test_icp_accepted_rms_non_increasing():
         target = apply_points(true, source)
         result = icp_register(
             source,
-            target,
+            cKDTree(target),
             centroid_align(source, target),
             RegistrationConfig(max_correspondence_dist=10.0, convergence_tol=1e-9),
         )
@@ -139,7 +143,7 @@ def test_icp_recovery_sample():
         target = apply_points(true, source)
         result = icp_register(
             source,
-            target,
+            cKDTree(target),
             centroid_align(source, target),
             RegistrationConfig(
                 max_iterations=100, convergence_tol=1e-9, max_correspondence_dist=10.0
@@ -167,6 +171,6 @@ def test_result_iteration_bound():
         RigidTransform(rotation_about_z(0.4), np.array([0.3, 0.1, 0.0])), source
     )
     config = RegistrationConfig(max_iterations=3, max_correspondence_dist=10.0)
-    result = icp_register(source, target, centroid_align(source, target), config)
+    result = icp_register(source, cKDTree(target), centroid_align(source, target), config)
     assert result.iterations_used <= config.max_iterations
     assert result.rms_error >= 0.0
