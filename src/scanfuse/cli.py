@@ -172,10 +172,12 @@ def _cmd_fuse(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     Path(str(prefix) + ".bin").write_bytes(write_scan(fused.cloud))
     Path(str(prefix) + ".label").write_bytes(write_labels(fused.labels))
-    # One line per appended point, formatted once per distinct origin.
-    origins, rows = np.unique(fused.origin_index, return_inverse=True)
-    lines = np.array([f"{origin}\n" for origin in origins.tolist()], dtype=object)
-    Path(str(prefix) + ".origins.txt").write_text("".join(lines[rows].tolist()))
+    # One line per appended point, formatted once per run of equal origins.
+    origin = fused.origin_index
+    starts = np.flatnonzero(np.diff(origin, prepend=origin[:1] - 1))
+    counts = np.diff(starts, append=len(origin))
+    runs = zip(origin[starts].tolist(), counts.tolist())
+    Path(str(prefix) + ".origins.txt").write_text("".join(f"{v}\n" * n for v, n in runs))
     for label, origin in fused.registration_warnings:
         instance, class_id = unpack_label(label)
         what = f"moving instance {instance} (class {class_id}) from scan {args.scan + origin}"

@@ -6,6 +6,10 @@ a centroid initialization plus ICP refinement onto their current-scan points.
 The fused cloud keeps the current scan as an untouched prefix so student and
 teacher branches stay point-aligned, and a paired instance database supports
 synchronized copy-paste augmentation of both branches.
+
+Each scan's hard-class rows are gathered once, into its instance index (see
+``_instance_index``); every window that holds the scan reads an instance's
+rows, centroid and KD-tree input from there, not from the scan.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -156,9 +161,22 @@ def _window(seq: SequenceData, scan_t: int, window: int) -> range:
     return scans
 
 
-# One scan's instance index: each hard-class instance's packed label ->
-# (its ascending rows, the sensor-frame centroid of those rows).
-InstanceIndex = dict[int, tuple[np.ndarray, np.ndarray]]
+# Rows of a cloud and its labels as plain arrays:
+# (points, remission, semantic, instance).
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+class IndexedInstance(NamedTuple):
+    """One hard-class instance of a scan, as its instance index holds it."""
+
+    rows: np.ndarray  # ascending row indices into the scan
+    centroid: np.ndarray  # sensor-frame centroid of those rows
+    block: Rows  # those rows, points widened to float64
+
+
+# One scan's instance index: each hard-class instance's packed label -> its
+# IndexedInstance.
+InstanceIndex = dict[int, IndexedInstance]
 
 
 def _instance_index(
@@ -166,12 +184,29 @@ def _instance_index(
 ) -> InstanceIndex:
     """The instance index of one scan (see ``kitti_io.instance_rows``).
 
-    Built once per scan per call, so every window holding the scan shares
-    its centroids."""
-    return {
-        label: (idx, centroid(scan.points[idx]))
-        for label, idx in instance_rows(labels, hard_classes).items()
-    }
+    The only place fusion gathers a scan's hard-class rows: one fancy index
+    per column takes them all at once, the points widened to float64 once,
+    and each instance's block is a slice of that gather. Built once per scan
+    per call, so every window holding the scan shares its centroids and
+    blocks."""
+    groups = instance_rows(labels, hard_classes)
+    if not groups:
+        return {}
+    rows = np.concatenate(list(groups.values()))
+    columns = (
+        np.asarray(scan.points[rows], dtype=np.float64),
+        scan.remission[rows],
+        labels.semantic[rows],
+        labels.instance[rows],
+    )
+    index: InstanceIndex = {}
+    start = 0
+    for label, idx in groups.items():
+        part = slice(start, start + len(idx))
+        start = part.stop
+        block = tuple(column[part] for column in columns)
+        index[label] = IndexedInstance(idx, centroid(block[0]), block)
+    return index
 
 
 def gather_instance_track(
@@ -187,8 +222,10 @@ def gather_instance_track(
     if label not in index[scan_t]:
         raise InstanceNotFound(f"instance label {label:#x} has no points in scan {scan_t}")
     scan_indices = list(range(max(0, scan_t - window), scan_t + 1))
-    absent = (np.empty(0, dtype=np.intp), None)
-    point_indices, sensor_centroids = zip(*(index[s].get(label, absent) for s in scan_indices))
+    absent = IndexedInstance(np.empty(0, dtype=np.intp), None, None)
+    point_indices, sensor_centroids, _ = zip(
+        *(index[s].get(label, absent) for s in scan_indices)
+    )
     return InstanceTrack(
         label=label,
         scan_indices=scan_indices,
@@ -220,11 +257,6 @@ def classify_motion(
     return Motion.STATIC
 
 
-# Rows of a cloud and its labels as plain arrays:
-# (points, remission, semantic, instance).
-Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
 def _take(cloud: PointCloud, labels: LabelSet, idx) -> Rows:
     """The rows ``idx`` (indices or a slice) of a cloud and its labels."""
     return cloud.points[idx], cloud.remission[idx], labels.semantic[idx], labels.instance[idx]
@@ -244,7 +276,7 @@ def _concat(blocks: list[Rows], dtype: type = np.float64) -> tuple[PointCloud, L
 
 
 def _fuse_instance(
-    seq: SequenceData,
+    index: dict[int, InstanceIndex],
     scan_t: int,
     track: InstanceTrack,
     motion: Motion,
@@ -253,15 +285,14 @@ def _fuse_instance(
 ) -> tuple[list[Rows], list[np.ndarray], list[tuple[int, int]]]:
     """Past-scan points of one instance mapped into the current sensor frame.
 
-    ``to_current[s]`` maps scan s's sensor frame into scan t's. Returns the
-    row blocks, their origins and the warnings; the rows cover only
-    appended points, never the current scan's own. A moving instance's
-    registrations share one KD-tree over its current points.
+    ``index`` is as in ``gather_instance_track``: the instance's rows come
+    from its blocks there. ``to_current[s]`` maps scan s's sensor frame into
+    scan t's. Returns the row blocks, their origins and the warnings; the
+    rows cover only appended points, never the current scan's own. A moving
+    instance's registrations share one KD-tree over its current points.
     """
     tree = (
-        cKDTree(seq.scans[scan_t].points[track.point_indices[-1]])
-        if motion is Motion.MOVING
-        else None
+        cKDTree(index[scan_t][track.label].block[0]) if motion is Motion.MOVING else None
     )
     blocks: list[Rows] = []
     origins: list[np.ndarray] = []
@@ -270,7 +301,7 @@ def _fuse_instance(
     for s, idx in zip(track.scan_indices[:-1], track.point_indices[:-1]):
         if len(idx) == 0:
             continue
-        pts, *rest = _take(seq.scans[s], seq.labels[s], idx)
+        pts, *rest = index[s][track.label].block
         pts = apply_points(to_current[s], pts)
         if tree is not None:
             init = centroid_align(pts, tree.data)
@@ -309,7 +340,7 @@ def _fused_instances(
     for label in index[scan_t]:
         track = gather_instance_track(index, scan_t, label, config.window)
         motion = classify_motion(track, seq.poses, config.moving_threshold)
-        yield track, *_fuse_instance(seq, scan_t, track, motion, to_current, config)
+        yield track, *_fuse_instance(index, scan_t, track, motion, to_current, config)
 
 
 def fuse_scan(
@@ -385,7 +416,15 @@ class InstanceDatabase:
     def save(self, path: str | Path) -> None:
         """Persist as ``entries.bin`` and ``entries.label``, every entry's fused
         rows back to back in the scan and label formats, then ``manifest.txt``
-        with one ``seq scan instance class_id n_single n_rows`` line per entry."""
+        with one ``seq scan instance class_id n_single n_rows`` line per entry.
+
+        A sequence name the manifest cannot carry (empty, with leading or
+        trailing whitespace, or with a character that is not printable, such
+        as a line break) is a ``DbWriteError`` raised before any file is
+        opened."""
+        for seq_name in {entry.key[0] for entry in self.entries}:
+            if not seq_name or seq_name != seq_name.strip() or not seq_name.isprintable():
+                raise DbWriteError(f"sequence name {seq_name!r} cannot be stored in a manifest")
         path = Path(path)
         try:
             path.mkdir(parents=True, exist_ok=True)
@@ -403,7 +442,7 @@ class InstanceDatabase:
                         f"{seq_name} {scan} {instance} {class_id} {entry.n_single} "
                         f"{len(entry.fused_cloud)}\n"
                     )
-            (path / "manifest.txt").write_text("".join(manifest_lines))
+            (path / "manifest.txt").write_text("".join(manifest_lines), encoding="utf-8")
         except OSError as exc:
             raise DbWriteError(f"failed to write instance database: {exc}") from exc
 
@@ -420,7 +459,8 @@ class InstanceDatabase:
             if not line.strip():
                 continue
             where = f"{manifest} line {line_no} {line!r}"
-            fields = line.split()
+            # the name may hold spaces; the five integer fields end the line
+            fields = line.rsplit(maxsplit=5)
             if len(fields) != 6:
                 raise ScanFuseError(f"{where}: expected 6 fields, got {len(fields)}")
             try:
@@ -462,17 +502,16 @@ def build_instance_db(
     }
     entries: list[InstancePair] = []
     for scan_t in index:
-        current, cur_labels = seq.scans[scan_t], seq.labels[scan_t]
         for track, rows, _, _ in _fused_instances(seq, index, scan_t, config):
-            single = track.point_indices[-1]
+            single = index[scan_t][track.label].block
             # float32 snaps to the on-disk precision, so round trips are exact
-            cloud, labels = _concat([_take(current, cur_labels, single), *rows], np.float32)
+            cloud, labels = _concat([single, *rows], np.float32)
             entries.append(
                 InstancePair(
                     key=(seq.name, scan_t, track.label),
                     fused_cloud=cloud,
                     fused_labels=labels,
-                    n_single=len(single),
+                    n_single=len(track.point_indices[-1]),
                 )
             )
     return InstanceDatabase(entries=entries)

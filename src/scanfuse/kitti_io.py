@@ -132,9 +132,6 @@ class LabelSet:
             self.instance, other.instance
         )
 
-    def packed(self) -> np.ndarray:
-        return pack_label(self.instance.astype(np.uint32), self.semantic.astype(np.uint32))
-
     def copy(self) -> "LabelSet":
         return LabelSet(self.semantic.copy(), self.instance.copy())
 
@@ -240,18 +237,28 @@ def write_scan(cloud: PointCloud) -> bytes:
 
 
 def parse_labels(data: bytes) -> LabelSet:
-    """Decode packed uint32 label bytes into a LabelSet."""
+    """Decode packed uint32 label bytes into a LabelSet whose two columns are
+    contiguous, writable uint16 arrays.
+
+    A little-endian uint32 ``(instance << 16) | semantic`` is the uint16 pair
+    (semantic, instance), so one transposed copy of the pairs splits every
+    label; contiguous columns keep later comparisons and gathers fast.
+    """
     if len(data) % LABEL_RECORD_BYTES != 0:
         raise MalformedLabel(
             f"label length {len(data)} is not a multiple of {LABEL_RECORD_BYTES}"
         )
-    instance, semantic = unpack_label(np.frombuffer(data, dtype="<u4"))
-    return LabelSet(semantic=semantic.astype(np.uint16), instance=instance.astype(np.uint16))
+    semantic, instance = np.frombuffer(data, dtype="<u2").reshape(-1, 2).T.copy()
+    return LabelSet(semantic=semantic, instance=instance)
 
 
 def write_labels(labels: LabelSet) -> bytes:
-    """Serialize a LabelSet to packed uint32 bytes."""
-    return labels.packed().astype("<u4").tobytes()
+    """Serialize a LabelSet to packed uint32 bytes: the interleaved
+    (semantic, instance) little-endian uint16 pairs ``parse_labels`` reads."""
+    raw = np.empty((len(labels), 2), dtype="<u2")
+    raw[:, 0] = labels.semantic
+    raw[:, 1] = labels.instance
+    return raw.tobytes()
 
 
 def instance_rows(labels: LabelSet, classes: Collection[int]) -> dict[int, np.ndarray]:
@@ -260,17 +267,19 @@ def instance_rows(labels: LabelSet, classes: Collection[int]) -> dict[int, np.nd
     semantic``; keys ascend.
 
     An instance is one packed label with instance ID != 0; rows with
-    instance 0 belong to no instance. Fusion, the instance database and
-    IAAD all take their hard-class instances from here.
+    instance 0 belong to no instance. Only the instance rows are packed, and
+    one stable sort of their keys groups them, keeping each group's rows
+    ascending. Fusion, the instance database and IAAD all take their
+    hard-class instances from here.
     """
     rows = np.flatnonzero(labels.instance != 0)
-    # two stable (16-bit radix) sorts: by semantic, then by instance
-    rows = rows[np.argsort(labels.semantic[rows], kind="stable")]
-    rows = rows[np.argsort(labels.instance[rows], kind="stable")]
-    keys, starts = np.unique(labels.packed()[rows], return_index=True)
+    keys = pack_label(labels.instance[rows].astype(np.uint32), labels.semantic[rows])
+    order = np.argsort(keys, kind="stable")
+    rows, keys = rows[order], keys[order]
+    firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # where each key's run starts
     return {
         key: idx
-        for key, idx in zip(keys.tolist(), np.split(rows, starts[1:]))
+        for key, idx in zip(keys[firsts].tolist(), np.split(rows, firsts[1:]))
         if unpack_label(key)[1] in classes
     }
 

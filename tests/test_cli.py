@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scanfuse.cli import main
-from scanfuse.fusion import FusionConfig, fuse_scan
+from scanfuse.fusion import FusionConfig, InstanceDatabase, fuse_scan
 from scanfuse.kitti_io import (
     load_sequence_index,
     parse_labels,
@@ -472,6 +472,22 @@ def test_build_augdb_cli(seq_dir, tmp_path, capsys):
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert len(manifest) > 0
     assert sorted(p.name for p in out.iterdir()) == ["entries.bin", "entries.label", "manifest.txt"]
+
+
+def test_build_augdb_of_a_sequence_named_with_a_space(tmp_path, capsys):
+    seq = tmp_path / "my seq"
+    assert main(["make-synthetic", "--seed", "1", "--out", str(seq)]) == 0
+    assert main(["build-augdb", "--seq", str(seq), "--out", str(tmp_path / "db")]) == 0
+    db = InstanceDatabase.load(tmp_path / "db")
+    assert len(db) > 0 and {entry.key[0] for entry in db.entries} == {"my seq"}
+
+
+def test_build_augdb_of_a_name_the_manifest_cannot_carry_writes_nothing(tmp_path, capsys):
+    seq = tmp_path / "seq "
+    assert main(["make-synthetic", "--seed", "1", "--out", str(seq)]) == 0
+    assert main(["build-augdb", "--seq", str(seq), "--out", str(tmp_path / "db")]) == 2
+    assert "sequence name 'seq '" in capsys.readouterr().err
+    assert not (tmp_path / "db").exists()
 
 
 def test_loss_check_cli(capsys):

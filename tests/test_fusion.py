@@ -1,13 +1,20 @@
+import dataclasses
 import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from scanfuse import fusion
-from scanfuse.errors import EmptyDatabase, InstanceNotFound, MissingLabels, ScanFuseError
+from scanfuse.errors import (
+    DbWriteError,
+    EmptyDatabase,
+    InstanceNotFound,
+    MissingLabels,
+    ScanFuseError,
+)
 from scanfuse.fusion import (
     FusionConfig,
     InstanceDatabase,
@@ -20,8 +27,15 @@ from scanfuse.fusion import (
     gather_instance_track,
     sample_and_paste,
 )
-from scanfuse.geometry import apply_points, compose, invert
-from scanfuse.kitti_io import LabelSet, PointCloud, SequenceData
+from scanfuse.geometry import apply_points, centroid, compose, invert
+from scanfuse.kitti_io import (
+    LabelSet,
+    PointCloud,
+    SequenceData,
+    instance_rows,
+    parse_scan,
+    write_scan,
+)
 from scanfuse.registration import RegistrationConfig
 from scanfuse.synthetic import (
     ObjectSpec,
@@ -48,6 +62,43 @@ def rows(scene):
 def packed(obj) -> int:
     """The packed (instance, class) label of a synthetic object."""
     return (obj.instance_id << 16) | obj.class_id
+
+
+# --- _instance_index ------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([0, 1, 2, 0xFFFF]), st.sampled_from([18, 40, 81]))),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example([], 0, True)  # empty scan
+@example([(0, 18), (1, 40), (2, 40)], 1, True)  # no hard instance (40 is not hard)
+@example([(0, 40), (2, 18), (0, 40)], 2, True)  # a 1-point instance
+@example([(1, 18), (1, 81), (1, 18), (0, 81)], 3, False)  # ID 1 shared by two classes
+def test_instance_index_slices_one_gather_of_each_instance(rows, seed, from_disk):
+    rng = np.random.default_rng(seed)
+    scan = PointCloud(rng.normal(scale=20.0, size=(len(rows), 3)), rng.uniform(size=len(rows)))
+    if from_disk:  # read-only float32 views, as parsed
+        scan = parse_scan(write_scan(scan))
+    labels = LabelSet([sem for _, sem in rows], [inst for inst, _ in rows])
+    hard = FusionConfig().hard_classes
+    groups = instance_rows(labels, hard)
+    index = _instance_index(scan, labels, hard)
+    assert list(index) == list(groups)
+    for label, entry in index.items():
+        idx = groups[label]
+        assert np.array_equal(entry.rows, idx)
+        expected = (
+            scan.points[idx].astype(np.float64),
+            scan.remission[idx],
+            labels.semantic[idx],
+            labels.instance[idx],
+        )
+        for got, want in zip(entry.block, expected, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert entry.centroid.tobytes() == centroid(scan.points[idx]).tobytes()
 
 
 # --- gather_instance_track -------------------------------------------------------
@@ -294,7 +345,12 @@ def test_db_roundtrips_through_disk(scene, tmp_path):
     "edit, message",
     [
         (lambda fields, rows: fields[:-1], "expected 6 fields, got 5"),
-        (lambda fields, rows: fields + ["extra"], "expected 6 fields, got 7"),
+        # a name may hold spaces, so a seventh token is read as part of it
+        pytest.param(
+            lambda fields, rows: fields + ["extra"],
+            "non-integer field",
+            id="<lambda>-seven tokens, non-integer field",
+        ),
         (lambda fields, rows: fields[:3] + ["81.0"] + fields[4:], "non-integer field"),
         (lambda fields, rows: fields[:4] + ["x"] + fields[5:], "non-integer field"),
         (lambda fields, rows: fields[:4] + ["0"] + fields[5:], "n_single outside"),
@@ -363,6 +419,24 @@ def test_db_load_rejects_the_manifest_of_another_save(scene, tmp_path):
     shutil.copy(tmp_path / "other" / "manifest.txt", tmp_path / "augdb" / "manifest.txt")
     with pytest.raises(ScanFuseError, match="rows listed"):
         InstanceDatabase.load(tmp_path / "augdb")
+
+
+@pytest.mark.parametrize("name", ["my seq", "a  b", "7 1 2", "séq"])
+def test_db_with_spaces_in_its_sequence_name_roundtrips(scene, tmp_path, name):
+    db = build_instance_db(dataclasses.replace(scene.data, name=name), FusionConfig())
+    assert {entry.key[0] for entry in db.entries} == {name}
+    db.save(tmp_path / "augdb")
+    assert InstanceDatabase.load(tmp_path / "augdb") == db
+
+
+@pytest.mark.parametrize(
+    "name", ["", " lead", "trail ", "a\nb", "a\rb", "a\tb", "a\x0cb", "a\u2028b", "\udcff"]
+)
+def test_db_save_rejects_a_name_the_manifest_cannot_carry(scene, tmp_path, name):
+    db = build_instance_db(dataclasses.replace(scene.data, name=name), FusionConfig())
+    with pytest.raises(DbWriteError, match="sequence name"):
+        db.save(tmp_path / "augdb")
+    assert not (tmp_path / "augdb").exists()
 
 
 def test_empty_db_roundtrips_through_disk(tmp_path):

@@ -31,6 +31,7 @@ from scanfuse.kitti_io import (
     fresh_instance_ids,
     instance_rows,
     load_sequence_index,
+    pack_label,
     parse_calib,
     parse_class_map,
     parse_labels,
@@ -195,9 +196,39 @@ def test_label_bytes_roundtrip_random():
         assert write_labels(parse_labels(data)) == data
 
 
+def test_label_columns_roundtrip_every_bit_pattern():
+    rng = np.random.default_rng(23)
+    values = np.concatenate(
+        [
+            np.array([0, 0xFFFF, 0xFFFF0000, 0xFFFFFFFF], dtype=np.uint32),
+            rng.integers(0, 2**32, size=500, dtype=np.uint32),
+        ]
+    )
+    data = values.astype("<u4").tobytes()
+    labels = parse_labels(data)
+    assert np.array_equal(labels.semantic, values & 0xFFFF)
+    assert np.array_equal(labels.instance, values >> 16)
+    assert write_labels(labels) == data
+
+
+def test_parsed_label_columns_are_contiguous_and_independent():
+    # a writable buffer, so a column that viewed it would write through
+    data = bytearray(np.arange(1, 9, dtype="<u4").tobytes())
+    labels = parse_labels(data)
+    for column in (labels.semantic, labels.instance):
+        assert column.flags.c_contiguous and column.flags.writeable
+    before = bytes(data)
+    labels.semantic[:] = 0xABCD
+    assert np.array_equal(labels.instance, np.zeros(8))
+    assert bytes(data) == before
+    labels.instance[:] = 0x1234
+    assert np.array_equal(labels.semantic, np.full(8, 0xABCD))
+    assert write_labels(labels) == np.full(8, 0x1234ABCD, dtype="<u4").tobytes()
+
+
 def test_labelset_packing_invariant():
     labels = LabelSet(np.array([10, 81]), np.array([1, 7]))
-    packed = labels.packed()
+    packed = pack_label(labels.instance.astype(np.uint32), labels.semantic)
     assert packed[0] == (1 << 16) | 10
     assert packed[1] == (7 << 16) | 81
 
@@ -213,7 +244,7 @@ ids_16bit = st.sampled_from([0, 1, 2, 5, 0xFFFF])
 @example([(1, 81), (1, 18), (2, 18)], frozenset({18}))  # ID 1 of class 81 is not kept
 def test_instance_rows_groups_rows_by_packed_label(rows, classes):
     labels = LabelSet([sem for _, sem in rows], [inst for inst, _ in rows])
-    packed = labels.packed()
+    packed = pack_label(labels.instance.astype(np.uint32), labels.semantic)
     in_instance = np.flatnonzero(
         (labels.instance != 0) & np.isin(labels.semantic, list(classes))
     )
