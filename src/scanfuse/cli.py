@@ -178,10 +178,10 @@ def _cmd_fuse(args) -> int:
     counts = np.diff(starts, append=len(origin))
     runs = zip(origin[starts].tolist(), counts.tolist())
     Path(str(prefix) + ".origins.txt").write_text("".join(f"{v}\n" * n for v, n in runs))
-    for label, origin in fused.registration_warnings:
+    for label, origin, reason in fused.registration_warnings:
         instance, class_id = unpack_label(label)
         what = f"moving instance {instance} (class {class_id}) from scan {args.scan + origin}"
-        print(f"scanfuse fuse: warning: ICP failed; {what} placed by centroid", file=sys.stderr)
+        print(f"scanfuse fuse: warning: {what} placed by centroid: {reason}", file=sys.stderr)
     print(
         f"fused scan {args.scan}: {fused.n_current} current + "
         f"{fused.n_appended} appended points",

@@ -8,8 +8,9 @@ teacher branches stay point-aligned, and a paired instance database supports
 synchronized copy-paste augmentation of both branches.
 
 Each scan's hard-class rows are gathered once, into its instance index (see
-``_instance_index``); every window that holds the scan reads an instance's
-rows, centroid and KD-tree input from there, not from the scan.
+``_instance_index``). An instance's entry there is its one record: its track
+holds that entry for every scan of the window, and motion classification,
+the KD-tree, registration and the database read the entry, not the scan.
 """
 
 from __future__ import annotations
@@ -85,14 +86,35 @@ class FusionConfig:
             raise InvalidConfig("moving_threshold must be >= 0")
 
 
+# Rows of a cloud and its labels as plain arrays:
+# (points, remission, semantic, instance).
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+class IndexedInstance(NamedTuple):
+    """One hard-class instance of a scan, as its instance index holds it."""
+
+    centroid: np.ndarray  # sensor-frame centroid of its rows
+    block: Rows  # its rows in ascending scan order, points widened to float64
+
+
+# One scan's instance index: each hard-class instance's packed label -> its
+# IndexedInstance.
+InstanceIndex = dict[int, IndexedInstance]
+
+
 @dataclass
 class InstanceTrack:
-    """Where one instance's points live in each scan of the window."""
+    """One instance's index entry in each scan of the window.
+
+    ``members[i]`` is the ``IndexedInstance`` of scan ``scan_indices[i]``
+    itself, not a copy, and None where the instance has no points there;
+    the last member, the current scan's, is never None.
+    """
 
     label: int  # the instance's packed (instance << 16) | semantic label
     scan_indices: list[int]  # ascending, ending at the current scan
-    point_indices: list[np.ndarray]  # parallel to scan_indices; empty where absent
-    sensor_centroids: list[np.ndarray | None]  # per scan, sensor-frame centroid
+    members: list[IndexedInstance | None]  # parallel to scan_indices
 
 
 @dataclass
@@ -111,15 +133,16 @@ class FusedScan:
     Teacher row i is student row i for every i < ``n_current``.
     ``origin_index`` holds the relative scan (-1..-K) each appended point came
     from, 0 for pasted points. ``registration_warnings`` holds a
-    ``(packed label, s - t)`` for each past scan s of a moving instance
-    placed without ICP: its source was degenerate or had no overlap.
+    ``(packed label, s - t, reason)`` for each past scan s of a moving
+    instance placed by its centroid without ICP; ``reason`` is the text of
+    the ``DegenerateSource`` or ``NoOverlap`` that ICP raised.
     """
 
     cloud: PointCloud
     labels: LabelSet
     n_current: int
     origin_index: np.ndarray
-    registration_warnings: list[tuple[int, int]] = field(default_factory=list)
+    registration_warnings: list[tuple[int, int, str]] = field(default_factory=list)
     pastes: list[PasteRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -161,24 +184,6 @@ def _window(seq: SequenceData, scan_t: int, window: int) -> range:
     return scans
 
 
-# Rows of a cloud and its labels as plain arrays:
-# (points, remission, semantic, instance).
-Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-class IndexedInstance(NamedTuple):
-    """One hard-class instance of a scan, as its instance index holds it."""
-
-    rows: np.ndarray  # ascending row indices into the scan
-    centroid: np.ndarray  # sensor-frame centroid of those rows
-    block: Rows  # those rows, points widened to float64
-
-
-# One scan's instance index: each hard-class instance's packed label -> its
-# IndexedInstance.
-InstanceIndex = dict[int, IndexedInstance]
-
-
 def _instance_index(
     scan: PointCloud, labels: LabelSet, hard_classes: frozenset[int]
 ) -> InstanceIndex:
@@ -205,14 +210,14 @@ def _instance_index(
         part = slice(start, start + len(idx))
         start = part.stop
         block = tuple(column[part] for column in columns)
-        index[label] = IndexedInstance(idx, centroid(block[0]), block)
+        index[label] = IndexedInstance(centroid(block[0]), block)
     return index
 
 
 def gather_instance_track(
     index: dict[int, InstanceIndex], scan_t: int, label: int, window: int
 ) -> InstanceTrack:
-    """Collect the rows of one instance over [t-K, t].
+    """The index entries of one instance over [t-K, t].
 
     ``label`` is the instance's packed ``(instance << 16) | semantic`` label
     and ``index[s]`` is the instance index of each scan s of the window
@@ -222,16 +227,7 @@ def gather_instance_track(
     if label not in index[scan_t]:
         raise InstanceNotFound(f"instance label {label:#x} has no points in scan {scan_t}")
     scan_indices = list(range(max(0, scan_t - window), scan_t + 1))
-    absent = IndexedInstance(np.empty(0, dtype=np.intp), None, None)
-    point_indices, sensor_centroids, _ = zip(
-        *(index[s].get(label, absent) for s in scan_indices)
-    )
-    return InstanceTrack(
-        label=label,
-        scan_indices=scan_indices,
-        point_indices=list(point_indices),
-        sensor_centroids=list(sensor_centroids),
-    )
+    return InstanceTrack(label, scan_indices, [index[s].get(label) for s in scan_indices])
 
 
 def classify_motion(
@@ -243,9 +239,9 @@ def classify_motion(
     exceeds the threshold. Tracks seen in fewer than two scans are static by
     definition."""
     observed = [
-        (s, c)
-        for s, c in zip(track.scan_indices, track.sensor_centroids)
-        if c is not None
+        (s, member.centroid)
+        for s, member in zip(track.scan_indices, track.members)
+        if member is not None
     ]
     if len(observed) < 2:
         return Motion.STATIC
@@ -276,43 +272,40 @@ def _concat(blocks: list[Rows], dtype: type = np.float64) -> tuple[PointCloud, L
 
 
 def _fuse_instance(
-    index: dict[int, InstanceIndex],
-    scan_t: int,
     track: InstanceTrack,
     motion: Motion,
     to_current: dict[int, RigidTransform],
     config: FusionConfig,
-) -> tuple[list[Rows], list[np.ndarray], list[tuple[int, int]]]:
+) -> tuple[list[Rows], list[np.ndarray], list[tuple[int, int, str]]]:
     """Past-scan points of one instance mapped into the current sensor frame.
 
-    ``index`` is as in ``gather_instance_track``: the instance's rows come
-    from its blocks there. ``to_current[s]`` maps scan s's sensor frame into
-    scan t's. Returns the row blocks, their origins and the warnings; the
-    rows cover only appended points, never the current scan's own. A moving
-    instance's registrations share one KD-tree over its current points.
+    Each past member's block is mapped by ``to_current[s]``, which takes
+    scan s's sensor frame into scan t's. Returns the row blocks, their
+    origins and the warnings; the rows cover only appended points, never the
+    current scan's own. A moving instance's registrations share one KD-tree
+    over its current member's points.
     """
-    tree = (
-        cKDTree(index[scan_t][track.label].block[0]) if motion is Motion.MOVING else None
-    )
+    scan_t = track.scan_indices[-1]
+    tree = cKDTree(track.members[-1].block[0]) if motion is Motion.MOVING else None
     blocks: list[Rows] = []
     origins: list[np.ndarray] = []
-    warnings: list[tuple[int, int]] = []
+    warnings: list[tuple[int, int, str]] = []
 
-    for s, idx in zip(track.scan_indices[:-1], track.point_indices[:-1]):
-        if len(idx) == 0:
+    for s, member in zip(track.scan_indices[:-1], track.members[:-1]):
+        if member is None:
             continue
-        pts, *rest = index[s][track.label].block
+        pts, *rest = member.block
         pts = apply_points(to_current[s], pts)
         if tree is not None:
             init = centroid_align(pts, tree.data)
             try:
                 align = icp_register(pts, tree, init, config.registration).transform
-            except (DegenerateSource, NoOverlap):
+            except (DegenerateSource, NoOverlap) as exc:
                 align = init
-                warnings.append((track.label, s - scan_t))
+                warnings.append((track.label, s - scan_t, str(exc)))
             pts = apply_points(align, pts)
         blocks.append((pts, *rest))
-        origins.append(np.full(len(idx), s - scan_t, dtype=np.int64))
+        origins.append(np.full(len(pts), s - scan_t, dtype=np.int64))
 
     return blocks, origins, warnings
 
@@ -323,7 +316,7 @@ def _fused_instances(
     scan_t: int,
     config: FusionConfig,
 ) -> Iterator[
-    tuple[InstanceTrack, list[Rows], list[np.ndarray], list[tuple[int, int]]]
+    tuple[InstanceTrack, list[Rows], list[np.ndarray], list[tuple[int, int, str]]]
 ]:
     """The one track -> classify -> fuse loop behind ``fuse_scan`` and
     ``build_instance_db``.
@@ -340,7 +333,7 @@ def _fused_instances(
     for label in index[scan_t]:
         track = gather_instance_track(index, scan_t, label, config.window)
         motion = classify_motion(track, seq.poses, config.moving_threshold)
-        yield track, *_fuse_instance(index, scan_t, track, motion, to_current, config)
+        yield track, *_fuse_instance(track, motion, to_current, config)
 
 
 def fuse_scan(
@@ -358,7 +351,7 @@ def fuse_scan(
     current = seq.scans[scan_t]
     blocks = [_take(current, seq.labels[scan_t], slice(None))]
     origins: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    warnings: list[tuple[int, int]] = []
+    warnings: list[tuple[int, int, str]] = []
     for _, rows, origin, warns in _fused_instances(seq, index, scan_t, config):
         blocks += rows
         origins += origin
@@ -503,7 +496,7 @@ def build_instance_db(
     entries: list[InstancePair] = []
     for scan_t in index:
         for track, rows, _, _ in _fused_instances(seq, index, scan_t, config):
-            single = index[scan_t][track.label].block
+            single = track.members[-1].block
             # float32 snaps to the on-disk precision, so round trips are exact
             cloud, labels = _concat([single, *rows], np.float32)
             entries.append(
@@ -511,7 +504,7 @@ def build_instance_db(
                     key=(seq.name, scan_t, track.label),
                     fused_cloud=cloud,
                     fused_labels=labels,
-                    n_single=len(track.point_indices[-1]),
+                    n_single=len(single[0]),
                 )
             )
     return InstanceDatabase(entries=entries)

@@ -21,6 +21,8 @@ from .kitti_io import LabelSet, PointCloud, SequenceData, fresh_instance_ids
 # The sensor moves this far per scan (m) and turns this much (rad).
 SENSOR_VELOCITY = (0.8, 0.0, 0.0)
 SENSOR_YAW_RATE = 0.02
+# The semantic class of every ground point.
+GROUND_CLASS = 40
 
 
 @dataclass
@@ -50,7 +52,6 @@ class SyntheticConfig:
     points_per_object: int = 50
     ground_points: int = 200
     ground_extent: float = 15.0
-    ground_class: int = 40
     name: str = "synth"
 
 
@@ -133,7 +134,7 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
     ]
 
     semantic = np.concatenate(
-        [np.full(config.ground_points, config.ground_class, dtype=np.uint16)]
+        [np.full(config.ground_points, GROUND_CLASS, dtype=np.uint16)]
         + [
             np.full(len(off), spec.class_id, dtype=np.uint16)
             for spec, off in zip(config.objects, offsets)

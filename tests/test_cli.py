@@ -257,12 +257,29 @@ def test_fuse_reports_each_registration_fallback_on_stderr(tmp_path, capsys):
     fused = fuse_scan(load_sequence_index(tmp_path / "seq"), 4, config)
     truck = seq.truth.objects[1]
     packed = (truck.instance_id << 16) | truck.class_id
-    assert fused.registration_warnings == [(packed, s - 4) for s in range(4)]
+    reason = "no correspondences within 1e-09 m at initialization"
+    assert fused.registration_warnings == [(packed, s - 4, reason) for s in range(4)]
     assert warnings == [
-        f"scanfuse fuse: warning: ICP failed; moving instance {truck.instance_id} "
-        f"(class {truck.class_id}) from scan {s} placed by centroid"
+        f"scanfuse fuse: warning: moving instance {truck.instance_id} "
+        f"(class {truck.class_id}) from scan {s} placed by centroid: {reason}"
         for s in range(4)
     ]
+
+
+def test_fuse_reports_a_degenerate_source_as_such(tmp_path, capsys):
+    # Two points per object: ICP refuses the truck's 2-row past view before
+    # it runs, and the warning says so rather than that ICP failed.
+    out = tmp_path / "seq"
+    argv = ["--seed", "3", "--scans", "2", "--points-per-object", "2", "--out", str(out)]
+    assert main(["make-synthetic", *argv]) == 0
+    capsys.readouterr()
+    assert main(["fuse", "--seq", str(out), "--scan", "1", "--out", str(tmp_path / "f")]) == 0
+    warning, summary = capsys.readouterr().err.splitlines()
+    assert warning == (
+        "scanfuse fuse: warning: moving instance 2 (class 18) from scan 0 "
+        "placed by centroid: need >= 3 source points, got 2"
+    )
+    assert summary == "fused scan 1: 204 current + 4 appended points"
 
 
 def test_fuse_prints_no_warning_on_the_default_scene(seq_dir, tmp_path, capsys):

@@ -89,7 +89,6 @@ def test_instance_index_slices_one_gather_of_each_instance(rows, seed, from_disk
     assert list(index) == list(groups)
     for label, entry in index.items():
         idx = groups[label]
-        assert np.array_equal(entry.rows, idx)
         expected = (
             scan.points[idx].astype(np.float64),
             scan.remission[idx],
@@ -108,14 +107,32 @@ def test_gather_full_track(scene, rows):
     truck = scene.truth.objects[1]
     track = gather_instance_track(rows, 4, packed(truck), window=4)
     assert track.scan_indices == [0, 1, 2, 3, 4]
-    assert all(len(idx) == 50 for idx in track.point_indices)
+    assert all(len(member.block[0]) == 50 for member in track.members)
     assert track.label == (truck.instance_id << 16) | 18
 
 
 def test_gather_instance_only_in_current_scan(scene, rows):
     track = gather_instance_track(rows, 0, packed(scene.truth.objects[0]), 4)
     assert track.scan_indices == [0]
-    assert len(track.point_indices[0]) == 50
+    assert len(track.members[0].block[0]) == 50
+
+
+def test_gather_holds_the_index_entries_and_none_where_absent():
+    # The truck has no rows in scans 1 and 3: its track holds the index's
+    # own entries for scans 0, 2 and 4 and None for the other two.
+    seq = make_synthetic_sequence(mixed_scene(), seed=11)
+    data, truck = seq.data, packed(seq.truth.objects[1])
+    for s in (1, 3):
+        data.labels[s].instance[seq.truth.objects[1].indices()] = 0
+    hard = FusionConfig().hard_classes
+    index = {s: _instance_index(*scan, hard) for s, scan in enumerate(zip(data.scans, data.labels))}
+    track = gather_instance_track(index, 4, truck, window=4)
+    assert track.scan_indices == [0, 1, 2, 3, 4]
+    for s, member in zip(track.scan_indices, track.members, strict=True):
+        if s in (1, 3):
+            assert member is None and truck not in index[s]
+        else:
+            assert member is index[s][truck]
 
 
 def test_gather_unknown_instance(scene, rows):
@@ -151,15 +168,18 @@ def test_single_scan_track_is_static(scene, rows):
 def test_motion_displacement_is_normalized_over_scan_gaps():
     # Present at scans 0 and 3 only: 0.45 m over 3 steps is 0.15 m/scan,
     # below a 0.2 threshold even though the raw displacement exceeds it.
-    from scanfuse.fusion import InstanceTrack
+    from scanfuse.fusion import IndexedInstance, InstanceTrack
     from scanfuse.geometry import RigidTransform
+
+    def member(x: float) -> IndexedInstance:
+        point = np.array([[x, 0.0, 0.0]])
+        return IndexedInstance(point[0], (point, np.zeros(1), np.full(1, 18), np.ones(1)))
 
     poses = [RigidTransform.identity() for _ in range(4)]
     track = InstanceTrack(
         label=(1 << 16) | 18,
         scan_indices=[0, 1, 2, 3],
-        point_indices=[np.array([0]), np.array([]), np.array([]), np.array([0])],
-        sensor_centroids=[np.zeros(3), None, None, np.array([0.45, 0.0, 0.0])],
+        members=[member(0.0), None, None, member(0.45)],
     )
     assert classify_motion(track, poses, 0.2) is Motion.STATIC
     assert classify_motion(track, poses, 0.1) is Motion.MOVING
@@ -265,7 +285,9 @@ def test_fuse_no_overlap_falls_back_with_warning():
     fused = fuse_scan(seq.data, 4, config)
     assert fused.n_appended > 0
     truck = packed(seq.truth.objects[1])
-    assert any(label == truck for label, _ in fused.registration_warnings)
+    reason = "no correspondences within 1e-09 m at initialization"
+    assert (truck, -1, reason) in fused.registration_warnings
+    assert all(warning[0] == truck for warning in fused.registration_warnings)
 
 
 def test_fuse_degenerate_past_view_falls_back_with_warning():
@@ -276,7 +298,7 @@ def test_fuse_degenerate_past_view_falls_back_with_warning():
     truck = seq.truth.objects[1]
     seq.data.labels[2].instance[truck.indices()[2:]] = 0
     fused = fuse_scan(seq.data, 4, FusionConfig())
-    assert (packed(truck), -2) in fused.registration_warnings
+    assert (packed(truck), -2, "need >= 3 source points, got 2") in fused.registration_warnings
     appended = fused.labels.instance[fused.n_current :]
     assert np.count_nonzero((fused.origin_index == -2) & (appended == truck.instance_id)) == 2
 
@@ -289,7 +311,7 @@ def test_registration_warning_names_the_packed_label_of_a_shared_id():
     truck = seq.truth.objects[1]
     seq.data.labels[2].instance[truck.indices()[2:]] = 0
     fused = fuse_scan(seq.data, 4, FusionConfig())
-    assert fused.registration_warnings == [(packed(truck), -2)]
+    assert fused.registration_warnings == [(packed(truck), -2, "need >= 3 source points, got 2")]
 
 
 def test_fuse_accepts_sequence_index(tmp_path, scene):
