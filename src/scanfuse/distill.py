@@ -11,11 +11,11 @@ their values in ascending order: a row permutation permutes the summed
 values but not their sorted order. Each IAAD instance instead takes its
 members in the byte order of their (teacher, student) rows, so its affinity
 matrices, and a plain sum over one of them, do not depend on the input row
-order. IAAD gathers the members of all instances at once, orders,
-normalizes and back-projects them in one pass each, and forms only each
-instance's affinity matrices on its own. No sum is exactly rounded: NumPy's
-pairwise summation errs by at most about log2(n) rounding units of the sum
-of magnitudes.
+order. IAAD gathers the (teacher, student) rows of all instances' members
+once, orders, normalizes and back-projects them in one pass each, and forms
+only each instance's affinity matrices on its own. No sum is exactly
+rounded: NumPy's pairwise summation errs by at most about log2(n) rounding
+units of the sum of magnitudes.
 """
 
 from __future__ import annotations
@@ -145,11 +145,11 @@ def iaad_loss(
     analytic through the row normalization, with respect to the student
     features.
 
-    All members are gathered, ordered and normalized at once, and their
-    gradients go back through the normalization at once; only each
-    instance's affinity matrices and their product with its unit rows are
-    formed per instance, on contiguous slices. Every value is the one an
-    instance computed on its own rows would give.
+    All members' (teacher, student) rows are gathered once, side by side,
+    ordered and normalized at once, and their gradients go back through the
+    normalization at once; only each instance's affinity matrices and their
+    product with its unit rows are formed per instance, on contiguous
+    slices. Every value is the one an instance's own rows would give.
     """
     f_teacher = np.asarray(teacher, dtype=np.float64)
     f_student = np.asarray(student, dtype=np.float64)
@@ -174,9 +174,11 @@ def iaad_loss(
     if pairs.size:
         order = np.argsort(pairs.view(f"V{pairs[0].nbytes}").ravel(), kind="stable")
         owner = np.repeat(np.arange(len(sets)), np.diff(bounds))
-        members = members[order[np.argsort(owner[order], kind="stable")]]
-    u_teacher, _ = _unit_rows(f_teacher[members])
-    u_student, norms = _unit_rows(f_student[members])
+        order = order[np.argsort(owner[order], kind="stable")]
+        members, pairs = members[order], pairs[order]
+    width = f_teacher.shape[1]
+    u_teacher, _ = _unit_rows(pairs[:, :width])
+    u_student, norms = _unit_rows(pairs[:, width:])
 
     g_unit = np.empty_like(u_student)
     terms: list[float] = []

@@ -8,9 +8,10 @@ teacher branches stay point-aligned, and a paired instance database supports
 synchronized copy-paste augmentation of both branches.
 
 Each scan's hard-class rows are gathered once, into its instance index (see
-``_instance_index``). An instance's entry there is its one record: its track
-holds that entry for every scan of the window, and motion classification,
-the KD-tree, registration and the database read the entry, not the scan.
+``_instance_index``), and each instance's block is a slice of that gather. An
+instance's entry there is its one record: its track holds that entry for
+every scan of the window, and motion classification, the KD-tree,
+registration and the database read the entry, not the scan.
 """
 
 from __future__ import annotations
@@ -187,17 +188,14 @@ def _window(seq: SequenceData, scan_t: int, window: int) -> range:
 def _instance_index(
     scan: PointCloud, labels: LabelSet, hard_classes: frozenset[int]
 ) -> InstanceIndex:
-    """The instance index of one scan (see ``kitti_io.instance_rows``).
+    """The instance index of one scan.
 
     The only place fusion gathers a scan's hard-class rows: one fancy index
-    per column takes them all at once, the points widened to float64 once,
-    and each instance's block is a slice of that gather. Built once per scan
-    per call, so every window holding the scan shares its centroids and
-    blocks."""
-    groups = instance_rows(labels, hard_classes)
-    if not groups:
-        return {}
-    rows = np.concatenate(list(groups.values()))
+    per column takes the grouped rows of ``kitti_io.instance_rows`` at once,
+    the points widened to float64 once, and each instance's block is its
+    slice of that gather. Built once per scan per call, so every window
+    holding the scan shares its centroids and blocks."""
+    rows, groups = instance_rows(labels, hard_classes)
     columns = (
         np.asarray(scan.points[rows], dtype=np.float64),
         scan.remission[rows],
@@ -205,10 +203,7 @@ def _instance_index(
         labels.instance[rows],
     )
     index: InstanceIndex = {}
-    start = 0
-    for label, idx in groups.items():
-        part = slice(start, start + len(idx))
-        start = part.stop
+    for label, part in groups.items():
         block = tuple(column[part] for column in columns)
         index[label] = IndexedInstance(centroid(block[0]), block)
     return index

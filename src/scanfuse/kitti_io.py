@@ -261,27 +261,31 @@ def write_labels(labels: LabelSet) -> bytes:
     return raw.tobytes()
 
 
-def instance_rows(labels: LabelSet, classes: Collection[int]) -> dict[int, np.ndarray]:
-    """Ascending row indices of each instance of a scan whose semantic class
-    is in ``classes``, keyed by its packed label ``(instance << 16) |
-    semantic``; keys ascend.
+def instance_rows(
+    labels: LabelSet, classes: Collection[int]
+) -> tuple[np.ndarray, dict[int, slice]]:
+    """The rows of a scan's instances of the classes ``classes``, grouped: one
+    array of them, and each instance's ``slice`` of it keyed by its packed
+    label ``(instance << 16) | semantic``.
 
     An instance is one packed label with instance ID != 0; rows with
-    instance 0 belong to no instance. Only the instance rows are packed, and
-    one stable sort of their keys groups them, keeping each group's rows
-    ascending. Fusion, the instance database and IAAD all take their
-    hard-class instances from here.
-    """
+    instance 0 belong to no instance. Keys ascend, and so do each group's
+    rows: one stable sort of the instance rows' keys groups them, and the
+    groups of other classes are dropped after it. Fusion, the instance
+    database and IAAD take their hard-class instances from here and slice
+    the one array."""
     rows = np.flatnonzero(labels.instance != 0)
     keys = pack_label(labels.instance[rows].astype(np.uint32), labels.semantic[rows])
     order = np.argsort(keys, kind="stable")
     rows, keys = rows[order], keys[order]
     firsts = np.flatnonzero(np.diff(keys, prepend=-1))  # where each key's run starts
-    return {
-        key: idx
-        for key, idx in zip(keys[firsts].tolist(), np.split(rows, firsts[1:]))
-        if unpack_label(key)[1] in classes
-    }
+    sizes = np.diff(firsts, append=len(keys))
+    kept = np.array([unpack_label(key)[1] in classes for key in keys[firsts].tolist()], bool)
+    if not kept.all():  # when all are kept, the sorted rows are the array: no copy
+        rows = rows[np.repeat(kept, sizes)]
+    bounds = [0, *np.cumsum(sizes[kept]).tolist()]
+    keys = keys[firsts[kept]].tolist()
+    return rows, {key: slice(lo, hi) for key, lo, hi in zip(keys, bounds, bounds[1:])}
 
 
 def fresh_instance_ids(labels: LabelSet, n: int) -> range:

@@ -52,13 +52,15 @@ def centroid_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     return RigidTransform(np.eye(3), centroid(target) - centroid(source))
 
 
-def _check_source_rank(source: np.ndarray) -> None:
-    if len(source) < 3:
-        raise DegenerateSource(f"need >= 3 source points, got {len(source)}")
-    centered = source - centroid(source)
+def _check_rank(points: np.ndarray, what: str) -> None:
+    """DegenerateSource unless ``points`` can constrain a rigid fit: at least
+    3 of them, not (near-)collinear. ``what`` names them in the message."""
+    if len(points) < 3:
+        raise DegenerateSource(f"need >= 3 {what} points, got {len(points)}")
+    centered = points - centroid(points)
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals[1] <= 1e-8:
-        raise DegenerateSource("source points are (near-)collinear")
+        raise DegenerateSource(f"{what} points are (near-)collinear")
 
 
 def fit_rigid(source: np.ndarray, target: np.ndarray) -> RigidTransform:
@@ -88,15 +90,17 @@ def icp_register(
     """Refine ``init`` so the transformed source matches the points ``tree``
     was built over.
 
-    Raises DegenerateSource for sources that cannot constrain a rigid fit
-    (fewer than 3 points or near-collinear spread) and NoOverlap when the
-    initial transform yields zero gated correspondences.
+    Raises DegenerateSource when the source, or the target points matched
+    before a fit, cannot constrain a rigid fit (fewer than 3 points or
+    near-collinear spread: a fit onto a line leaves the rotation about it
+    free), and NoOverlap when the initial transform yields zero gated
+    correspondences.
     """
     source = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     target = tree.data
     if len(target) == 0:
         raise EmptyInput("icp_register needs a nonempty target")
-    _check_source_rank(source)
+    _check_rank(source, "source")
 
     transform = init
     best_transform = init
@@ -126,7 +130,9 @@ def icp_register(
             converged = True
             break
         prev_rms = rms
-        transform = fit_rigid(source[matched], target[nn[matched]])
+        matched_target = target[nn[matched]]
+        _check_rank(matched_target, "matched target")
+        transform = fit_rigid(source[matched], matched_target)
 
     return RegistrationResult(
         transform=best_transform,

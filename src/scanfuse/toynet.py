@@ -310,13 +310,13 @@ def remap_semantic(semantic: np.ndarray, raw_to_train: dict[int, int]) -> np.nda
 def distill_rows(
     labels: LabelSet, hard_classes: frozenset[int]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Hard-class row indices plus the affinity sets: the rows of each
-    hard-class instance (see ``instance_rows``) with at least 2 of them."""
+    """Hard-class row indices plus the affinity sets: ``instance_rows`` of
+    the hard rows themselves, so each set holds an instance's positions among
+    them (``hard_idx[positions]`` are its rows), as IAAD reads them."""
     hard_idx = np.flatnonzero(np.isin(labels.semantic, list(hard_classes)))
-    instances = [
-        members for members in instance_rows(labels, hard_classes).values() if len(members) >= 2
-    ]
-    return hard_idx, instances
+    hard = LabelSet(labels.semantic[hard_idx], labels.instance[hard_idx])
+    positions, groups = instance_rows(hard, hard_classes)
+    return hard_idx, [positions[part] for part in groups.values()]
 
 
 @functools.cache
@@ -488,9 +488,7 @@ def compute_gradients(
         fd_head, g_head = feature_distill_loss(t.head, s.head, cfg.smooth_l1_T)
         fd = fd_enc + fd_head
         sld, g_sld = soft_logits_kl_loss(t.logits, s.logits, cfg.temperature_P)
-        # Every instance row is a hard row: its position among them.
-        hard_instances = [np.searchsorted(hard_idx, rows) for rows in instances]
-        iaad, g_iaad = iaad_loss(t.head, s.head, hard_instances)
+        iaad, g_iaad = iaad_loss(t.head, s.head, instances)
 
         # Backprop is linear in the upstream gradient, so the distillation
         # terms go back through the hard rows alone and add to the pass's.

@@ -107,6 +107,26 @@ def test_train_step_total_matches_the_benchmark_reference():
     assert abs(losses.total - expected) <= reference.REL_TOL * abs(expected)
 
 
+def test_iaad_counter_counts_the_hard_instances_of_at_least_two_rows():
+    # ``toynet.distill_rows`` hands ``iaad_loss`` every hard instance, one-row
+    # ones included; the benchmark's counter skips those, as the loss does.
+    state, pasted = pasted_step()
+    rows, _ = instance_rows(pasted.current_labels(), state.hard_classes)
+    pasted.labels.instance[rows[0]] = pasted.labels.instance.max() + 1  # a one-row instance
+    labels = pasted.current_labels()
+    rows, groups = instance_rows(labels, state.hard_classes)
+    sizes = [part.stop - part.start for part in groups.values()]
+    assert 1 in sizes and max(sizes) >= 2
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(tracing.TARGETS)
+        train_step(state, pasted.current_cloud(), pasted, labels)
+    finally:
+        tracer.uninstall()
+    counted = tracer.counts[tracing.OUTSIDE_OPS]["distill.iaad.affinity_entries"]
+    assert counted == sum(n * n for n in sizes if n >= 2)
+
+
 def test_train_step_on_two_threads_closes_every_traced_span():
     # The teacher branch's forward, remap and cross-entropy run on a worker
     # thread while the student's run on the caller's, both through the
@@ -145,7 +165,7 @@ def test_fuse_scan_passes_each_instance_through_the_traced_layers(monkeypatch):
     # per past scan and one KD-tree per moving instance behind them.
     seq = make_synthetic_sequence(default_scene(n_scans=5), seed=3).data
     config = FusionConfig(window=4)
-    rows = [instance_rows(labels, config.hard_classes) for labels in seq.labels]
+    rows = [instance_rows(labels, config.hard_classes)[1] for labels in seq.labels]
     hard = list(rows[4])
     assert len(hard) == 2  # the static sign and the moving truck
 
@@ -172,4 +192,5 @@ def test_fuse_scan_passes_each_instance_through_the_traced_layers(monkeypatch):
     mover = next(label for label in hard if unpack_label(label)[1] == truck.class_id)
     holding = [s for s in range(4) if mover in rows[s]]
     assert tracer.names.count("registration.icp_register") == len(holding) == 4
-    assert trees == [len(rows[4][mover])]
+    part = rows[4][mover]
+    assert trees == [part.stop - part.start]

@@ -89,7 +89,8 @@ def test_centroid(scene):
     _, disk, wide = scene
     for scan, scan64, labels in zip(disk.scans, wide.scans, disk.labels):
         every_class = set(labels.semantic.tolist())
-        rows = [slice(None), *instance_rows(labels, every_class).values()]
+        grouped, groups = instance_rows(labels, every_class)
+        rows = [slice(None), *(grouped[part] for part in groups.values())]
         for idx in rows:
             c = centroid(scan.points[idx])
             assert c.dtype == np.float64

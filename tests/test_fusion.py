@@ -84,11 +84,11 @@ def test_instance_index_slices_one_gather_of_each_instance(rows, seed, from_disk
         scan = parse_scan(write_scan(scan))
     labels = LabelSet([sem for _, sem in rows], [inst for inst, _ in rows])
     hard = FusionConfig().hard_classes
-    groups = instance_rows(labels, hard)
+    grouped, groups = instance_rows(labels, hard)
     index = _instance_index(scan, labels, hard)
     assert list(index) == list(groups)
     for label, entry in index.items():
-        idx = groups[label]
+        idx = grouped[groups[label]]
         expected = (
             scan.points[idx].astype(np.float64),
             scan.remission[idx],
@@ -301,6 +301,24 @@ def test_fuse_degenerate_past_view_falls_back_with_warning():
     assert (packed(truck), -2, "need >= 3 source points, got 2") in fused.registration_warnings
     appended = fused.labels.instance[fused.n_current :]
     assert np.count_nonzero((fused.origin_index == -2) & (appended == truck.instance_id)) == 2
+
+
+def test_fuse_degenerate_current_view_falls_back_with_warning():
+    # The truck keeps 2 of its rows in the current scan: ICP would fit every
+    # past view onto 2 points and turn it freely about their line, so each
+    # view is placed by its centroid initialization, with a warning.
+    seq = make_synthetic_sequence(mixed_scene(), seed=11)
+    truck = seq.truth.objects[1]
+    seq.data.labels[4].instance[truck.indices()[2:]] = 0
+    fused = fuse_scan(seq.data, 4, FusionConfig())
+    reason = "matched target points are (near-)collinear"
+    assert fused.registration_warnings == [(packed(truck), s, reason) for s in (-4, -3, -2, -1)]
+    current = seq.data.scans[4].points[truck.indices()[:2]]
+    appended = fused.labels.instance[fused.n_current :] == truck.instance_id
+    for s in (-4, -3, -2, -1):
+        view = fused.cloud.points[fused.n_current :][appended & (fused.origin_index == s)]
+        assert len(view) == 50
+        assert np.allclose(centroid(view), centroid(current), atol=1e-9)
 
 
 def test_registration_warning_names_the_packed_label_of_a_shared_id():

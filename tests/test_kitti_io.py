@@ -248,13 +248,31 @@ def test_instance_rows_groups_rows_by_packed_label(rows, classes):
     in_instance = np.flatnonzero(
         (labels.instance != 0) & np.isin(labels.semantic, list(classes))
     )
-    groups = instance_rows(labels, classes)
+    grouped, groups = instance_rows(labels, classes)
     assert list(groups) == sorted(set(packed[in_instance].tolist()))
-    for key, idx in groups.items():
+    for key, part in groups.items():
+        idx = grouped[part]
         assert np.array_equal(idx, np.flatnonzero(packed == key))
         assert np.all(np.diff(idx) > 0)
-    covered = np.concatenate([np.empty(0, dtype=np.intp), *groups.values()])
+    covered = np.concatenate([np.empty(0, dtype=np.intp), *(grouped[p] for p in groups.values())])
     assert np.array_equal(np.sort(covered), in_instance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(ids_16bit, ids_16bit), max_size=40), st.frozensets(ids_16bit))
+@example([], frozenset({0}))  # empty scan
+@example([(1, 81), (1, 18), (2, 18), (2, 81), (1, 18)], frozenset({18}))  # a group dropped
+def test_instance_rows_slices_cover_the_grouped_rows_once_in_key_order(rows, classes):
+    labels = LabelSet([sem for _, sem in rows], [inst for inst, _ in rows])
+    grouped, groups = instance_rows(labels, classes)
+    keys, parts = list(groups), list(groups.values())
+    assert keys == sorted(keys)
+    edges = [0] + [part.stop for part in parts]
+    assert [part.start for part in parts] == edges[:-1]
+    assert edges[-1] == len(grouped)
+    for part in parts:
+        assert part.step is None and part.stop - part.start >= 1
+        assert np.all(np.diff(grouped[part]) > 0)
 
 
 def test_parallel_arrays_must_agree_in_length():
@@ -532,8 +550,8 @@ def test_synthetic_auto_ids_come_above_the_explicit_ones():
     )
     seq = make_synthetic_sequence(config, seed=1)
     assert [obj.instance_id for obj in seq.truth.objects] == [1, 2]
-    rows = instance_rows(seq.data.labels[0], {18})
-    assert [idx.tolist() for idx in rows.values()] == [
+    rows, groups = instance_rows(seq.data.labels[0], {18})
+    assert [rows[part].tolist() for part in groups.values()] == [
         obj.indices().tolist() for obj in seq.truth.objects
     ]
 

@@ -101,6 +101,24 @@ def test_icp_rejects_collinear_points():
         icp_register(collinear, cKDTree(target), RigidTransform.identity(), RegistrationConfig())
 
 
+@pytest.mark.parametrize(
+    "target",
+    [
+        [[0.2, 0.1, 0.0], [-0.2, -0.1, 0.0], [0.4, 0.2, 0.0]],
+        [[0.2, 0.1, 0.0], [-0.2, -0.1, 0.0]],
+    ],
+    ids=["three-collinear", "two"],
+)
+def test_icp_refuses_a_fit_onto_collinear_matched_targets(target):
+    # A fit onto points on one line leaves the rotation about that line
+    # free: ICP turned a box by tens of degrees and reported convergence.
+    source = box_cloud(np.random.default_rng(0), n=200)
+    target = np.array(target)
+    init = centroid_align(source, target)
+    with pytest.raises(DegenerateSource, match=r"^matched target points are \(near-\)collinear$"):
+        icp_register(source, cKDTree(target), init, RegistrationConfig())
+
+
 def test_icp_no_overlap_at_init():
     rng = np.random.default_rng(7)
     source = box_cloud(rng)

@@ -18,7 +18,7 @@ from scanfuse.distill import (
 )
 from scanfuse.errors import InvalidConfig, NumericError, ShapeError
 from scanfuse.fusion import FusedScan, FusionConfig, fuse_scan
-from scanfuse.kitti_io import LabelSet, PointCloud
+from scanfuse.kitti_io import LabelSet, PointCloud, instance_rows
 from scanfuse.metrics import accumulate_confusion, miou
 from scanfuse.synthetic import default_scene, make_synthetic_sequence
 from scanfuse.toynet import (
@@ -322,7 +322,7 @@ def full_array_step(state, current, fused, labels):
     _, g_enc = feature_distill_loss(t_out.encoder[hard], s_out.encoder[hard], cfg.smooth_l1_T)
     _, g_head = feature_distill_loss(t_out.head[hard], s_out.head[hard], cfg.smooth_l1_T)
     _, g_sld = soft_logits_kl_loss(t_out.logits[hard], s_out.logits[hard], cfg.temperature_P)
-    _, g_iaad = iaad_loss(t_out.head[:n], s_out.head, instances)
+    _, g_iaad = iaad_loss(t_out.head[:n], s_out.head, [hard[pos] for pos in instances])
     d_s[hard] += b3 * g_sld
     d_h2 = np.zeros_like(s_out.encoder)
     d_h2[hard] = b2 * g_enc
@@ -353,8 +353,7 @@ def blocked_serial_step(state, current, fused, labels):
     _, g_enc = feature_distill_loss(t.encoder, s.encoder, cfg.smooth_l1_T)
     _, g_head = feature_distill_loss(t.head, s.head, cfg.smooth_l1_T)
     _, g_sld = soft_logits_kl_loss(t.logits, s.logits, cfg.temperature_P)
-    hard_instances = [np.searchsorted(hard, rows) for rows in instances]
-    _, g_iaad = iaad_loss(t.head, s.head, hard_instances)
+    _, g_iaad = iaad_loss(t.head, s.head, instances)
     d_h3 = b2 * g_head
     d_h3 += b4 * g_iaad
     distilled = _backward(state.student, s, b3 * g_sld, b2 * g_enc, d_h3)
@@ -743,7 +742,22 @@ def test_distill_rows_splits_an_id_shared_by_two_classes():
     hard_idx, instances = distill_rows(labels, frozenset({18, 81}))
     assert len(hard_idx) == 60
     assert [len(rows) for rows in instances] == [30, 30]
-    assert [set(labels.semantic[rows].tolist()) for rows in instances] == [{18}, {81}]
+    assert [set(labels.semantic[hard_idx[pos]].tolist()) for pos in instances] == [{18}, {81}]
+
+
+def test_distill_rows_positions_pick_each_instance_out_of_the_hard_rows():
+    # A one-row truck, hard rows outside any instance, an instance of a class
+    # that is not hard, and ID 2 shared by a truck and a sign.
+    labels = LabelSet(
+        [40, 18, 81, 18, 40, 81, 18, 81, 18, 40],
+        [1, 2, 2, 0, 1, 3, 2, 3, 5, 0],
+    )
+    hard = frozenset({18, 81})
+    hard_idx, instances = distill_rows(labels, hard)
+    rows, groups = instance_rows(labels, hard)
+    assert len(instances) == len(groups) == 4
+    for positions, part in zip(instances, groups.values(), strict=True):
+        assert np.array_equal(hard_idx[positions], rows[part])
 
 
 # --- remap_semantic ----------------------------------------------------
