@@ -26,6 +26,7 @@ from .kitti_io import (
     parse_scan,
     read_file,
     unpack_label,
+    write_file,
     write_labels,
     write_scan,
     write_sequence,
@@ -148,7 +149,7 @@ def _cmd_gen_instances(args) -> int:
         min_cluster_points=args.min_cluster_points,
     )
     updated = generate_instance_ids(cloud, labels, config)
-    Path(args.out).write_bytes(write_labels(updated))
+    write_file(args.out, write_labels(updated))
     new_ids = len(set(np.unique(updated.instance)) - set(np.unique(labels.instance)))
     print(f"assigned {new_ids} new instance IDs to class {args.class_id}", file=sys.stderr)
     return 0
@@ -170,14 +171,14 @@ def _cmd_fuse(args) -> int:
     if prefix.suffix == ".bin":
         prefix = prefix.with_suffix("")
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    Path(str(prefix) + ".bin").write_bytes(write_scan(fused.cloud))
-    Path(str(prefix) + ".label").write_bytes(write_labels(fused.labels))
+    write_file(str(prefix) + ".bin", write_scan(fused.cloud))
+    write_file(str(prefix) + ".label", write_labels(fused.labels))
     # One line per appended point, formatted once per run of equal origins.
     origin = fused.origin_index
     starts = np.flatnonzero(np.diff(origin, prepend=origin[:1] - 1))
     counts = np.diff(starts, append=len(origin))
     runs = zip(origin[starts].tolist(), counts.tolist())
-    Path(str(prefix) + ".origins.txt").write_text("".join(f"{v}\n" * n for v, n in runs))
+    write_file(str(prefix) + ".origins.txt", "".join(f"{v}\n" * n for v, n in runs).encode())
     for label, origin, reason in fused.registration_warnings:
         instance, class_id = unpack_label(label)
         what = f"moving instance {instance} (class {class_id}) from scan {args.scan + origin}"
@@ -264,7 +265,7 @@ def _train_ids(semantic: np.ndarray, raw_to_train: dict[int, int], where: str) -
 
 
 def _cmd_eval_miou(args) -> int:
-    mapping = read_file(args.classmap, lambda data: parse_class_map(data.decode()))
+    mapping = read_file(args.classmap, lambda data: parse_class_map(str(data, "utf-8")))
     raw_to_train = {raw: train for raw, (train, _) in mapping.items()}
     n_classes = max(raw_to_train.values(), default=-1) + 1
     if n_classes < 1:

@@ -60,7 +60,7 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def load_kv_file(path: str | Path) -> dict[str, str]:
-    return read_file(path, lambda data: parse_kv_text(data.decode()))
+    return read_file(path, lambda data: parse_kv_text(str(data, "utf-8")))
 
 
 def _parsed(values: dict[str, str], parsers: dict) -> dict[str, object]:

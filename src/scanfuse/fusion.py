@@ -56,6 +56,7 @@ from .kitti_io import (
     parse_scan,
     read_file,
     unpack_label,
+    write_file,
     write_labels,
     write_scan,
 )
@@ -409,36 +410,37 @@ class InstanceDatabase:
         A sequence name the manifest cannot carry (empty, with leading or
         trailing whitespace, or with a character that is not printable, such
         as a line break) is a ``DbWriteError`` raised before any file is
-        opened."""
+        opened. Each file is replaced whole (``kitti_io.write_file``), so a
+        database loaded from ``path`` keeps its entries when it is saved
+        there again."""
         for seq_name in {entry.key[0] for entry in self.entries}:
             if not seq_name or seq_name != seq_name.strip() or not seq_name.isprintable():
                 raise DbWriteError(f"sequence name {seq_name!r} cannot be stored in a manifest")
+        manifest_lines = []
+        for entry in self.entries:
+            seq_name, scan, label = entry.key
+            instance, class_id = unpack_label(label)
+            manifest_lines.append(
+                f"{seq_name} {scan} {instance} {class_id} {entry.n_single} "
+                f"{len(entry.fused_cloud)}\n"
+            )
         path = Path(path)
         try:
             path.mkdir(parents=True, exist_ok=True)
-            manifest_lines = []
-            with (
-                open(path / "entries.bin", "wb") as bin_file,
-                open(path / "entries.label", "wb") as label_file,
-            ):
-                for entry in self.entries:
-                    bin_file.write(write_scan(entry.fused_cloud))
-                    label_file.write(write_labels(entry.fused_labels))
-                    seq_name, scan, label = entry.key
-                    instance, class_id = unpack_label(label)
-                    manifest_lines.append(
-                        f"{seq_name} {scan} {instance} {class_id} {entry.n_single} "
-                        f"{len(entry.fused_cloud)}\n"
-                    )
-            (path / "manifest.txt").write_text("".join(manifest_lines), encoding="utf-8")
+            write_file(path / "entries.bin", (write_scan(e.fused_cloud) for e in self.entries))
+            write_file(
+                path / "entries.label", (write_labels(e.fused_labels) for e in self.entries)
+            )
+            write_file(path / "manifest.txt", "".join(manifest_lines).encode("utf-8"))
         except OSError as exc:
             raise DbWriteError(f"failed to write instance database: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "InstanceDatabase":
-        """Read what ``save`` wrote; entries are row views of one parsed file pair."""
+        """Read what ``save`` wrote; entries are row views of one parsed file
+        pair, read-only views of ``entries.bin``'s mapping for the clouds."""
         manifest = Path(path) / "manifest.txt"
-        lines = read_file(manifest, bytes.decode).splitlines()
+        lines = read_file(manifest, lambda data: str(data, "utf-8")).splitlines()
         cloud = read_file(manifest.parent / "entries.bin", parse_scan)
         labels = read_file(manifest.parent / "entries.label", parse_labels)
         entries: list[InstancePair] = []

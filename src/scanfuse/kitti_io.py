@@ -7,8 +7,10 @@ On-disk formats:
   calib    ``calib.txt``    line starting ``Tr:`` holds the 3x4 velodyne-to-camera transform
 
 A parsed scan keeps the file's float32 records: its ``points`` and
-``remission`` are read-only column views of the bytes it was parsed from, so
-a scan in memory takes the 16 bytes per point it takes on disk. Code that
+``remission`` are read-only column views of the bytes it was parsed from. A
+scan loaded through ``read_file`` is a view of the file's read-only mapping,
+so it takes no heap memory; files are only ever replaced, never rewritten in
+place (``write_file``), so a loaded scan keeps its bytes. Code that
 computes on coordinates widens the rows it gathers to float64 (exact for
 float32), so results do not depend on whether a cloud came from disk or was
 built in float64. Writers quantize back to the 32-bit disk format. Labels
@@ -18,7 +20,9 @@ maps them to train IDs (see ``parse_class_map``).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection
+import mmap
+import os
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypeVar
@@ -193,7 +197,9 @@ class SequenceIndex:
         return read_file(path, parse_labels)
 
     def load(self) -> SequenceData:
-        """Materialize every scan and label file into memory."""
+        """Every scan and label file, read through ``read_file``: each scan
+        is a view of its file's mapping and holds one file descriptor while
+        it lives; labels are copies and hold none."""
         return SequenceData(
             scans=[self.load_scan(i) for i in range(len(self))],
             labels=[self.load_labels(i) for i in range(len(self))],
@@ -203,10 +209,22 @@ class SequenceIndex:
         )
 
 
-def read_file(path: str | Path, parse: Callable[[bytes], T]) -> T:
-    """``parse`` of the bytes of file ``path``. A data error it raises keeps its
-    class and names the file, as does text that is not UTF-8 (``ScanFuseError``)."""
-    data = Path(path).read_bytes()
+def read_file(path: str | Path, parse: Callable[[bytes | mmap.mmap], T]) -> T:
+    """``parse`` of the contents of file ``path``, handed over as a read-only
+    mapping of the file rather than a copy (``b""`` for an empty file, which
+    cannot be mapped).
+
+    A parser that keeps views of the mapping, as ``parse_scan`` does, keeps
+    it alive with its result, and with it one duplicate of the file's
+    descriptor, which CPython's ``mmap`` holds; a parser that copies, as
+    ``parse_labels`` and the text parsers do, lets both go when this
+    returns. Truncating a mapped file in place would make a later read of
+    those views fault (SIGBUS), so ``scanfuse`` only replaces files
+    (``write_file``). A data error ``parse`` raises keeps its class and
+    names the file, as does text that is not UTF-8 (``ScanFuseError``)."""
+    with open(path, "rb") as file:
+        size = os.fstat(file.fileno()).st_size
+        data = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
     try:
         return parse(data)
     except UnicodeDecodeError as exc:
@@ -215,9 +233,33 @@ def read_file(path: str | Path, parse: Callable[[bytes], T]) -> T:
         raise type(exc)(f"{path}: {exc}") from None
 
 
+def write_file(path: str | Path, data: bytes | Iterable[bytes]) -> None:
+    """Replace file ``path`` by ``data``: bytes, or chunks written in order.
+
+    The bytes go to a temporary sibling, ``.<name>.<pid>.tmp`` (the pid
+    keeps two processes writing one path apart), which is then renamed over
+    ``path`` (``os.replace``). A reader never sees a half-written file, and
+    a mapping of the old file (see ``read_file``) keeps its bytes. If
+    writing fails, the temporary is removed and the old file stays. The
+    temporary's name matches neither ``*.bin`` nor ``*.label``, so a
+    leftover is never loaded as a scan. Every file that ``scanfuse`` writes
+    goes through here."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as out:
+            for chunk in [data] if isinstance(data, bytes) else data:
+                out.write(chunk)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def parse_scan(data: bytes) -> PointCloud:
     """Decode packed float32 scan bytes into a PointCloud whose arrays are
-    read-only float32 column views of ``data`` (nothing is copied)."""
+    read-only float32 column views of ``data`` (nothing is copied; through
+    ``read_file``, ``data`` is the file's mapping)."""
     if len(data) % SCAN_RECORD_BYTES != 0:
         raise MalformedScan(
             f"scan length {len(data)} is not a multiple of {SCAN_RECORD_BYTES}"
@@ -425,18 +467,21 @@ def load_sequence_index(seq_dir: str | Path) -> SequenceIndex:
     calib_path = seq_dir / "calib.txt"
     calib = RigidTransform.identity()
     if calib_path.is_file():
-        calib = read_file(calib_path, lambda data: parse_calib(data.decode()))
+        calib = read_file(calib_path, lambda data: parse_calib(str(data, "utf-8")))
     return SequenceIndex(
         scan_paths=scan_paths,
         label_paths=label_paths,
-        poses=read_file(seq_dir / "poses.txt", lambda data: parse_poses(data.decode(), calib)),
+        poses=read_file(
+            seq_dir / "poses.txt", lambda data: parse_poses(str(data, "utf-8"), calib)
+        ),
         calib=calib,
         name=seq_dir.name,
     )
 
 
 def write_sequence(data: SequenceData, out_dir: str | Path) -> SequenceIndex:
-    """Persist a sequence in the KITTI directory layout."""
+    """Persist a sequence in the KITTI directory layout, replacing each file
+    (``write_file``)."""
     out_dir = Path(out_dir)
     velo_dir = out_dir / "velodyne"
     label_dir = out_dir / "labels"
@@ -447,11 +492,11 @@ def write_sequence(data: SequenceData, out_dir: str | Path) -> SequenceIndex:
     label_paths: list[Path | None] = []
     for i, (scan, labels) in enumerate(zip(data.scans, data.labels)):
         scan_path = velo_dir / f"{i:06d}.bin"
-        scan_path.write_bytes(write_scan(scan))
+        write_file(scan_path, write_scan(scan))
         scan_paths.append(scan_path)
         label_path = label_dir / f"{i:06d}.label"
         if labels is not None:
-            label_path.write_bytes(write_labels(labels))
+            write_file(label_path, write_labels(labels))
             label_paths.append(label_path)
         else:
             # a label file left by an earlier write would pair with this scan
@@ -465,8 +510,8 @@ def write_sequence(data: SequenceData, out_dir: str | Path) -> SequenceIndex:
             if path.stem.isdigit() and int(path.stem) >= len(data):
                 path.unlink()
 
-    (out_dir / "calib.txt").write_text(write_calib(data.calib))
-    (out_dir / "poses.txt").write_text(write_poses(data.poses, data.calib))
+    write_file(out_dir / "calib.txt", write_calib(data.calib).encode())
+    write_file(out_dir / "poses.txt", write_poses(data.poses, data.calib).encode())
     return SequenceIndex(
         scan_paths=scan_paths,
         label_paths=label_paths,
