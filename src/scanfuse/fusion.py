@@ -171,17 +171,12 @@ class FusedScan:
         )
 
 
-def _as_data(seq: SequenceData | SequenceIndex) -> SequenceData:
-    if isinstance(seq, SequenceIndex):
-        return seq.load()
-    return seq
-
-
-def _window(seq: SequenceData, scan_t: int, window: int) -> range:
-    """Scans [t-K, t] of scan t's fusion window; each must be labelled."""
+def _window(index: dict[int, InstanceIndex], scan_t: int, window: int) -> range:
+    """Scans [t-K, t] of scan t's fusion window; each must be labelled, that
+    is, have its instance index in ``index``."""
     scans = range(max(0, scan_t - window), scan_t + 1)
     for s in scans:
-        if seq.labels[s] is None:
+        if s not in index:
             raise MissingLabels(f"scan {s} inside the fusion window has no labels")
     return scans
 
@@ -307,7 +302,7 @@ def _fuse_instance(
 
 
 def _fused_instances(
-    seq: SequenceData,
+    poses: list[RigidTransform],
     index: dict[int, InstanceIndex],
     scan_t: int,
     config: FusionConfig,
@@ -322,42 +317,48 @@ def _fused_instances(
     hard-class instance of scan t: its track, then its appended row blocks,
     their origins and its warnings.
     """
-    t_inv = invert(seq.poses[scan_t])
+    t_inv = invert(poses[scan_t])
     to_current = {
-        s: compose(t_inv, seq.poses[s]) for s in _window(seq, scan_t, config.window)[:-1]
+        s: compose(t_inv, poses[s]) for s in _window(index, scan_t, config.window)[:-1]
     }
     for label in index[scan_t]:
         track = gather_instance_track(index, scan_t, label, config.window)
-        motion = classify_motion(track, seq.poses, config.moving_threshold)
+        motion = classify_motion(track, poses, config.moving_threshold)
         yield track, *_fuse_instance(track, motion, to_current, config)
 
 
 def fuse_scan(
     seq: SequenceData | SequenceIndex, scan_t: int, config: FusionConfig
 ) -> FusedScan:
-    """Fuse hard-class instance points from the past window into scan t."""
-    seq = _as_data(seq)
+    """Fuse hard-class instance points from the past window into scan t.
+
+    Every scan of ``seq`` is read, so a malformed file anywhere in it is an
+    error, but only the window's scans are indexed, and of the scans read
+    only scan t is kept: from a ``SequenceIndex``, the others' mappings go
+    as the next is read."""
     if not 0 <= scan_t < len(seq):
         raise ScanFuseError(f"scan {scan_t} out of range for sequence of {len(seq)}")
-    index = {
-        s: _instance_index(seq.scans[s], seq.labels[s], config.hard_classes)
-        for s in _window(seq, scan_t, config.window)
-    }
+    window = range(max(0, scan_t - config.window), scan_t + 1)
+    index: dict[int, InstanceIndex] = {}
+    for s, (scan, lab) in enumerate(seq.iter_scans()):
+        if s == scan_t:
+            current = scan, lab
+        if s in window and lab is not None:
+            index[s] = _instance_index(scan, lab, config.hard_classes)
 
-    current = seq.scans[scan_t]
-    blocks = [_take(current, seq.labels[scan_t], slice(None))]
+    blocks: list[Rows] = []
     origins: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     warnings: list[tuple[int, int, str]] = []
-    for _, rows, origin, warns in _fused_instances(seq, index, scan_t, config):
+    for _, rows, origin, warns in _fused_instances(seq.poses, index, scan_t, config):
         blocks += rows
         origins += origin
         warnings += warns
 
-    cloud, labels = _concat(blocks)
+    cloud, labels = _concat([_take(*current, slice(None)), *blocks])
     return FusedScan(
         cloud=cloud,
         labels=labels,
-        n_current=len(current),
+        n_current=len(current[0]),
         origin_index=np.concatenate(origins),
         registration_warnings=warnings,
     )
@@ -478,21 +479,23 @@ def build_instance_db(
 ) -> InstanceDatabase:
     """Store every hard-class instance occurrence with its fused counterpart.
 
-    Each labelled scan is indexed once and every window holding it shares
-    that index; a labelled scan whose window holds an unlabelled one raises
-    ``MissingLabels``, as in ``fuse_scan``. Coordinates are stored in
-    float32, the on-disk precision, so that ``load(save(db)) == db`` holds
-    exactly.
+    One pass over the sequence: each labelled scan is indexed once as it is
+    read, every window holding it shares that index, and the index is
+    dropped when the scan leaves the window. Only the index is kept, so a
+    ``SequenceIndex`` is read with at most two scans mapped at a time. A
+    labelled scan whose window holds an unlabelled one raises
+    ``MissingLabels`` when it is reached, as in ``fuse_scan``. Coordinates
+    are stored in float32, the on-disk precision, so that
+    ``load(save(db)) == db`` holds exactly.
     """
-    seq = _as_data(seq)
-    index = {
-        s: _instance_index(scan, lab, config.hard_classes)
-        for s, (scan, lab) in enumerate(zip(seq.scans, seq.labels))
-        if lab is not None
-    }
+    index: dict[int, InstanceIndex] = {}
     entries: list[InstancePair] = []
-    for scan_t in index:
-        for track, rows, _, _ in _fused_instances(seq, index, scan_t, config):
+    for scan_t, (scan, lab) in enumerate(seq.iter_scans()):
+        index.pop(scan_t - config.window - 1, None)
+        if lab is None:
+            continue
+        index[scan_t] = _instance_index(scan, lab, config.hard_classes)
+        for track, rows, _, _ in _fused_instances(seq.poses, index, scan_t, config):
             single = track.members[-1].block
             # float32 snaps to the on-disk precision, so round trips are exact
             cloud, labels = _concat([single, *rows], np.float32)

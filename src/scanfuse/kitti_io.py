@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import mmap
 import os
-from collections.abc import Callable, Collection, Iterable
+import stat
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TypeVar
@@ -156,14 +157,21 @@ class SequenceData:
         if len(self.labels) != len(self.scans):
             raise ValueError("labels and scans lengths differ")
         for i, (scan, labels) in enumerate(zip(self.scans, self.labels)):
-            if labels is not None and len(labels) != len(scan):
-                raise MalformedLabel(
-                    f"sequence {self.name} scan {i}: {len(labels)} labels "
-                    f"for {len(scan)} points"
-                )
+            _check_labels(self.name, i, scan, labels)
 
     def __len__(self) -> int:
         return len(self.scans)
+
+    def iter_scans(self) -> Iterator[tuple[PointCloud, LabelSet | None]]:
+        """Each scan with its labels, in order."""
+        return zip(self.scans, self.labels)
+
+
+def _check_labels(name: str, i: int, scan: PointCloud, labels: LabelSet | None) -> None:
+    if labels is not None and len(labels) != len(scan):
+        raise MalformedLabel(
+            f"sequence {name} scan {i}: {len(labels)} labels for {len(scan)} points"
+        )
 
 
 @dataclass
@@ -196,10 +204,24 @@ class SequenceIndex:
             return None
         return read_file(path, parse_labels)
 
+    def iter_scans(self) -> Iterator[tuple[PointCloud, LabelSet | None]]:
+        """Each scan with its labels, in order, each read as it is reached.
+
+        Only the scans a caller still holds stay mapped, so a caller that
+        lets each go holds one descriptor (see ``read_file``) rather than
+        one per scan of the sequence. A malformed file, or labels whose
+        count differs from the scan's points, raises when it is reached."""
+        for i in range(len(self)):
+            scan, labels = self.load_scan(i), self.load_labels(i)
+            _check_labels(self.name, i, scan, labels)
+            yield scan, labels
+
     def load(self) -> SequenceData:
         """Every scan and label file, read through ``read_file``: each scan
         is a view of its file's mapping and holds one file descriptor while
-        it lives; labels are copies and hold none."""
+        it lives; labels are copies and hold none. A sequence longer than
+        the process's descriptor limit cannot be loaded at once: read it
+        with ``iter_scans``, as fusion does."""
         return SequenceData(
             scans=[self.load_scan(i) for i in range(len(self))],
             labels=[self.load_labels(i) for i in range(len(self))],
@@ -211,8 +233,10 @@ class SequenceIndex:
 
 def read_file(path: str | Path, parse: Callable[[bytes | mmap.mmap], T]) -> T:
     """``parse`` of the contents of file ``path``, handed over as a read-only
-    mapping of the file rather than a copy (``b""`` for an empty file, which
-    cannot be mapped).
+    mapping of the file rather than a copy. Only a regular file of nonzero
+    size is mapped (``mmap`` refuses length 0). Any other file is read
+    whole: an empty one, and a pipe or a ``/proc`` file, whose size says
+    nothing of its contents.
 
     A parser that keeps views of the mapping, as ``parse_scan`` does, keeps
     it alive with its result, and with it one duplicate of the file's
@@ -223,8 +247,11 @@ def read_file(path: str | Path, parse: Callable[[bytes | mmap.mmap], T]) -> T:
     (``write_file``). A data error ``parse`` raises keeps its class and
     names the file, as does text that is not UTF-8 (``ScanFuseError``)."""
     with open(path, "rb") as file:
-        size = os.fstat(file.fileno()).st_size
-        data = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ) if size else b""
+        status = os.fstat(file.fileno())
+        if stat.S_ISREG(status.st_mode) and status.st_size:
+            data = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        else:
+            data = file.read()
     try:
         return parse(data)
     except UnicodeDecodeError as exc:
@@ -240,10 +267,14 @@ def write_file(path: str | Path, data: bytes | Iterable[bytes]) -> None:
     keeps two processes writing one path apart), which is then renamed over
     ``path`` (``os.replace``). A reader never sees a half-written file, and
     a mapping of the old file (see ``read_file``) keeps its bytes. If
-    writing fails, the temporary is removed and the old file stays. The
-    temporary's name matches neither ``*.bin`` nor ``*.label``, so a
-    leftover is never loaded as a scan. Every file that ``scanfuse`` writes
-    goes through here."""
+    writing fails, or the process dies while writing, the old file stays;
+    a failed write also removes the temporary. The temporary's name matches
+    neither ``*.bin`` nor ``*.label``, so a leftover is never loaded as a
+    scan. Nothing is synced to disk, so after an operating-system crash or
+    a power loss the file may still be empty or partial. The new file has
+    the default mode of a new file, and a symbolic link at ``path`` is
+    replaced by the file, not written through. Every file that ``scanfuse``
+    writes goes through here."""
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

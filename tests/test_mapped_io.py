@@ -15,6 +15,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -146,6 +147,45 @@ def test_any_short_file_loads_or_is_a_data_error_naming_it(
             read(path, suffix)
 
 
+def fed_fifo(path: Path, data: bytes) -> threading.Thread:
+    """A FIFO at ``path`` that a thread feeds ``data`` once a reader opens it."""
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb") as fifo:
+            fifo.write(data)
+
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_a_config_given_as_a_pipe_is_read_whole(tmp_path):
+    data = written_sequence(tmp_path / "seq")
+    feeder = fed_fifo(tmp_path / "fusion.cfg", b"window = 1\n")
+    argv = ["fuse", "--seq", str(tmp_path / "seq"), "--scan", "4"]
+    argv += ["--config", str(tmp_path / "fusion.cfg"), "--out", str(tmp_path / "fused")]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    feeder.join(timeout=10)
+    expected = fuse_scan(data, 4, FusionConfig(window=1))
+    origins = (tmp_path / "fused.origins.txt").read_text().split()
+    assert len(origins) == expected.n_appended > 0
+    assert set(origins) == {"-1"}
+
+
+def test_a_scan_given_as_a_pipe_is_read_whole(tmp_path):
+    data = written_sequence(tmp_path / "seq")
+    scan = write_scan(data.scans[0])
+    feeder = fed_fifo(tmp_path / "000000.bin", scan)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["inspect", str(tmp_path / "000000.bin")]) == 0
+    feeder.join(timeout=10)
+    records = len(scan) // kitti_io.SCAN_RECORD_BYTES
+    assert out.getvalue().startswith(f"{tmp_path / '000000.bin'}: {records} points\n")
+
+
 def test_a_loaded_scan_takes_no_heap_copy_of_its_file(tmp_path):
     data = written_sequence(tmp_path / "seq", points_per_object=5000)
     index = load_sequence_index(tmp_path / "seq")
@@ -212,6 +252,32 @@ def test_fusion_results_hold_no_mapping_of_their_inputs(tmp_path, loaded):
     del seq
     assert fused.n_appended > 0 and len(db) > 0
     assert open_descriptors() == baseline
+
+
+FEW_DESCRIPTORS = """
+import resource, sys
+from scanfuse.cli import main
+
+limit, seq, out = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+resource.setrlimit(resource.RLIMIT_NOFILE, (limit, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+last = str(int(sys.argv[4]) - 1)
+assert main(["fuse", "--seq", seq, "--scan", last, "--out", f"{out}/fused"]) == 0
+assert main(["build-augdb", "--seq", seq, "--out", f"{out}/augdb"]) == 0
+"""
+
+
+def test_fusing_a_sequence_of_more_scans_than_the_descriptor_limit(tmp_path):
+    limit = 32
+    n = limit + 8
+    data = make_synthetic_sequence(default_scene(n_scans=n, points_per_object=20), 4).data
+    write_sequence(data, tmp_path / "seq")
+    index = load_sequence_index(tmp_path / "seq")
+    done = run_fresh(FEW_DESCRIPTORS, limit, tmp_path / "seq", tmp_path, n)
+    assert done.returncode == 0, done.stderr
+    config = FusionConfig()
+    fused = fuse_scan(index, n - 1, config)
+    assert (tmp_path / "fused.bin").read_bytes() == write_scan(fused.cloud)
+    assert InstanceDatabase.load(tmp_path / "augdb") == build_instance_db(index, config)
 
 
 # --- rewriting what is loaded ---------------------------------------------
