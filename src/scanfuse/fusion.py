@@ -60,7 +60,7 @@ from .kitti_io import (
     write_labels,
     write_scan,
 )
-from .registration import RegistrationConfig, centroid_align, icp_register
+from .registration import RegistrationConfig, icp_register
 
 
 class Motion(Enum):
@@ -267,19 +267,22 @@ def _fuse_instance(
     motion: Motion,
     to_current: dict[int, RigidTransform],
     config: FusionConfig,
-) -> tuple[list[Rows], list[np.ndarray], list[tuple[int, int, str]]]:
+) -> tuple[list[Rows], list[tuple[int, int]], list[tuple[int, int, str]]]:
     """Past-scan points of one instance mapped into the current sensor frame.
 
     Each past member's block is mapped by ``to_current[s]``, which takes
-    scan s's sensor frame into scan t's. Returns the row blocks, their
-    origins and the warnings; the rows cover only appended points, never the
-    current scan's own. A moving instance's registrations share one KD-tree
-    over its current member's points.
+    scan s's sensor frame into scan t's. Returns the row blocks, each
+    block's origin as ``(s - t, rows)``, and the warnings; the rows cover
+    only appended points, never the current scan's own. A moving instance's
+    registrations share one KD-tree over its current member's points, and
+    each starts from the translation that moves the block's centroid onto
+    the current member's (indexed) centroid.
     """
     scan_t = track.scan_indices[-1]
-    tree = cKDTree(track.members[-1].block[0]) if motion is Motion.MOVING else None
+    current = track.members[-1]
+    tree = cKDTree(current.block[0]) if motion is Motion.MOVING else None
     blocks: list[Rows] = []
-    origins: list[np.ndarray] = []
+    origins: list[tuple[int, int]] = []
     warnings: list[tuple[int, int, str]] = []
 
     for s, member in zip(track.scan_indices[:-1], track.members[:-1]):
@@ -288,7 +291,7 @@ def _fuse_instance(
         pts, *rest = member.block
         pts = apply_points(to_current[s], pts)
         if tree is not None:
-            init = centroid_align(pts, tree.data)
+            init = RigidTransform(np.eye(3), current.centroid - centroid(pts))
             try:
                 align = icp_register(pts, tree, init, config.registration).transform
             except (DegenerateSource, NoOverlap) as exc:
@@ -296,7 +299,7 @@ def _fuse_instance(
                 warnings.append((track.label, s - scan_t, str(exc)))
             pts = apply_points(align, pts)
         blocks.append((pts, *rest))
-        origins.append(np.full(len(pts), s - scan_t, dtype=np.int64))
+        origins.append((s - scan_t, len(pts)))
 
     return blocks, origins, warnings
 
@@ -307,7 +310,7 @@ def _fused_instances(
     scan_t: int,
     config: FusionConfig,
 ) -> Iterator[
-    tuple[InstanceTrack, list[Rows], list[np.ndarray], list[tuple[int, int, str]]]
+    tuple[InstanceTrack, list[Rows], list[tuple[int, int]], list[tuple[int, int, str]]]
 ]:
     """The one track -> classify -> fuse loop behind ``fuse_scan`` and
     ``build_instance_db``.
@@ -315,7 +318,7 @@ def _fused_instances(
     ``index`` holds the instance index of every scan of scan t's window (see
     ``gather_instance_track``). Yields, in packed-label order, each
     hard-class instance of scan t: its track, then its appended row blocks,
-    their origins and its warnings.
+    their ``(s - t, rows)`` origins and its warnings.
     """
     t_inv = invert(poses[scan_t])
     to_current = {
@@ -347,7 +350,7 @@ def fuse_scan(
             index[s] = _instance_index(scan, lab, config.hard_classes)
 
     blocks: list[Rows] = []
-    origins: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    origins: list[tuple[int, int]] = []
     warnings: list[tuple[int, int, str]] = []
     for _, rows, origin, warns in _fused_instances(seq.poses, index, scan_t, config):
         blocks += rows
@@ -355,11 +358,12 @@ def fuse_scan(
         warnings += warns
 
     cloud, labels = _concat([_take(*current, slice(None)), *blocks])
+    runs = np.array(origins, dtype=np.int64).reshape(-1, 2)
     return FusedScan(
         cloud=cloud,
         labels=labels,
         n_current=len(current[0]),
-        origin_index=np.concatenate(origins),
+        origin_index=np.repeat(runs[:, 0], runs[:, 1]),
         registration_warnings=warnings,
     )
 
@@ -413,7 +417,13 @@ class InstanceDatabase:
         as a line break) is a ``DbWriteError`` raised before any file is
         opened. Each file is replaced whole (``kitti_io.write_file``), so a
         database loaded from ``path`` keeps its entries when it is saved
-        there again."""
+        there again.
+
+        An existing ``manifest.txt`` is deleted before the entry files are
+        replaced, and the new one is written last. So a save that fails
+        partway (a ``DbWriteError``) leaves no manifest, which ``load``
+        refuses, rather than entry files of one save under the manifest of
+        another: a failed save also loses the database it was replacing."""
         for seq_name in {entry.key[0] for entry in self.entries}:
             if not seq_name or seq_name != seq_name.strip() or not seq_name.isprintable():
                 raise DbWriteError(f"sequence name {seq_name!r} cannot be stored in a manifest")
@@ -428,6 +438,7 @@ class InstanceDatabase:
         path = Path(path)
         try:
             path.mkdir(parents=True, exist_ok=True)
+            (path / "manifest.txt").unlink(missing_ok=True)
             write_file(path / "entries.bin", (write_scan(e.fused_cloud) for e in self.entries))
             write_file(
                 path / "entries.label", (write_labels(e.fused_labels) for e in self.entries)

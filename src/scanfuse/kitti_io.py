@@ -50,6 +50,9 @@ DEFAULT_HARD_CLASSES = frozenset({11, 15, 18, 20, 30, 31, 32, 81})
 
 T = TypeVar("T")
 
+# What ``write_file`` writes whole rather than as a stream of chunks.
+Bytes = bytes | bytearray | memoryview
+
 
 def _float_array(values) -> np.ndarray:
     """``values`` as a float32 or float64 array, converting anything else to
@@ -260,8 +263,10 @@ def read_file(path: str | Path, parse: Callable[[bytes | mmap.mmap], T]) -> T:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def write_file(path: str | Path, data: bytes | Iterable[bytes]) -> None:
-    """Replace file ``path`` by ``data``: bytes, or chunks written in order.
+def write_file(path: str | Path, data: Bytes | Iterable[Bytes]) -> None:
+    """Replace file ``path`` by ``data``: one bytes-like object (``bytes``,
+    ``bytearray`` or ``memoryview``, such as ``write_scan`` returns), or
+    bytes-like chunks written in order.
 
     The bytes go to a temporary sibling, ``.<name>.<pid>.tmp`` (the pid
     keeps two processes writing one path apart), which is then renamed over
@@ -279,7 +284,7 @@ def write_file(path: str | Path, data: bytes | Iterable[bytes]) -> None:
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "wb") as out:
-            for chunk in [data] if isinstance(data, bytes) else data:
+            for chunk in [data] if isinstance(data, Bytes) else data:
                 out.write(chunk)
         os.replace(temporary, path)
     except BaseException:
@@ -301,12 +306,23 @@ def parse_scan(data: bytes) -> PointCloud:
     return PointCloud(points=raw[:, :3], remission=raw[:, 3])
 
 
-def write_scan(cloud: PointCloud) -> bytes:
-    """Serialize a PointCloud to packed float32 bytes (quantizes to f32)."""
+def _record_bytes(raw: np.ndarray) -> memoryview:
+    """The bytes of a filled record array, as a read-only 1-D view of it:
+    its length is the byte count, it compares equal to ``bytes`` of the same
+    content, and ``bytes()`` of it copies. Unlike ``memoryview.cast``, this
+    also holds for an empty array."""
+    return memoryview(raw.reshape(-1).view(np.uint8)).toreadonly()
+
+
+def write_scan(cloud: PointCloud) -> memoryview:
+    """Serialize a PointCloud to packed float32 bytes (quantizes to f32).
+
+    Returns a read-only bytes-like view of the one record array it fills,
+    not a copy: pass it to ``write_file``, or call ``bytes()`` on it."""
     raw = np.empty((len(cloud), 4), dtype="<f4")
     raw[:, :3] = cloud.points
     raw[:, 3] = cloud.remission
-    return raw.tobytes()
+    return _record_bytes(raw)
 
 
 def parse_labels(data: bytes) -> LabelSet:
@@ -325,13 +341,16 @@ def parse_labels(data: bytes) -> LabelSet:
     return LabelSet(semantic=semantic, instance=instance)
 
 
-def write_labels(labels: LabelSet) -> bytes:
+def write_labels(labels: LabelSet) -> memoryview:
     """Serialize a LabelSet to packed uint32 bytes: the interleaved
-    (semantic, instance) little-endian uint16 pairs ``parse_labels`` reads."""
+    (semantic, instance) little-endian uint16 pairs ``parse_labels`` reads.
+
+    Returns a read-only bytes-like view of its record array, as
+    ``write_scan`` does."""
     raw = np.empty((len(labels), 2), dtype="<u2")
     raw[:, 0] = labels.semantic
     raw[:, 1] = labels.instance
-    return raw.tobytes()
+    return _record_bytes(raw)
 
 
 def instance_rows(
@@ -512,7 +531,8 @@ def load_sequence_index(seq_dir: str | Path) -> SequenceIndex:
 
 def write_sequence(data: SequenceData, out_dir: str | Path) -> SequenceIndex:
     """Persist a sequence in the KITTI directory layout, replacing each file
-    (``write_file``)."""
+    (``write_file``). The returned index is named after ``out_dir``, as
+    ``load_sequence_index(out_dir)`` names it, not after ``data.name``."""
     out_dir = Path(out_dir)
     velo_dir = out_dir / "velodyne"
     label_dir = out_dir / "labels"
@@ -548,5 +568,5 @@ def write_sequence(data: SequenceData, out_dir: str | Path) -> SequenceIndex:
         label_paths=label_paths,
         poses=list(data.poses),
         calib=data.calib,
-        name=data.name,
+        name=out_dir.name,
     )

@@ -1,4 +1,4 @@
-"""Instance-level rigid registration: centroid init plus point-to-point ICP.
+"""Instance-level rigid registration: point-to-point ICP from a given start.
 
 The refinement loop alternates nearest-neighbor correspondences (within a
 distance gate) with the closed-form SVD rigid fit. The best transform seen is
@@ -41,15 +41,6 @@ class RegistrationResult:
     iterations_used: int
     converged: bool
     rms_history: list[float] = field(default_factory=list)  # accepted RMS values
-
-
-def centroid_align(source: np.ndarray, target: np.ndarray) -> RigidTransform:
-    """Identity rotation, translation moving source centroid onto target's."""
-    source = np.asarray(source, dtype=np.float64).reshape(-1, 3)
-    target = np.asarray(target, dtype=np.float64).reshape(-1, 3)
-    if len(source) == 0 or len(target) == 0:
-        raise EmptyInput("centroid_align needs nonempty source and target")
-    return RigidTransform(np.eye(3), centroid(target) - centroid(source))
 
 
 def _check_rank(points: np.ndarray, what: str) -> None:

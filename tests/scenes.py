@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from scanfuse.fusion import FusedScan
-from scanfuse.geometry import RigidTransform
+from scanfuse.geometry import RigidTransform, centroid
 from scanfuse.kitti_io import LabelSet, PointCloud
 from scanfuse.synthetic import ObjectSpec, SyntheticConfig, make_synthetic_sequence
 
@@ -197,3 +197,9 @@ def random_rigid_transform(
     radius = max_translation * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
     translation = direction / nrm * radius
     return RigidTransform(rotation_from_axis_angle(axis, angle), translation)
+
+
+def centroid_init(source: np.ndarray, target: np.ndarray) -> RigidTransform:
+    """An ICP start as fusion builds one: identity rotation, and the
+    translation moving the source's centroid onto the target's."""
+    return RigidTransform(np.eye(3), centroid(target) - centroid(source))

@@ -35,7 +35,7 @@ from scanfuse.kitti_io import (
     write_scan,
 )
 from scanfuse.metrics import accumulate_confusion, format_iou_table, miou
-from scanfuse.registration import RegistrationConfig, centroid_align, icp_register
+from scanfuse.registration import RegistrationConfig, icp_register
 from scanfuse.synthetic import ObjectSpec, SyntheticConfig, make_synthetic_sequence
 from scanfuse.toynet import (
     ToyNetParams,
@@ -45,7 +45,12 @@ from scanfuse.toynet import (
     train_step,
 )
 
-from scenes import random_rigid_transform, rotation_from_axis_angle, sparse_hard_instance_scene
+from scenes import (
+    centroid_init,
+    random_rigid_transform,
+    rotation_from_axis_angle,
+    sparse_hard_instance_scene,
+)
 
 
 def report(criterion: int, text: str) -> None:
@@ -174,7 +179,7 @@ def test_criterion_4_registration_recovery():
         translation *= rng.uniform(0.0, 2.0) / max(np.linalg.norm(translation), 1e-12)
         true = RigidTransform(rotation_from_axis_angle(axis, angle), translation)
         target = apply_points(true, source)
-        result = icp_register(source, cKDTree(target), centroid_align(source, target), config)
+        result = icp_register(source, cKDTree(target), centroid_init(source, target), config)
         rot_err = np.linalg.norm(result.transform.rotation - true.rotation)
         tr_err = np.linalg.norm(result.transform.translation - true.translation)
         if rot_err < 1e-5 and tr_err < 1e-5:

@@ -33,10 +33,11 @@ from scanfuse.kitti_io import (
     PointCloud,
     SequenceData,
     instance_rows,
+    pack_label,
     parse_scan,
     write_scan,
 )
-from scanfuse.registration import RegistrationConfig
+from scanfuse.registration import RegistrationConfig, icp_register
 from scanfuse.synthetic import (
     ObjectSpec,
     SyntheticConfig,
@@ -44,7 +45,7 @@ from scanfuse.synthetic import (
     make_synthetic_sequence,
 )
 
-from scenes import mixed_scene, shared_id_scene
+from scenes import centroid_init, mixed_scene, shared_id_scene
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +260,70 @@ def test_fuse_is_deterministic(scene):
 def test_fuse_origin_indices_are_relative_scans(scene):
     fused = fuse_scan(scene.data, 4, FusionConfig(window=3))
     assert set(fused.origin_index.tolist()) <= {-1, -2, -3}
+
+
+def origins_point_by_point(data: SequenceData, scan_t: int, config: FusionConfig) -> bytes:
+    """The origin of every appended point, one point at a time: each hard
+    instance of scan t in packed-label order, then each past scan s of the
+    window in order, gives ``s - t`` once per row it has in scan s."""
+    def packed_rows(labels):
+        hard = np.isin(labels.semantic, list(config.hard_classes)) & (labels.instance != 0)
+        return pack_label(labels.instance.astype(np.uint32), labels.semantic)[hard].tolist()
+
+    origins = []
+    for label in sorted(set(packed_rows(data.labels[scan_t]))):
+        for s in range(max(0, scan_t - config.window), scan_t):
+            for row_label in packed_rows(data.labels[s]):
+                if row_label == label:
+                    origins.append(s - scan_t)
+    return np.array(origins, dtype=np.int64).tobytes()
+
+
+def sparse_hard_scene():
+    """``mixed_scene`` with the truck unlabelled in scans 1 and 3, and no
+    hard instance at all in scan 2."""
+    seq = make_synthetic_sequence(mixed_scene(n_scans=6), seed=11)
+    truck = seq.truth.objects[1]
+    for s in (1, 3):
+        seq.data.labels[s].instance[truck.indices()] = 0
+    seq.data.labels[2].instance[:] = 0
+    return seq.data
+
+
+@pytest.mark.parametrize("window", [1, 2, 4])
+@pytest.mark.parametrize("variant", ["moving", "rotating", "sparse"])
+def test_origin_index_matches_a_point_by_point_construction(variant, window):
+    data = {
+        "moving": lambda: make_synthetic_sequence(mixed_scene(n_scans=6), seed=11).data,
+        "rotating": lambda: make_synthetic_sequence(mixed_scene(6, yaw_rate=0.3), seed=12).data,
+        "sparse": sparse_hard_scene,
+    }[variant]()
+    config = FusionConfig(window=window)
+    for scan_t in range(len(data)):  # t = 0 has an empty window
+        fused = fuse_scan(data, scan_t, config)
+        assert fused.origin_index.dtype == np.int64
+        assert fused.origin_index.tobytes() == origins_point_by_point(data, scan_t, config)
+        if variant == "sparse" and scan_t == 2:  # no hard instance to append to
+            assert fused.n_appended == 0
+
+
+@pytest.mark.parametrize("yaw_rate", [0.0, 0.3])
+def test_icp_starts_from_the_centroid_alignment_onto_the_current_view(monkeypatch, yaw_rate):
+    # The start is built from the current member's indexed centroid; it must
+    # equal, bit for bit, the alignment computed from the KD-tree's points.
+    starts = []
+
+    def recording_icp(source, tree, init, config):
+        starts.append((init, centroid_init(source, tree.data)))
+        return icp_register(source, tree, init, config)
+
+    monkeypatch.setattr(fusion, "icp_register", recording_icp)
+    seq = make_synthetic_sequence(mixed_scene(yaw_rate=yaw_rate), seed=12)
+    fuse_scan(seq.data, 4, FusionConfig())
+    assert len(starts) == 4  # the moving truck in each past scan
+    for init, want in starts:
+        assert init.rotation.tobytes() == want.rotation.tobytes()
+        assert init.translation.tobytes() == want.translation.tobytes()
 
 
 def test_fuse_missing_labels(scene):

@@ -20,6 +20,7 @@ from scanfuse.fusion import (
     FusionConfig,
     InstanceDatabase,
     InstancePair,
+    build_instance_db,
     fuse_scan,
     sample_and_paste,
 )
@@ -166,6 +167,49 @@ def test_write_scan_empty_cloud():
     cloud = PointCloud(np.empty((0, 3)), np.empty(0))
     assert write_scan(cloud) == b""
     assert parse_scan(write_scan(cloud)) == cloud
+
+
+def scan_records(cloud: PointCloud) -> bytes:
+    """The packed float32 records of ``cloud``, copied into ``bytes``."""
+    raw = np.empty((len(cloud), 4), dtype="<f4")
+    raw[:, :3] = cloud.points
+    raw[:, 3] = cloud.remission
+    return raw.tobytes()
+
+
+def label_records(labels: LabelSet) -> bytes:
+    """The packed uint32 records of ``labels``, copied into ``bytes``."""
+    raw = np.empty((len(labels), 2), dtype="<u2")
+    raw[:, 0] = labels.semantic
+    raw[:, 1] = labels.instance
+    return raw.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_write_scan_views_the_records_that_tobytes_would_copy(n, dtype):
+    rng = np.random.default_rng(n)
+    points = rng.normal(scale=50.0, size=(n, 3))
+    if n:  # the sign of zero, a float32 subnormal, near the float32 maximum
+        points[0] = (-0.0, 1e-40, 3.4e38)
+    cloud = PointCloud(points.astype(dtype), rng.uniform(size=n).astype(dtype))
+    got, want = write_scan(cloud), scan_records(cloud)
+    assert bytes(got) == want
+    assert got == want
+    assert len(got) == len(want) == 16 * n
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_write_labels_views_the_records_that_tobytes_would_copy(n):
+    rng = np.random.default_rng(n)
+    values = rng.integers(0, 0x10000, size=(2, n))
+    if n:
+        values[:, 0] = (0xFFFF, 0)
+    labels = LabelSet(values[0], values[1])
+    got, want = write_labels(labels), label_records(labels)
+    assert bytes(got) == want
+    assert got == want
+    assert len(got) == len(want) == 4 * n
 
 
 # --- labels ---------------------------------------------------------------
@@ -600,6 +644,18 @@ def test_writing_a_shorter_sequence_removes_the_scans_past_its_end(tmp_path):
     data = reloaded.load()
     assert data.labels == list(short.labels)
     assert data.scans == [parse_scan(write_scan(scan)) for scan in short.scans]
+
+
+def test_a_written_sequence_is_named_after_its_directory_as_when_loaded(tmp_path):
+    # A database built from the index write_sequence returns keys its
+    # entries as one built from the loaded directory does.
+    data = make_synthetic_sequence(default_scene(n_scans=3), seed=2).data
+    index = write_sequence(data, tmp_path / "seq")
+    loaded = load_sequence_index(tmp_path / "seq")
+    config = FusionConfig()
+    keys = [entry.key for entry in build_instance_db(index, config).entries]
+    assert keys == [entry.key for entry in build_instance_db(loaded, config).entries]
+    assert keys and data.name != "seq" == index.name == loaded.name
 
 
 def test_pose_count_must_match_scan_count(tmp_path):

@@ -83,7 +83,7 @@ def expected_error(suffix: str, data: bytes):
     return None
 
 
-def load_one(path: Path, suffix: str) -> bytes:
+def load_one(path: Path, suffix: str) -> memoryview:
     """The file read as one scan (``load_scan``) or labels (``load_labels``),
     serialized back."""
     identity = RigidTransform.identity()
@@ -94,7 +94,7 @@ def load_one(path: Path, suffix: str) -> bytes:
     return write_labels(index.load_labels(0))
 
 
-def load_database(path: Path, suffix: str) -> bytes:
+def load_database(path: Path, suffix: str) -> bytes | memoryview:
     """The file read as a database's ``entries.bin`` or ``entries.label``, the
     other file and the manifest matching its record count; the one entry's
     rows serialized back."""
@@ -393,18 +393,25 @@ def test_a_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path, mon
     assert os.listdir(tmp_path) == [path.name]
 
 
-def test_a_failed_database_save_is_a_db_write_error_keeping_the_old_files(
-    tmp_path, monkeypatch
-):
+@pytest.mark.parametrize("failing", ["entries.bin", "entries.label", "manifest.txt"])
+def test_a_failed_database_save_leaves_no_manifest_to_load(tmp_path, monkeypatch, failing):
+    # Whichever of the three writes fails, no manifest is left, so the
+    # entry files of one save never load under the manifest of another.
     db = build_instance_db(written_sequence(tmp_path / "seq"), FusionConfig())
     db.save(tmp_path / "augdb")
-    monkeypatch.setattr(kitti_io, "open", FullDisk, raising=False)
+
+    def full_disk_for_one_file(path, mode="r", *args, **kwargs):
+        if Path(path).name.startswith(f".{failing}."):
+            return FullDisk(path, mode)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(kitti_io, "open", full_disk_for_one_file, raising=False)
     with pytest.raises(DbWriteError, match="No space left on device"):
         InstanceDatabase(db.entries[:1]).save(tmp_path / "augdb")
     monkeypatch.undo()
-    names = sorted(os.listdir(tmp_path / "augdb"))
-    assert names == ["entries.bin", "entries.label", "manifest.txt"]
-    assert InstanceDatabase.load(tmp_path / "augdb") == db
+    assert sorted(os.listdir(tmp_path / "augdb")) == ["entries.bin", "entries.label"]
+    with pytest.raises(FileNotFoundError, match="manifest.txt"):
+        InstanceDatabase.load(tmp_path / "augdb")
 
 
 # --- read-only contract ---------------------------------------------------

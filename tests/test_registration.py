@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from scanfuse.errors import DegenerateSource, EmptyInput, NoOverlap
+from scanfuse.errors import DegenerateSource, NoOverlap
 from scanfuse.geometry import (
     RigidTransform,
     apply_points,
@@ -10,24 +10,23 @@ from scanfuse.geometry import (
 )
 from scanfuse.registration import (
     RegistrationConfig,
-    centroid_align,
     fit_rigid,
     icp_register,
 )
 
-from scenes import rotation_from_axis_angle
+from scenes import centroid_init, rotation_from_axis_angle
 
 
 def box_cloud(rng, n=120):
     return rng.uniform(-1, 1, size=(n, 3)) * np.array([1.5, 1.0, 0.6])
 
 
-# --- centroid_align -----------------------------------------------------------
+# --- centroid initialization ---------------------------------------------------
 
 
 def test_centroid_identical_clouds():
     pts = np.random.default_rng(0).normal(size=(20, 3))
-    t = centroid_align(pts, pts)
+    t = centroid_init(pts, pts)
     assert np.array_equal(t.rotation, np.eye(3))
     assert np.abs(t.translation).max() < 1e-12
 
@@ -35,7 +34,7 @@ def test_centroid_identical_clouds():
 def test_centroid_known_shift():
     target = np.random.default_rng(1).normal(size=(10, 3))
     source = target + np.array([-1.0, 2.0, 0.0])
-    t = centroid_align(source, target)
+    t = centroid_init(source, target)
     assert np.abs(t.translation - [1.0, -2.0, 0.0]).max() < 1e-12
 
 
@@ -44,17 +43,9 @@ def test_centroid_alignment_property():
     for _ in range(30):
         source = rng.normal(size=(rng.integers(1, 100), 3))
         target = rng.normal(size=(rng.integers(1, 100), 3))
-        t = centroid_align(source, target)
+        t = centroid_init(source, target)
         moved = apply_points(t, source)
         assert np.abs(moved.mean(axis=0) - target.mean(axis=0)).max() < 1e-12
-
-
-def test_centroid_empty_inputs():
-    pts = np.zeros((3, 3))
-    with pytest.raises(EmptyInput):
-        centroid_align(np.empty((0, 3)), pts)
-    with pytest.raises(EmptyInput):
-        centroid_align(pts, np.empty((0, 3)))
 
 
 # --- icp_register ----------------------------------------------------------------
@@ -76,7 +67,7 @@ def test_icp_recovers_known_transform():
     source = box_cloud(rng)
     true = RigidTransform(rotation_about_z(np.deg2rad(15)), np.array([0.5, -0.3, 0.1]))
     target = apply_points(true, source)
-    init = centroid_align(source, target)
+    init = centroid_init(source, target)
     result = config = RegistrationConfig(max_correspondence_dist=5.0)
     result = icp_register(source, cKDTree(target), init, config)
     assert np.abs(result.transform.rotation - true.rotation).max() < 1e-6
@@ -114,7 +105,7 @@ def test_icp_refuses_a_fit_onto_collinear_matched_targets(target):
     # free: ICP turned a box by tens of degrees and reported convergence.
     source = box_cloud(np.random.default_rng(0), n=200)
     target = np.array(target)
-    init = centroid_align(source, target)
+    init = centroid_init(source, target)
     with pytest.raises(DegenerateSource, match=r"^matched target points are \(near-\)collinear$"):
         icp_register(source, cKDTree(target), init, RegistrationConfig())
 
@@ -140,7 +131,7 @@ def test_icp_accepted_rms_non_increasing():
         result = icp_register(
             source,
             cKDTree(target),
-            centroid_align(source, target),
+            centroid_init(source, target),
             RegistrationConfig(max_correspondence_dist=10.0, convergence_tol=1e-9),
         )
         history = result.rms_history
@@ -162,7 +153,7 @@ def test_icp_recovery_sample():
         result = icp_register(
             source,
             cKDTree(target),
-            centroid_align(source, target),
+            centroid_init(source, target),
             RegistrationConfig(
                 max_iterations=100, convergence_tol=1e-9, max_correspondence_dist=10.0
             ),
@@ -189,6 +180,6 @@ def test_result_iteration_bound():
         RigidTransform(rotation_about_z(0.4), np.array([0.3, 0.1, 0.0])), source
     )
     config = RegistrationConfig(max_iterations=3, max_correspondence_dist=10.0)
-    result = icp_register(source, cKDTree(target), centroid_align(source, target), config)
+    result = icp_register(source, cKDTree(target), centroid_init(source, target), config)
     assert result.iterations_used <= config.max_iterations
     assert result.rms_error >= 0.0
