@@ -4,10 +4,14 @@
 
 For each seed, in a new temporary directory, runs ``make-synthetic --seed S
 --scans N``, then ``fuse --scan t`` for t = 0..N-1 and ``build-augdb`` on
-that sequence, with ``scanfuse`` imported from SRC (default: this
-checkout's ``src/``). Prints one ``sha256  name`` line per command's stderr,
-in command order, then one per file written, sorted by path relative to the
-directory. A command that exits nonzero stops the run with exit code 1.
+that sequence, ``loss-check --cases 20 --seed S`` and ``train-toy --seed S
+--steps 3 --scans N``, with ``scanfuse`` imported from SRC (default: this
+checkout's ``src/``). Prints one ``sha256  name`` line per command's stdout
+and one per its stderr, in command order, and one for the in-memory scene
+``make_synthetic_sequence(default_scene(n_scans=N), S)`` (its float64
+points, remission, labels and poses, and its truth bounds and centroids);
+then one per file written, sorted by path relative to the directory. A
+command that exits nonzero stops the run with exit code 1.
 
 Two trees give the same listing exactly when these commands write the same
 bytes and report the same text, so one command compares a change with its
@@ -35,17 +39,33 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(main, argv: list[str]) -> str:
-    """``scanfuse argv`` in this process; its stderr, or SystemExit if it
-    fails."""
-    with contextlib.redirect_stderr(io.StringIO()) as err:
+def run(main, argv: list[str]) -> dict[str, str]:
+    """``scanfuse argv`` in this process; its stdout and stderr, or
+    SystemExit if it fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if code != 0:
         raise SystemExit(f"scanfuse {' '.join(argv)} exited {code}: {err.getvalue()}")
-    return err.getvalue()
+    return {"stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-def digests(main, seeds: list[int], scans: int) -> list[str]:
+def scene_digest(scene) -> str:
+    """One digest of a ``SyntheticSequence``: every scan's arrays and pose,
+    then every object's truth."""
+    digest = hashlib.sha256()
+    data = scene.data
+    for scan, labels, pose in zip(data.scans, data.labels, data.poses):
+        arrays = (scan.points, scan.remission, labels.semantic, labels.instance)
+        for array in arrays + (pose.rotation, pose.translation):
+            digest.update(array.dtype.str.encode() + array.tobytes())
+    for obj in scene.truth.objects:
+        digest.update(f"{obj.instance_id} {obj.class_id} {obj.start} {obj.stop}".encode())
+        digest.update(obj.world_centroids.tobytes())
+    return digest.hexdigest()
+
+
+def digests(cli, synthetic, seeds: list[int], scans: int) -> list[str]:
     """The listing, for commands run in the current directory."""
     lines = []
     for seed in seeds:
@@ -55,10 +75,16 @@ def digests(main, seeds: list[int], scans: int) -> list[str]:
             ["fuse", "--seq", seq, "--scan", str(t), "--out", f"s{seed}/fused/{t:06d}"]
             for t in range(scans)
         ]
-        commands.append(["build-augdb", "--seq", seq, "--out", f"s{seed}/augdb"])
+        commands += [
+            ["build-augdb", "--seq", seq, "--out", f"s{seed}/augdb"],
+            ["loss-check", "--cases", "20", "--seed", str(seed)],
+            ["train-toy", "--seed", str(seed), "--steps", "3", "--scans", str(scans)],
+        ]
         for argv in commands:
-            stderr = run(main, argv)
-            lines.append(f"{sha256(stderr.encode())}  stderr of scanfuse {' '.join(argv)}")
+            for stream, text in run(cli.main, argv).items():
+                lines.append(f"{sha256(text.encode())}  {stream} of scanfuse {' '.join(argv)}")
+        scene = synthetic.make_synthetic_sequence(synthetic.default_scene(n_scans=scans), seed)
+        lines.append(f"{scene_digest(scene)}  default_scene(n_scans={scans}) at seed {seed}")
     files = sorted(path for path in Path().rglob("*") if path.is_file())
     lines += [f"{sha256(path.read_bytes())}  {path.as_posix()}" for path in files]
     return lines
@@ -72,7 +98,7 @@ def main() -> int:
     args = parser.parse_args()
     src = args.src.resolve()
     sys.path.insert(0, str(src))
-    from scanfuse import cli
+    from scanfuse import cli, synthetic
 
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"scanfuse was imported from {cli.__file__}, not from {src}")
@@ -81,7 +107,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="output-digests-") as work:
         os.chdir(work)
         try:
-            lines = digests(cli.main, args.seeds, args.scans)
+            lines = digests(cli, synthetic, args.seeds, args.scans)
         finally:
             os.chdir(home)
     print("\n".join(lines))

@@ -173,11 +173,8 @@ def _cmd_fuse(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_file(str(prefix) + ".bin", write_scan(fused.cloud))
     write_file(str(prefix) + ".label", write_labels(fused.labels))
-    # One line per appended point, formatted once per run of equal origins.
-    origin = fused.origin_index
-    starts = np.flatnonzero(np.diff(origin, prepend=origin[:1] - 1))
-    counts = np.diff(starts, append=len(origin))
-    runs = zip(origin[starts].tolist(), counts.tolist())
+    # One line per appended point, formatted once per origin run.
+    runs = fused.origin_runs.tolist()
     write_file(str(prefix) + ".origins.txt", "".join(f"{v}\n" * n for v, n in runs).encode())
     for label, origin, reason in fused.registration_warnings:
         instance, class_id = unpack_label(label)

@@ -43,13 +43,18 @@ class DistillConfig:
             raise InvalidConfig("betas must be four finite values")
 
 
-def _check_pair(teacher: np.ndarray, student: np.ndarray) -> None:
+def _float_pair(teacher, student) -> tuple[np.ndarray, np.ndarray]:
+    """``teacher`` and ``student`` as float64 arrays, checked to have one
+    shape and only finite values."""
+    teacher = np.asarray(teacher, dtype=np.float64)
+    student = np.asarray(student, dtype=np.float64)
     if teacher.shape != student.shape:
         raise ShapeError(
             f"teacher shape {teacher.shape} != student shape {student.shape}"
         )
     if not np.isfinite(teacher).all() or not np.isfinite(student).all():
         raise NumericError("non-finite values in loss inputs")
+    return teacher, student
 
 
 def _sorted_sum(values: np.ndarray) -> float:
@@ -71,9 +76,7 @@ def feature_distill_loss(teacher, student, threshold: float) -> tuple[float, np.
     """
     if not threshold > 0.0:
         raise InvalidConfig("threshold must be > 0")
-    f_teacher = np.asarray(teacher, dtype=np.float64)
-    f_student = np.asarray(student, dtype=np.float64)
-    _check_pair(f_teacher, f_student)
+    f_teacher, f_student = _float_pair(teacher, student)
     if f_teacher.size == 0:
         return 0.0, np.zeros_like(f_student)
 
@@ -110,9 +113,7 @@ def soft_logits_kl_loss(teacher, student, temperature: float) -> tuple[float, np
     """
     if not temperature > 0.0:
         raise InvalidConfig("temperature must be > 0")
-    z_teacher = np.asarray(teacher, dtype=np.float64)
-    z_student = np.asarray(student, dtype=np.float64)
-    _check_pair(z_teacher, z_student)
+    z_teacher, z_student = _float_pair(teacher, student)
     if z_teacher.size == 0:
         return 0.0, np.zeros_like(z_student)
 
@@ -151,9 +152,7 @@ def iaad_loss(
     product with its unit rows are formed per instance, on contiguous
     slices. Every value is the one an instance's own rows would give.
     """
-    f_teacher = np.asarray(teacher, dtype=np.float64)
-    f_student = np.asarray(student, dtype=np.float64)
-    _check_pair(f_teacher, f_student)
+    f_teacher, f_student = _float_pair(teacher, student)
 
     grad = np.zeros_like(f_student)
     sets = [np.asarray(instance, dtype=np.int64).reshape(-1) for instance in instances]
@@ -269,39 +268,23 @@ def verify_gradients(cases: int, seed: int) -> list[tuple[str, float, bool]]:
     if cases < 1:
         raise InvalidConfig(f"cases must be >= 1, got {cases}")
     rng = np.random.default_rng(seed)
-    worst = {"feature": 0.0, "logits": 0.0, "affinity": 0.0}
+    # (name, loss, shift of both inputs, draw of the third argument for n rows)
+    checks = [
+        ("feature", feature_distill_loss, 0.0, lambda n: float(rng.uniform(0.3, 2.0))),
+        ("logits", soft_logits_kl_loss, 0.0, lambda n: float(rng.uniform(0.5, 4.0))),
+        ("affinity", iaad_loss, 0.5, lambda n: [np.arange(n)]),
+    ]
+    worst = {name: 0.0 for name, *_ in checks}
 
     for _ in range(cases):
         n = int(rng.integers(2, 7))
         width = int(rng.integers(2, 6))
-
-        f_teacher = rng.normal(size=(n, width))
-        f_student = rng.normal(size=(n, width))
-        threshold = float(rng.uniform(0.3, 2.0))
-        _, grad = feature_distill_loss(f_teacher, f_student, threshold)
-        fd = finite_difference_gradient(
-            lambda x: feature_distill_loss(f_teacher, x, threshold)[0],
-            f_student.copy(),
-        )
-        worst["feature"] = max(worst["feature"], gradient_scale_error(grad, fd))
-
-        z_teacher = rng.normal(size=(n, width))
-        z_student = rng.normal(size=(n, width))
-        temperature = float(rng.uniform(0.5, 4.0))
-        _, grad = soft_logits_kl_loss(z_teacher, z_student, temperature)
-        fd = finite_difference_gradient(
-            lambda x: soft_logits_kl_loss(z_teacher, x, temperature)[0],
-            z_student.copy(),
-        )
-        worst["logits"] = max(worst["logits"], gradient_scale_error(grad, fd))
-
-        a_teacher = rng.normal(size=(n, width)) + 0.5
-        a_student = rng.normal(size=(n, width)) + 0.5
-        instances = [np.arange(n)]
-        _, grad = iaad_loss(a_teacher, a_student, instances)
-        fd = finite_difference_gradient(
-            lambda x: iaad_loss(a_teacher, x, instances)[0], a_student.copy()
-        )
-        worst["affinity"] = max(worst["affinity"], gradient_scale_error(grad, fd))
+        for name, loss, shift, draw in checks:
+            teacher = rng.normal(size=(n, width)) + shift
+            student = rng.normal(size=(n, width)) + shift
+            arg = draw(n)
+            _, grad = loss(teacher, student, arg)
+            fd = finite_difference_gradient(lambda x: loss(teacher, x, arg)[0], student.copy())
+            worst[name] = max(worst[name], gradient_scale_error(grad, fd))
 
     return [(name, err, err < 1e-4) for name, err in worst.items()]

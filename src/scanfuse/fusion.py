@@ -133,8 +133,11 @@ class FusedScan:
     The first ``n_current`` cloud rows are the student's input (the raw scan,
     then any pasted single-scan instances); the rest is teacher-only density.
     Teacher row i is student row i for every i < ``n_current``.
-    ``origin_index`` holds the relative scan (-1..-K) each appended point came
-    from, 0 for pasted points. ``registration_warnings`` holds a
+    ``origin_runs`` is an (R, 2) int64 array of (origin, count) rows: the
+    appended points come, in order, in runs of ``count`` points from the
+    relative scan ``origin`` (-1..-K), 0 for pasted points, as fusion
+    produces them; ``origin_index`` expands the runs to one origin per
+    appended point. ``registration_warnings`` holds a
     ``(packed label, s - t, reason)`` for each past scan s of a moving
     instance placed by its centroid without ICP; ``reason`` is the text of
     the ``DegenerateSource`` or ``NoOverlap`` that ICP raised.
@@ -143,16 +146,26 @@ class FusedScan:
     cloud: PointCloud
     labels: LabelSet
     n_current: int
-    origin_index: np.ndarray
+    origin_runs: np.ndarray
     registration_warnings: list[tuple[int, int, str]] = field(default_factory=list)
     pastes: list[PasteRecord] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.origin_index = np.asarray(self.origin_index, dtype=np.int64).reshape(-1)
-        if self.n_current + len(self.origin_index) != len(self.cloud):
-            raise ValueError("origin_index does not cover the appended region")
+        self.origin_runs = np.asarray(self.origin_runs, dtype=np.int64).reshape(-1, 2)
+        counts = self.origin_runs[:, 1]
+        if (counts < 0).any():
+            raise ValueError("origin_runs holds a negative count")
+        if self.n_current + int(counts.sum()) != len(self.cloud):
+            raise ValueError("origin_runs does not cover the appended region")
         if len(self.labels) != len(self.cloud):
             raise ValueError("labels and cloud lengths differ")
+
+    @property
+    def origin_index(self) -> np.ndarray:
+        """The relative scan of each appended point (read-only)."""
+        index = np.repeat(self.origin_runs[:, 0], self.origin_runs[:, 1])
+        index.flags.writeable = False
+        return index
 
     @property
     def n_appended(self) -> int:
@@ -358,12 +371,11 @@ def fuse_scan(
         warnings += warns
 
     cloud, labels = _concat([_take(*current, slice(None)), *blocks])
-    runs = np.array(origins, dtype=np.int64).reshape(-1, 2)
     return FusedScan(
         cloud=cloud,
         labels=labels,
         n_current=len(current[0]),
-        origin_index=np.repeat(runs[:, 0], runs[:, 1]),
+        origin_runs=origins,
         registration_warnings=warnings,
     )
 
@@ -585,15 +597,12 @@ def sample_and_paste(
         + appended
     )
     n_pasted_appended = sum(len(rows[0]) for rows in appended)
-    origin = np.concatenate(
-        [scan.origin_index, np.zeros(n_pasted_appended, dtype=np.int64)]
-    )
 
     return FusedScan(
         cloud=cloud,
         labels=labels,
         n_current=nc + sum(len(rows[0]) for rows in singles),
-        origin_index=origin,
+        origin_runs=np.concatenate([scan.origin_runs, [(0, n_pasted_appended)]]),
         registration_warnings=list(scan.registration_warnings),
         pastes=list(scan.pastes) + records,
     )

@@ -23,6 +23,8 @@ SENSOR_VELOCITY = (0.8, 0.0, 0.0)
 SENSOR_YAW_RATE = 0.02
 # The semantic class of every ground point.
 GROUND_CLASS = 40
+# How many ``ObjectSpec.size`` values each shape reads.
+SIZE_VALUES = {"box": 3, "cylinder": 2}
 
 
 @dataclass
@@ -117,14 +119,26 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
     ground_world = np.column_stack([ground_xy, np.zeros(config.ground_points)])
     ground_remission = rng.uniform(0.0, 1.0, size=config.ground_points)
 
+    # Row counts: the ground, then each object in order.
+    sizes = [config.ground_points]
     offsets: list[np.ndarray] = []
-    remissions: list[np.ndarray] = []
-    for spec in config.objects:
+    remissions = [ground_remission]
+    for j, spec in enumerate(config.objects):
         n = spec.n_points if spec.n_points is not None else config.points_per_object
         if n < 1:
-            raise InvalidConfig("object n_points must be >= 1")
+            raise InvalidConfig(f"object {j}: n_points must be >= 1")
+        if not 0 <= spec.class_id <= 0xFFFF:
+            raise InvalidConfig(f"object {j}: class_id {spec.class_id} is outside 0..65535")
+        if spec.instance_id is not None and not 0 <= spec.instance_id <= 0xFFFF:
+            raise InvalidConfig(
+                f"object {j}: instance_id {spec.instance_id} is outside 0..65535"
+            )
+        need = SIZE_VALUES.get(spec.shape, 0)
+        if len(spec.size) < need:
+            raise InvalidConfig(f"object {j}: a {spec.shape} needs {need} size values")
         offsets.append(_sample_body_offsets(spec, n, rng))
         remissions.append(rng.uniform(0.0, 1.0, size=n))
+        sizes.append(n)
 
     explicit = [spec.instance_id for spec in config.objects if spec.instance_id is not None]
     taken = LabelSet(semantic=np.zeros(len(explicit)), instance=explicit)
@@ -133,21 +147,10 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
         next(fresh) if spec.instance_id is None else spec.instance_id for spec in config.objects
     ]
 
-    semantic = np.concatenate(
-        [np.full(config.ground_points, GROUND_CLASS, dtype=np.uint16)]
-        + [
-            np.full(len(off), spec.class_id, dtype=np.uint16)
-            for spec, off in zip(config.objects, offsets)
-        ]
-    )
-    instance = np.concatenate(
-        [np.zeros(config.ground_points, dtype=np.uint16)]
-        + [
-            np.full(len(off), iid, dtype=np.uint16)
-            for iid, off in zip(instance_ids, offsets)
-        ]
-    )
-    remission = np.concatenate([ground_remission] + remissions)
+    class_ids = [GROUND_CLASS] + [spec.class_id for spec in config.objects]
+    semantic = np.repeat(np.array(class_ids, dtype=np.uint16), sizes)
+    instance = np.repeat(np.array([0] + instance_ids, dtype=np.uint16), sizes)
+    remission = np.concatenate(remissions)
 
     sensor_velocity = np.asarray(SENSOR_VELOCITY, dtype=np.float64)
     poses = [
@@ -172,24 +175,17 @@ def make_synthetic_sequence(config: SyntheticConfig, seed: int) -> SyntheticSequ
         scans.append(PointCloud(sensor_pts, remission.copy()))
         labels.append(LabelSet(semantic.copy(), instance.copy()))
 
-    truths: list[ObjectTruth] = []
-    start = config.ground_points
-    for j, spec in enumerate(config.objects):
-        stop = start + len(offsets[j])
-        truths.append(
-            ObjectTruth(
-                instance_id=instance_ids[j],
-                class_id=spec.class_id,
-                start=start,
-                stop=stop,
-                world_centroids=centroids[j],
-            )
+    bounds = np.cumsum(sizes).tolist()
+    truths = [
+        ObjectTruth(iid, spec.class_id, start, stop, world_centroids)
+        for spec, iid, start, stop, world_centroids in zip(
+            config.objects, instance_ids, bounds, bounds[1:], centroids
         )
-        start = stop
+    ]
 
     data = SequenceData(
         scans=scans,
-        labels=list(labels),
+        labels=labels,
         poses=poses,
         calib=RigidTransform.identity(),
         name=config.name,

@@ -55,7 +55,7 @@ def sparse_hard_instance_scene(
             np.concatenate([cur_inst, np.ones(n_app, dtype=np.uint16)]),
         ),
         n_current=len(cur_pts),
-        origin_index=np.full(n_app, -1, dtype=np.int64),
+        origin_runs=[(-1, n_app)],
     )
 
     rng_eval = np.random.default_rng(seed + 10_000)
@@ -162,7 +162,7 @@ def trivial_fused(scan: PointCloud, labels: LabelSet) -> FusedScan:
         cloud=scan.copy(),
         labels=labels.copy(),
         n_current=len(scan),
-        origin_index=np.empty(0, dtype=np.int64),
+        origin_runs=[],
     )
 
 

@@ -45,6 +45,7 @@ from scanfuse.kitti_io import (
     write_sequence,
 )
 from scanfuse.synthetic import (
+    GROUND_CLASS,
     ObjectSpec,
     SyntheticConfig,
     default_scene,
@@ -359,7 +360,7 @@ def generated_ids(cloud, labels, n):
 
 def pasted_ids(cloud, labels, n):
     """The IDs of ``n`` pastes of the blobs into their own scan."""
-    scan = FusedScan(cloud, labels, n_current=len(cloud), origin_index=[])
+    scan = FusedScan(cloud, labels, n_current=len(cloud), origin_runs=[])
     entry = InstancePair(("00", 0, (1 << 16) | 81), cloud, labels, n_single=len(cloud))
     out = sample_and_paste(scan, InstanceDatabase([entry]), n, rng_seed=0)
     return [record.new_instance_id for record in out.pastes]
@@ -598,6 +599,83 @@ def test_synthetic_auto_ids_come_above_the_explicit_ones():
     assert [rows[part].tolist() for part in groups.values()] == [
         obj.indices().tolist() for obj in seq.truth.objects
     ]
+
+
+@pytest.mark.parametrize(
+    ("change", "message"),
+    [
+        ({"class_id": 70000}, "class_id 70000"),
+        ({"class_id": -1}, "class_id -1"),
+        ({"instance_id": 70000}, "instance_id 70000"),
+        ({"instance_id": -3}, "instance_id -3"),
+        ({"shape": "box", "size": (2.0, 1.5)}, "a box needs 3 size values"),
+        ({"shape": "cylinder", "size": (0.4,)}, "a cylinder needs 2 size values"),
+        ({"n_points": 0}, "n_points must be >= 1"),
+    ],
+)
+def test_synthetic_rejects_an_object_the_labels_or_its_shape_cannot_hold(change, message):
+    # The second object is the bad one, and the error names it.
+    config = moving_box_config()
+    config.objects.append(dataclasses.replace(config.objects[0], **change))
+    with pytest.raises(InvalidConfig, match=f"^object 1: {message}"):
+        make_synthetic_sequence(config, seed=1)
+
+
+def test_writing_into_one_synthetic_scan_leaves_the_others_unchanged():
+    seq = make_synthetic_sequence(default_scene(n_scans=3), seed=1).data
+    fresh = make_synthetic_sequence(default_scene(n_scans=3), seed=1).data
+    seq.labels[1].semantic[:] = 7
+    seq.labels[1].instance[:] = 9
+    seq.scans[1].remission[:] = 0.5
+    seq.scans[1].points[:] = 1.0
+    for s in (0, 2):
+        assert seq.labels[s] == fresh.labels[s]
+        assert seq.scans[s] == fresh.scans[s]
+
+
+def test_synthetic_truth_bounds_tile_the_object_rows_in_object_order():
+    truck = {"shape": "box", "class_id": 18, "size": (2.0, 1.5, 1.5)}
+    sign = {"shape": "cylinder", "class_id": 81, "size": (0.4, 1.2)}
+    config = SyntheticConfig(
+        n_scans=2,
+        ground_points=30,
+        points_per_object=20,
+        objects=[
+            ObjectSpec(center=(5.0, 0.0, 1.0), **truck),
+            ObjectSpec(center=(8.0, 3.0, 1.0), n_points=7, instance_id=4, **sign),
+            ObjectSpec(center=(5.0, 9.0, 1.0), n_points=45, instance_id=0, **truck),
+            ObjectSpec(center=(8.0, -3.0, 1.0), n_points=1, **sign),
+        ],
+    )
+    seq = make_synthetic_sequence(config, seed=3)
+    objects = seq.truth.objects
+    assert [(obj.start, obj.stop) for obj in objects] == [(30, 50), (50, 57), (57, 102), (102, 103)]
+    ids = [(obj.class_id, obj.instance_id) for obj in objects]
+    assert ids == [(18, 5), (81, 4), (18, 0), (81, 6)]
+    for labels in seq.data.labels:
+        assert len(labels) == 103
+        assert not labels.instance[:30].any() and (labels.semantic[:30] == GROUND_CLASS).all()
+        for obj in objects:
+            assert (labels.semantic[obj.start : obj.stop] == obj.class_id).all()
+            assert (labels.instance[obj.start : obj.stop] == obj.instance_id).all()
+
+
+@pytest.mark.parametrize(
+    ("runs", "message"),
+    [
+        ([(-1, 3), (-2, -1)], "negative count"),
+        ([(-1, 3)], "does not cover"),
+        ([(-1, 2), (-2, 1)], "does not cover"),
+    ],
+)
+def test_fused_scan_rejects_origin_runs_that_do_not_count_the_appended_points(runs, message):
+    cloud = PointCloud(np.zeros((5, 3)), np.zeros(5))
+    labels = LabelSet(np.zeros(5, dtype=np.uint16), np.zeros(5, dtype=np.uint16))
+    with pytest.raises(ValueError, match=message):
+        FusedScan(cloud, labels, n_current=3, origin_runs=runs)
+    fused = FusedScan(cloud, labels, n_current=3, origin_runs=[(-1, 1), (-1, 0), (-2, 1)])
+    assert fused.origin_index.tolist() == [-1, -2]
+    assert not fused.origin_index.flags.writeable
 
 
 def test_write_sequence_roundtrips_through_disk(tmp_path):

@@ -555,7 +555,7 @@ def test_distillation_terms_are_bit_identical_under_row_permutation_in_several_b
         cloud=PointCloud(fused.cloud.points[order], fused.cloud.remission[order]),
         labels=LabelSet(fused.labels.semantic[order], fused.labels.instance[order]),
         n_current=n,
-        origin_index=fused.origin_index[order[n:] - n],
+        origin_runs=[(origin, 1) for origin in fused.origin_index[order[n:] - n].tolist()],
     )
     shuffled = (
         PointCloud(current.points[cur], current.remission[cur]),
@@ -704,7 +704,7 @@ def test_step_memory_follows_the_block_and_hard_rows_not_the_scan():
         cloud=cloud,
         labels=LabelSet(semantic, instance),
         n_current=n_cur,
-        origin_index=np.full(n - n_cur, -1, dtype=np.int64),
+        origin_runs=[(-1, n - n_cur)],
     )
     current = PointCloud(cloud.points[:n_cur], cloud.remission[:n_cur])
     labels = LabelSet(semantic[:n_cur], instance[:n_cur])
