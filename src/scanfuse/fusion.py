@@ -8,10 +8,11 @@ teacher branches stay point-aligned, and a paired instance database supports
 synchronized copy-paste augmentation of both branches.
 
 Each scan's hard-class rows are gathered once, into its instance index (see
-``_instance_index``), and each instance's block is a slice of that gather. An
-instance's entry there is its one record: its track holds that entry for
-every scan of the window, and motion classification, the KD-tree,
-registration and the database read the entry, not the scan.
+``_instance_index``), and each instance's records (its ``PointCloud`` and
+``LabelSet``) are row slices of that gather. An instance's entry there is
+its one record: its track holds that entry for every scan of the window, and
+motion classification, the KD-tree, registration and the database read the
+entry, not the scan.
 """
 
 from __future__ import annotations
@@ -88,16 +89,17 @@ class FusionConfig:
             raise InvalidConfig("moving_threshold must be >= 0")
 
 
-# Rows of a cloud and its labels as plain arrays:
-# (points, remission, semantic, instance).
-Rows = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# Rows of a cloud and the labels parallel to them.
+Rows = tuple[PointCloud, LabelSet]
 
 
 class IndexedInstance(NamedTuple):
-    """One hard-class instance of a scan, as its instance index holds it."""
+    """One hard-class instance of a scan, as its instance index holds it: its
+    rows in ascending scan order, the points widened to float64."""
 
     centroid: np.ndarray  # sensor-frame centroid of its rows
-    block: Rows  # its rows in ascending scan order, points widened to float64
+    cloud: PointCloud
+    labels: LabelSet
 
 
 # One scan's instance index: each hard-class instance's packed label -> its
@@ -172,16 +174,10 @@ class FusedScan:
         return len(self.cloud) - self.n_current
 
     def current_cloud(self) -> PointCloud:
-        return PointCloud(
-            self.cloud.points[: self.n_current].copy(),
-            self.cloud.remission[: self.n_current].copy(),
-        )
+        return self.cloud[: self.n_current].copy()
 
     def current_labels(self) -> LabelSet:
-        return LabelSet(
-            self.labels.semantic[: self.n_current].copy(),
-            self.labels.instance[: self.n_current].copy(),
-        )
+        return self.labels[: self.n_current].copy()
 
 
 def _window(index: dict[int, InstanceIndex], scan_t: int, window: int) -> range:
@@ -199,22 +195,19 @@ def _instance_index(
 ) -> InstanceIndex:
     """The instance index of one scan.
 
-    The only place fusion gathers a scan's hard-class rows: one fancy index
-    per column takes the grouped rows of ``kitti_io.instance_rows`` at once,
-    the points widened to float64 once, and each instance's block is its
-    slice of that gather. Built once per scan per call, so every window
-    holding the scan shares its centroids and blocks."""
+    The only place fusion gathers a scan's hard-class rows: one gather of
+    the records takes the grouped rows of ``kitti_io.instance_rows`` at
+    once, the points widened to float64 once, and each instance's records
+    are its slice of that gather. Built once per scan per call, so every
+    window holding the scan shares its centroids and records."""
     rows, groups = instance_rows(labels, hard_classes)
-    columns = (
-        np.asarray(scan.points[rows], dtype=np.float64),
-        scan.remission[rows],
-        labels.semantic[rows],
-        labels.instance[rows],
-    )
+    gathered = scan[rows]
+    cloud = PointCloud(np.asarray(gathered.points, dtype=np.float64), gathered.remission)
+    labels = labels[rows]
     index: InstanceIndex = {}
     for label, part in groups.items():
-        block = tuple(column[part] for column in columns)
-        index[label] = IndexedInstance(centroid(block[0]), block)
+        member = cloud[part]
+        index[label] = IndexedInstance(centroid(member.points), member, labels[part])
     return index
 
 
@@ -257,18 +250,15 @@ def classify_motion(
     return Motion.STATIC
 
 
-def _take(cloud: PointCloud, labels: LabelSet, idx) -> Rows:
-    """The rows ``idx`` (indices or a slice) of a cloud and its labels."""
-    return cloud.points[idx], cloud.remission[idx], labels.semantic[idx], labels.instance[idx]
-
-
-def _concat(blocks: list[Rows], dtype: type = np.float64) -> tuple[PointCloud, LabelSet]:
+def _concat(blocks: list[Rows], dtype: type = np.float64) -> Rows:
     """Stack row blocks in order into one cloud and labels.
 
     The coordinates pass through ``dtype``: ``np.float32`` snaps them to
     the on-disk precision.
     """
-    points, remission, semantic, instance = zip(*blocks)
+    clouds, labels = zip(*blocks)
+    points, remission = zip(*((c.points, c.remission) for c in clouds))
+    semantic, instance = zip(*((lab.semantic, lab.instance) for lab in labels))
     return (
         PointCloud(np.vstack(points, dtype=dtype), np.concatenate(remission, dtype=dtype)),
         LabelSet(np.concatenate(semantic), np.concatenate(instance)),
@@ -283,7 +273,7 @@ def _fuse_instance(
 ) -> tuple[list[Rows], list[tuple[int, int]], list[tuple[int, int, str]]]:
     """Past-scan points of one instance mapped into the current sensor frame.
 
-    Each past member's block is mapped by ``to_current[s]``, which takes
+    Each past member's points are mapped by ``to_current[s]``, which takes
     scan s's sensor frame into scan t's. Returns the row blocks, each
     block's origin as ``(s - t, rows)``, and the warnings; the rows cover
     only appended points, never the current scan's own. A moving instance's
@@ -293,7 +283,7 @@ def _fuse_instance(
     """
     scan_t = track.scan_indices[-1]
     current = track.members[-1]
-    tree = cKDTree(current.block[0]) if motion is Motion.MOVING else None
+    tree = cKDTree(current.cloud.points) if motion is Motion.MOVING else None
     blocks: list[Rows] = []
     origins: list[tuple[int, int]] = []
     warnings: list[tuple[int, int, str]] = []
@@ -301,8 +291,7 @@ def _fuse_instance(
     for s, member in zip(track.scan_indices[:-1], track.members[:-1]):
         if member is None:
             continue
-        pts, *rest = member.block
-        pts = apply_points(to_current[s], pts)
+        pts = apply_points(to_current[s], member.cloud.points)
         if tree is not None:
             init = RigidTransform(np.eye(3), current.centroid - centroid(pts))
             try:
@@ -311,7 +300,7 @@ def _fuse_instance(
                 align = init
                 warnings.append((track.label, s - scan_t, str(exc)))
             pts = apply_points(align, pts)
-        blocks.append((pts, *rest))
+        blocks.append((PointCloud(pts, member.cloud.remission), member.labels))
         origins.append((s - scan_t, len(pts)))
 
     return blocks, origins, warnings
@@ -370,7 +359,7 @@ def fuse_scan(
         origins += origin
         warnings += warns
 
-    cloud, labels = _concat([_take(*current, slice(None)), *blocks])
+    cloud, labels = _concat([current, *blocks])
     return FusedScan(
         cloud=cloud,
         labels=labels,
@@ -408,8 +397,7 @@ class InstancePair:
     @property
     def single_cloud(self) -> PointCloud:
         """The single-scan member: a view of the first ``n_single`` rows."""
-        cloud = self.fused_cloud
-        return PointCloud(cloud.points[: self.n_single], cloud.remission[: self.n_single])
+        return self.fused_cloud[: self.n_single]
 
 
 @dataclass
@@ -487,10 +475,8 @@ class InstanceDatabase:
                 raise ScanFuseError(f"{where}: n_single outside 1..{n_rows}")
             rows = slice(start, start + n_rows)
             start += n_rows
-            cloud_rows = PointCloud(cloud.points[rows], cloud.remission[rows])
-            label_rows = LabelSet(labels.semantic[rows], labels.instance[rows])
             key = (fields[0], scan, pack_label(instance, class_id))
-            entries.append(InstancePair(key, cloud_rows, label_rows, n_single))
+            entries.append(InstancePair(key, cloud[rows], labels[rows], n_single))
         if not start == len(cloud) == len(labels):
             sizes = f"entries.bin holds {len(cloud)}, entries.label {len(labels)}"
             raise ScanFuseError(f"{manifest}: {start} rows listed; {sizes}")
@@ -519,15 +505,15 @@ def build_instance_db(
             continue
         index[scan_t] = _instance_index(scan, lab, config.hard_classes)
         for track, rows, _, _ in _fused_instances(seq.poses, index, scan_t, config):
-            single = track.members[-1].block
+            single = track.members[-1]
             # float32 snaps to the on-disk precision, so round trips are exact
-            cloud, labels = _concat([single, *rows], np.float32)
+            cloud, labels = _concat([(single.cloud, single.labels), *rows], np.float32)
             entries.append(
                 InstancePair(
                     key=(seq.name, scan_t, track.label),
                     fused_cloud=cloud,
                     fused_labels=labels,
-                    n_single=len(single[0]),
+                    n_single=len(single.cloud),
                 )
             )
     return InstanceDatabase(entries=entries)
@@ -580,20 +566,18 @@ def sample_and_paste(
         transform = RigidTransform(rot, target - rot @ pivot)
 
         cloud, k = entry.fused_cloud, entry.n_single
-        points = apply_points(transform, cloud.points)
-        semantic = entry.fused_labels.semantic
+        moved = PointCloud(apply_points(transform, cloud.points), cloud.remission)
         instance = np.full(len(cloud), new_id, dtype=np.uint16)
-        singles.append((points[:k], cloud.remission[:k], semantic[:k], instance[:k]))
-        appended.append((points[k:], cloud.remission[k:], semantic[k:], instance[k:]))
+        relabelled = LabelSet(entry.fused_labels.semantic, instance)
+        singles.append((moved[:k], relabelled[:k]))
+        appended.append((moved[k:], relabelled[k:]))
         records.append(
             PasteRecord(key=entry.key, transform=transform, new_instance_id=new_id)
         )
 
     nc = scan.n_current
     cloud, labels = _concat(
-        [_take(scan.cloud, scan.labels, slice(None, nc))]
-        + singles
-        + [_take(scan.cloud, scan.labels, slice(nc, None))]
+        [(scan.cloud[:nc], scan.labels[:nc]), *singles, (scan.cloud[nc:], scan.labels[nc:])]
         + appended
     )
     n_pasted_appended = sum(len(rows[0]) for rows in appended)

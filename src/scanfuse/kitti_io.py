@@ -49,6 +49,7 @@ LABEL_RECORD_BYTES = 4  # 1 uint32 per point
 DEFAULT_HARD_CLASSES = frozenset({11, 15, 18, 20, 30, 31, 32, 81})
 
 T = TypeVar("T")
+R = TypeVar("R", bound="_RowRecord")
 
 # What ``write_file`` writes whole rather than as a stream of chunks.
 Bytes = bytes | bytearray | memoryview
@@ -63,14 +64,43 @@ def _float_array(values) -> np.ndarray:
     return values.astype(np.float64)
 
 
+class _RowRecord:
+    """Two equal-length columns of one row set: the two dataclass fields of a
+    subclass, in order. Indexing selects rows of both columns: a slice gives
+    views (a parsed scan's rows stay read-only views of its bytes), an index
+    array or a mask gathered copies, an integer a one-row record. ``copy()``
+    returns writable arrays."""
+
+    def _check_lengths(self) -> None:
+        (a, first), (b, second) = vars(self).items()
+        if len(first) != len(second):
+            raise ValueError(f"{a} ({len(first)}) and {b} ({len(second)}) lengths differ")
+
+    def __len__(self) -> int:
+        first, _ = vars(self).values()
+        return len(first)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def copy(self: R) -> R:
+        first, second = vars(self).values()
+        return type(self)(first.copy(), second.copy())
+
+    def __getitem__(self: R, rows) -> R:
+        first, second = vars(self).values()
+        return type(self)(first[rows], second[rows])
+
+
 @dataclass(eq=False)
-class PointCloud:
+class PointCloud(_RowRecord):
     """Ordered 3D points with per-point remission.
 
     ``points`` is (N, 3), ``remission`` is (N,) with values in [0, 1]. Both
     keep a float32 or float64 dtype as given (a parsed scan's are read-only
     float32 views of its file bytes); any other input becomes float64.
-    ``copy()`` returns writable arrays.
     """
 
     points: np.ndarray
@@ -79,24 +109,7 @@ class PointCloud:
     def __post_init__(self) -> None:
         self.points = _float_array(self.points).reshape(-1, 3)
         self.remission = _float_array(self.remission).reshape(-1)
-        if len(self.points) != len(self.remission):
-            raise ValueError(
-                f"points ({len(self.points)}) and remission "
-                f"({len(self.remission)}) lengths differ"
-            )
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PointCloud):
-            return NotImplemented
-        return np.array_equal(self.points, other.points) and np.array_equal(
-            self.remission, other.remission
-        )
-
-    def copy(self) -> "PointCloud":
-        return PointCloud(self.points.copy(), self.remission.copy())
+        self._check_lengths()
 
 
 def pack_label(instance, semantic):
@@ -111,7 +124,7 @@ def unpack_label(label):
 
 
 @dataclass(eq=False)
-class LabelSet:
+class LabelSet(_RowRecord):
     """Per-point semantic class and instance ID, parallel to a PointCloud.
 
     Both fields are uint16-range values; the packed disk form is
@@ -124,24 +137,7 @@ class LabelSet:
     def __post_init__(self) -> None:
         self.semantic = np.asarray(self.semantic, dtype=np.uint16).reshape(-1)
         self.instance = np.asarray(self.instance, dtype=np.uint16).reshape(-1)
-        if len(self.semantic) != len(self.instance):
-            raise ValueError(
-                f"semantic ({len(self.semantic)}) and instance "
-                f"({len(self.instance)}) lengths differ"
-            )
-
-    def __len__(self) -> int:
-        return len(self.semantic)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabelSet):
-            return NotImplemented
-        return np.array_equal(self.semantic, other.semantic) and np.array_equal(
-            self.instance, other.instance
-        )
-
-    def copy(self) -> "LabelSet":
-        return LabelSet(self.semantic.copy(), self.instance.copy())
+        self._check_lengths()
 
 
 @dataclass

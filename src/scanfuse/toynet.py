@@ -314,8 +314,7 @@ def distill_rows(
     the hard rows themselves, so each set holds an instance's positions among
     them (``hard_idx[positions]`` are its rows), as IAAD reads them."""
     hard_idx = np.flatnonzero(np.isin(labels.semantic, list(hard_classes)))
-    hard = LabelSet(labels.semantic[hard_idx], labels.instance[hard_idx])
-    positions, groups = instance_rows(hard, hard_classes)
+    positions, groups = instance_rows(labels[hard_idx], hard_classes)
     return hard_idx, [positions[part] for part in groups.values()]
 
 
@@ -367,7 +366,7 @@ def _block(cloud: PointCloud, k: int) -> tuple[int, int, PointCloud]:
     """``(lo, hi, rows lo:hi of cloud)`` of block ``k``."""
     lo = k * BLOCK_ROWS
     hi = min(lo + BLOCK_ROWS, len(cloud))
-    return lo, hi, PointCloud(cloud.points[lo:hi], cloud.remission[lo:hi])
+    return lo, hi, cloud[lo:hi]
 
 
 _BlockPart = tuple[int, float, ToyNetParams | None]

@@ -96,7 +96,9 @@ def test_instance_index_slices_one_gather_of_each_instance(rows, seed, from_disk
             labels.semantic[idx],
             labels.instance[idx],
         )
-        for got, want in zip(entry.block, expected, strict=True):
+        c, lab = entry.cloud, entry.labels
+        columns = (c.points, c.remission, lab.semantic, lab.instance)
+        for got, want in zip(columns, expected, strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert entry.centroid.tobytes() == centroid(scan.points[idx]).tobytes()
 
@@ -108,14 +110,14 @@ def test_gather_full_track(scene, rows):
     truck = scene.truth.objects[1]
     track = gather_instance_track(rows, 4, packed(truck), window=4)
     assert track.scan_indices == [0, 1, 2, 3, 4]
-    assert all(len(member.block[0]) == 50 for member in track.members)
+    assert all(len(member.cloud) == 50 for member in track.members)
     assert track.label == (truck.instance_id << 16) | 18
 
 
 def test_gather_instance_only_in_current_scan(scene, rows):
     track = gather_instance_track(rows, 0, packed(scene.truth.objects[0]), 4)
     assert track.scan_indices == [0]
-    assert len(track.members[0].block[0]) == 50
+    assert len(track.members[0].cloud) == 50
 
 
 def test_gather_holds_the_index_entries_and_none_where_absent():
@@ -174,7 +176,7 @@ def test_motion_displacement_is_normalized_over_scan_gaps():
 
     def member(x: float) -> IndexedInstance:
         point = np.array([[x, 0.0, 0.0]])
-        return IndexedInstance(point[0], (point, np.zeros(1), np.full(1, 18), np.ones(1)))
+        return IndexedInstance(point[0], PointCloud(point, [0.0]), LabelSet([18], [1]))
 
     poses = [RigidTransform.identity() for _ in range(4)]
     track = InstanceTrack(
@@ -666,8 +668,8 @@ def shuffled_rows(seq: SequenceData, seed: int) -> SequenceData:
     scans, labels = [], []
     for cloud, lab in zip(seq.scans, seq.labels):
         order = rng.permutation(len(cloud))
-        scans.append(PointCloud(cloud.points[order], cloud.remission[order]))
-        labels.append(LabelSet(lab.semantic[order], lab.instance[order]))
+        scans.append(cloud[order])
+        labels.append(lab[order])
     return SequenceData(scans, labels, seq.poses, seq.calib, seq.name)
 
 
@@ -691,9 +693,7 @@ def test_db_entries_are_fuse_scan_rows_of_their_instance(seed, window):
         )
         rows = np.concatenate([single, nc + np.flatnonzero(f.labels.instance[nc:] == iid)])
         head = slice(None, entry.n_single)
-        single_labels = LabelSet(
-            entry.fused_labels.semantic[head], entry.fused_labels.instance[head]
-        )
+        single_labels = entry.fused_labels[head]
         for pair_cloud, pair_labels, idx in (
             (entry.single_cloud, single_labels, single),
             (entry.fused_cloud, entry.fused_labels, rows),

@@ -321,10 +321,80 @@ def test_instance_rows_slices_cover_the_grouped_rows_once_in_key_order(rows, cla
 
 
 def test_parallel_arrays_must_agree_in_length():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^points \(3\) and remission \(2\) lengths differ$"):
         PointCloud(np.zeros((3, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^semantic \(3\) and instance \(4\) lengths differ$"):
         LabelSet(np.zeros(3, dtype=np.uint16), np.zeros(4, dtype=np.uint16))
+
+
+# --- row records -------------------------------------------------------------
+
+
+def draw_rows(data, kind: str, n: int):
+    """A row selection of ``kind`` for a record of ``n`` rows."""
+    if kind == "slice with a step":
+        ends = st.none() | st.integers(-n - 2, n + 2)
+        step = st.sampled_from([-3, -2, -1, 2, 3])
+        return slice(data.draw(ends), data.draw(ends), data.draw(step))
+    if kind == "index array with repeats":
+        picks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        return np.array(picks + picks[:1], dtype=np.intp)
+    if kind == "mask":
+        return np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+    return np.empty(0, dtype=np.intp)  # an empty selection
+
+
+@pytest.mark.parametrize(
+    "kind", ["slice with a step", "index array with repeats", "mask", "empty selection"]
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), from_disk=st.booleans())
+def test_record_rows_are_the_rows_of_each_column(kind, data, n, from_disk):
+    rng = np.random.default_rng(n)
+    cloud = PointCloud(rng.normal(size=(n, 3)), rng.uniform(size=n))
+    labels = LabelSet(rng.integers(0, 0x10000, n), rng.integers(0, 0x10000, n))
+    if from_disk:  # read-only float32 views of the bytes, as parsed
+        cloud, labels = parse_scan(write_scan(cloud)), parse_labels(write_labels(labels))
+    rows = draw_rows(data, kind, n)
+    for record, columns in (
+        (cloud, ("points", "remission")),
+        (labels, ("semantic", "instance")),
+    ):
+        picked = record[rows]
+        assert type(picked) is type(record)
+        for name in columns:
+            got, want = getattr(picked, name), getattr(record, name)[rows]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert len(picked) == len(getattr(record, columns[0])[rows])
+    # an integer picks a one-row record, not a column
+    assert len(cloud[0]) == len(labels[n - 1]) == 1
+
+
+@pytest.mark.parametrize("record", ["cloud", "labels"])
+def test_a_record_copy_is_writable_and_independent(record):
+    rng = np.random.default_rng(4)
+    if record == "cloud":
+        original = parse_scan(write_scan(PointCloud(rng.normal(size=(5, 3)), np.ones(5))))
+    else:
+        original = parse_labels(write_labels(LabelSet(np.arange(5), np.arange(5, 10))))
+    before = {name: column.copy() for name, column in vars(original).items()}
+    copy = original.copy()
+    assert copy == original and copy is not original
+    for name, column in vars(copy).items():
+        assert column.flags.writeable
+        assert not np.shares_memory(column, getattr(original, name))
+        column[...] = 3
+    for name, column in vars(original).items():
+        assert column.tobytes() == before[name].tobytes()
+
+
+def test_a_point_cloud_never_equals_a_label_set():
+    cloud = PointCloud(np.zeros((2, 3)), np.zeros(2))
+    labels = LabelSet(np.zeros(2), np.zeros(2))
+    assert (cloud == labels) is False and (labels == cloud) is False
+    assert cloud != labels and labels != cloud
+    assert cloud == cloud[:] and labels == labels[:]
 
 
 # --- fresh instance IDs ------------------------------------------------------

@@ -417,6 +417,21 @@ def test_a_failed_database_save_leaves_no_manifest_to_load(tmp_path, monkeypatch
 # --- read-only contract ---------------------------------------------------
 
 
+def test_a_row_slice_of_a_loaded_scan_views_its_mapping_and_a_gather_copies(tmp_path):
+    data = written_sequence(tmp_path / "seq")
+    scan = load_sequence_index(tmp_path / "seq").load_scan(0)
+    view, gathered = scan[3:40:2], scan[np.array([5, 5, 1])]
+    for name, column in vars(view).items():
+        assert np.shares_memory(column, getattr(scan, name))
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+        assert column.tobytes() == getattr(on_disk(data)[0], name)[3:40:2].tobytes()
+    for name, column in vars(gathered).items():
+        assert not np.shares_memory(column, getattr(scan, name))
+        assert column.flags.writeable
+
+
 def test_loaded_scans_and_database_entries_are_read_only_and_copy_to_writable(tmp_path):
     data = written_sequence(tmp_path / "seq")
     build_instance_db(data, FusionConfig()).save(tmp_path / "augdb")

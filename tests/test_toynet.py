@@ -134,7 +134,7 @@ def test_forward_is_permutation_equivariant():
     params = ToyNetParams.init(5, 8, 3)
     cloud = PointCloud(rng.uniform(-5, 5, size=(20, 3)), rng.uniform(0, 1, 20))
     perm = rng.permutation(20)
-    permuted = PointCloud(cloud.points[perm], cloud.remission[perm])
+    permuted = cloud[perm]
     out = forward(params, cloud)
     out_p = forward(params, permuted)
     assert np.array_equal(out.logits[perm], out_p.logits)
@@ -552,15 +552,12 @@ def test_distillation_terms_are_bit_identical_under_row_permutation_in_several_b
     order = np.concatenate([rng.permutation(n), n + rng.permutation(fused.n_appended)])
     cur = order[:n]
     shuffled_fused = FusedScan(
-        cloud=PointCloud(fused.cloud.points[order], fused.cloud.remission[order]),
-        labels=LabelSet(fused.labels.semantic[order], fused.labels.instance[order]),
+        cloud=fused.cloud[order],
+        labels=fused.labels[order],
         n_current=n,
         origin_runs=[(origin, 1) for origin in fused.origin_index[order[n:] - n].tolist()],
     )
-    shuffled = (
-        PointCloud(current.points[cur], current.remission[cur]),
-        LabelSet(labels.semantic[cur], labels.instance[cur]),
-    )
+    shuffled = (current[cur], labels[cur])
     base = compute_gradients(state, current, fused, labels)[0]
     moved = compute_gradients(state, shuffled[0], shuffled_fused, shuffled[1])[0]
     assert min(base.feature, base.logits, base.affinity) > 0.0
@@ -706,8 +703,8 @@ def test_step_memory_follows_the_block_and_hard_rows_not_the_scan():
         n_current=n_cur,
         origin_runs=[(-1, n - n_cur)],
     )
-    current = PointCloud(cloud.points[:n_cur], cloud.remission[:n_cur])
-    labels = LabelSet(semantic[:n_cur], instance[:n_cur])
+    current = cloud[:n_cur]
+    labels = fused.labels[:n_cur]
     state = tiny_state(1, 2, {40: 0, 81: 1, 18: 2}, frozenset({81, 18}), hidden=hidden)
     hard, _ = distill_rows(labels, state.hard_classes)
     compute_gradients(state, current, fused, labels)  # warm every lazy load
@@ -783,7 +780,7 @@ def test_train_step_rejects_misaligned_map():
     cloud, labels = separable_two_class_scene(seed=13)
     fused = trivial_fused(cloud, labels)
     state = tiny_state(14, 15, {0: 0, 1: 1}, frozenset({1}))
-    short = PointCloud(cloud.points[:-1], cloud.remission[:-1])
+    short = cloud[:-1]
     with pytest.raises(ShapeError):
         train_step(state, short, fused, labels)
 
