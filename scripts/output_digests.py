@@ -7,14 +7,15 @@ For each seed, in a new temporary directory, runs ``make-synthetic --seed S
 that sequence, ``loss-check --cases 20 --seed S`` and ``train-toy --seed S
 --steps 3 --scans N``, with ``scanfuse`` imported from SRC (default: this
 checkout's ``src/``). Prints one ``sha256  name`` line per command's stdout
-and one per its stderr, in command order, and three for in-memory runs:
+and one per its stderr, in command order, and four for in-memory runs:
 the scene ``make_synthetic_sequence(default_scene(n_scans=N), S)`` (its
 float64 points, remission, labels and poses, and its truth bounds and
-centroids); ``verify_gradients(20, S)`` as ``name float.hex passed`` lines;
-and a paste-and-train run (see ``pipeline_digest``); then one per file written,
-sorted by path relative to the directory. Losses and gradient errors are
-digested by their full bits, not as the commands print them. A command that
-exits nonzero stops the run with exit code 1.
+centroids); ``fuse_scan`` of that scene at every scan (see
+``fusion_digest``); ``verify_gradients(20, S)`` as ``name float.hex passed``
+lines; and a paste-and-train run (see ``pipeline_digest``); then one per
+file written, sorted by path relative to the directory. Losses and gradient
+errors are digested by their full bits, not as the commands print them. A
+command that exits nonzero stops the run with exit code 1.
 
 Two trees give the same listing exactly when these commands write the same
 bytes and report the same text, so one command compares a change with its
@@ -70,6 +71,22 @@ def scene_digest(scene) -> str:
     for obj in scene.truth.objects:
         digest.update(f"{obj.instance_id} {obj.class_id} {obj.start} {obj.stop}".encode())
         digest.update(obj.world_centroids.tobytes())
+    return digest.hexdigest()
+
+
+def fusion_digest(seq) -> str:
+    """One digest of ``fuse_scan(seq, t, FusionConfig())`` for every scan t
+    of the in-memory sequence ``seq``, which fuses float64 rows, unlike the
+    ``fuse`` commands: each fused scan's ``n_current``, registration
+    warnings, rows and ``origin_runs``."""
+    from scanfuse import fusion
+
+    digest = hashlib.sha256()
+    for t in range(len(seq)):
+        fused = fusion.fuse_scan(seq, t, fusion.FusionConfig())
+        digest.update(f"{fused.n_current} {fused.registration_warnings}".encode())
+        update(digest, (fused.cloud.points, fused.cloud.remission, fused.origin_runs))
+        update(digest, (fused.labels.semantic, fused.labels.instance))
     return digest.hexdigest()
 
 
@@ -140,6 +157,7 @@ def digests(seeds: list[int], scans: int) -> list[str]:
         scene = synthetic.make_synthetic_sequence(synthetic.default_scene(n_scans=scans), seed)
         name = f"default_scene(n_scans={scans}) at seed {seed}"
         lines.append(f"{scene_digest(scene)}  {name}")
+        lines.append(f"{fusion_digest(scene.data)}  fuse_scan at every scan of {name}")
         checks = distill.verify_gradients(20, seed)
         text = "".join(f"{loss} {err.hex()} {passed}\n" for loss, err, passed in checks)
         lines.append(f"{sha256(text.encode())}  verify_gradients(20, {seed})")

@@ -9,10 +9,10 @@ synchronized copy-paste augmentation of both branches.
 
 Each scan's hard-class rows are gathered once, into its instance index (see
 ``_instance_index``), and each instance's records (its ``PointCloud`` and
-``LabelSet``) are row slices of that gather. An instance's entry there is
-its one record: its track holds that entry for every scan of the window, and
-motion classification, the KD-tree, registration and the database read the
-entry, not the scan.
+``LabelSet``) are row slices of that gather; a window moves each past scan's
+gather by one transform, and an instance's points are its slice of the result.
+An instance's entry is its one record: its track holds that entry for every
+scan of the window, and classification, registration and the database read it.
 """
 
 from __future__ import annotations
@@ -89,17 +89,18 @@ class FusionConfig:
             raise InvalidConfig("moving_threshold must be >= 0")
 
 
-# Rows of a cloud and the labels parallel to them.
-Rows = tuple[PointCloud, LabelSet]
+# Rows as columns: points, remission and the labels parallel to them.
+Block = tuple[np.ndarray, np.ndarray, LabelSet]
 
 
 class IndexedInstance(NamedTuple):
     """One hard-class instance of a scan, as its instance index holds it: its
-    rows in ascending scan order, the points widened to float64."""
+    rows in ascending scan order, points widened to float64, and their slice."""
 
     centroid: np.ndarray  # sensor-frame centroid of its rows
     cloud: PointCloud
     labels: LabelSet
+    rows: slice  # of the scan's gathered hard rows (see ``_instance_index``)
 
 
 # One scan's instance index: each hard-class instance's packed label -> its
@@ -192,14 +193,15 @@ def _window(index: dict[int, InstanceIndex], scan_t: int, window: int) -> range:
 
 def _instance_index(
     scan: PointCloud, labels: LabelSet, hard_classes: frozenset[int]
-) -> InstanceIndex:
-    """The instance index of one scan.
+) -> tuple[InstanceIndex, PointCloud]:
+    """The instance index of one scan, and the gather it slices.
 
     The only place fusion gathers a scan's hard-class rows: one gather of
     the records takes the grouped rows of ``kitti_io.instance_rows`` at
     once, the points widened to float64 once, and each instance's records
-    are its slice of that gather. Built once per scan per call, so every
-    window holding the scan shares its centroids and records."""
+    are its ``rows`` slice of that gather. Built once per scan per call, so
+    every window holding the scan shares it. Each centroid is taken from its
+    own rows: one reduction over the whole gather would change its bits."""
     rows, groups = instance_rows(labels, hard_classes)
     gathered = scan[rows]
     cloud = PointCloud(np.asarray(gathered.points, dtype=np.float64), gathered.remission)
@@ -207,8 +209,8 @@ def _instance_index(
     index: InstanceIndex = {}
     for label, part in groups.items():
         member = cloud[part]
-        index[label] = IndexedInstance(centroid(member.points), member, labels[part])
-    return index
+        index[label] = IndexedInstance(centroid(member.points), member, labels[part], part)
+    return index, cloud
 
 
 def gather_instance_track(
@@ -250,14 +252,13 @@ def classify_motion(
     return Motion.STATIC
 
 
-def _concat(blocks: list[Rows], dtype: type = np.float64) -> Rows:
+def _concat(blocks: list[Block], dtype: type = np.float64) -> tuple[PointCloud, LabelSet]:
     """Stack row blocks in order into one cloud and labels.
 
     The coordinates pass through ``dtype``: ``np.float32`` snaps them to
     the on-disk precision.
     """
-    clouds, labels = zip(*blocks)
-    points, remission = zip(*((c.points, c.remission) for c in clouds))
+    points, remission, labels = zip(*blocks)
     semantic, instance = zip(*((lab.semantic, lab.instance) for lab in labels))
     return (
         PointCloud(np.vstack(points, dtype=dtype), np.concatenate(remission, dtype=dtype)),
@@ -268,30 +269,34 @@ def _concat(blocks: list[Rows], dtype: type = np.float64) -> Rows:
 def _fuse_instance(
     track: InstanceTrack,
     motion: Motion,
-    to_current: dict[int, RigidTransform],
+    to_current: dict[int, tuple[RigidTransform, np.ndarray]],
     config: FusionConfig,
-) -> tuple[list[Rows], list[tuple[int, int]], list[tuple[int, int, str]]]:
+) -> tuple[list[Block], list[tuple[int, int]], list[tuple[int, int, str]]]:
     """Past-scan points of one instance mapped into the current sensor frame.
 
-    Each past member's points are mapped by ``to_current[s]``, which takes
-    scan s's sensor frame into scan t's. Returns the row blocks, each
-    block's origin as ``(s - t, rows)``, and the warnings; the rows cover
-    only appended points, never the current scan's own. A moving instance's
-    registrations share one KD-tree over its current member's points, and
-    each starts from the translation that moves the block's centroid onto
-    the current member's (indexed) centroid.
+    ``to_current[s]`` is the transform from scan s's sensor frame into scan
+    t's and scan s's gather moved by it; a member's points are its ``rows``
+    of that array, but a one-row member is moved alone, since NumPy takes a
+    (1, 3) array by a path whose bits may differ. Returns the row blocks,
+    their origins ``(s - t, rows)`` and the warnings; the rows cover only
+    appended points. A moving instance's registrations share one KD-tree
+    over its current member's points, and each starts from the translation
+    that moves the block's centroid onto the current member's centroid.
     """
     scan_t = track.scan_indices[-1]
     current = track.members[-1]
     tree = cKDTree(current.cloud.points) if motion is Motion.MOVING else None
-    blocks: list[Rows] = []
+    blocks: list[Block] = []
     origins: list[tuple[int, int]] = []
     warnings: list[tuple[int, int, str]] = []
 
     for s, member in zip(track.scan_indices[:-1], track.members[:-1]):
         if member is None:
             continue
-        pts = apply_points(to_current[s], member.cloud.points)
+        transform, moved = to_current[s]
+        pts = moved[member.rows]
+        if len(pts) == 1:
+            pts = apply_points(transform, member.cloud.points)
         if tree is not None:
             init = RigidTransform(np.eye(3), current.centroid - centroid(pts))
             try:
@@ -300,7 +305,7 @@ def _fuse_instance(
                 align = init
                 warnings.append((track.label, s - scan_t, str(exc)))
             pts = apply_points(align, pts)
-        blocks.append((PointCloud(pts, member.cloud.remission), member.labels))
+        blocks.append((pts, member.cloud.remission, member.labels))
         origins.append((s - scan_t, len(pts)))
 
     return blocks, origins, warnings
@@ -309,23 +314,26 @@ def _fuse_instance(
 def _fused_instances(
     poses: list[RigidTransform],
     index: dict[int, InstanceIndex],
+    gathered: dict[int, PointCloud],
     scan_t: int,
     config: FusionConfig,
 ) -> Iterator[
-    tuple[InstanceTrack, list[Rows], list[tuple[int, int]], list[tuple[int, int, str]]]
+    tuple[InstanceTrack, list[Block], list[tuple[int, int]], list[tuple[int, int, str]]]
 ]:
     """The one track -> classify -> fuse loop behind ``fuse_scan`` and
     ``build_instance_db``.
 
     ``index`` holds the instance index of every scan of scan t's window (see
-    ``gather_instance_track``). Yields, in packed-label order, each
-    hard-class instance of scan t: its track, then its appended row blocks,
-    their ``(s - t, rows)`` origins and its warnings.
+    ``gather_instance_track``) and ``gathered`` the gather each slices. Yields,
+    in packed-label order, each hard-class instance of scan t: its track,
+    then its appended row blocks, their ``(s - t, rows)`` origins and its
+    warnings.
     """
     t_inv = invert(poses[scan_t])
-    to_current = {
-        s: compose(t_inv, poses[s]) for s in _window(index, scan_t, config.window)[:-1]
-    }
+    to_current = {}
+    for s in _window(index, scan_t, config.window)[:-1]:
+        transform = compose(t_inv, poses[s])
+        to_current[s] = transform, apply_points(transform, gathered[s].points)
     for label in index[scan_t]:
         track = gather_instance_track(index, scan_t, label, config.window)
         motion = classify_motion(track, poses, config.moving_threshold)
@@ -345,28 +353,23 @@ def fuse_scan(
         raise ScanFuseError(f"scan {scan_t} out of range for sequence of {len(seq)}")
     window = range(max(0, scan_t - config.window), scan_t + 1)
     index: dict[int, InstanceIndex] = {}
+    gathered: dict[int, PointCloud] = {}
     for s, (scan, lab) in enumerate(seq.iter_scans()):
         if s == scan_t:
-            current = scan, lab
+            current = scan.points, scan.remission, lab
         if s in window and lab is not None:
-            index[s] = _instance_index(scan, lab, config.hard_classes)
+            index[s], gathered[s] = _instance_index(scan, lab, config.hard_classes)
 
-    blocks: list[Rows] = []
+    blocks: list[Block] = []
     origins: list[tuple[int, int]] = []
     warnings: list[tuple[int, int, str]] = []
-    for _, rows, origin, warns in _fused_instances(seq.poses, index, scan_t, config):
+    for _, rows, origin, warns in _fused_instances(seq.poses, index, gathered, scan_t, config):
         blocks += rows
         origins += origin
         warnings += warns
 
     cloud, labels = _concat([current, *blocks])
-    return FusedScan(
-        cloud=cloud,
-        labels=labels,
-        n_current=len(current[0]),
-        origin_runs=origins,
-        registration_warnings=warnings,
-    )
+    return FusedScan(cloud, labels, len(current[0]), origins, registration_warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -498,24 +501,21 @@ def build_instance_db(
     ``load(save(db)) == db`` holds exactly.
     """
     index: dict[int, InstanceIndex] = {}
+    gathered: dict[int, PointCloud] = {}
     entries: list[InstancePair] = []
     for scan_t, (scan, lab) in enumerate(seq.iter_scans()):
         index.pop(scan_t - config.window - 1, None)
+        gathered.pop(scan_t - config.window - 1, None)
         if lab is None:
             continue
-        index[scan_t] = _instance_index(scan, lab, config.hard_classes)
-        for track, rows, _, _ in _fused_instances(seq.poses, index, scan_t, config):
+        index[scan_t], gathered[scan_t] = _instance_index(scan, lab, config.hard_classes)
+        for track, rows, _, _ in _fused_instances(seq.poses, index, gathered, scan_t, config):
             single = track.members[-1]
+            block = single.cloud.points, single.cloud.remission, single.labels
             # float32 snaps to the on-disk precision, so round trips are exact
-            cloud, labels = _concat([(single.cloud, single.labels), *rows], np.float32)
-            entries.append(
-                InstancePair(
-                    key=(seq.name, scan_t, track.label),
-                    fused_cloud=cloud,
-                    fused_labels=labels,
-                    n_single=len(single.cloud),
-                )
-            )
+            cloud, labels = _concat([block, *rows], np.float32)
+            key = (seq.name, scan_t, track.label)
+            entries.append(InstancePair(key, cloud, labels, len(single.cloud)))
     return InstanceDatabase(entries=entries)
 
 
@@ -551,8 +551,8 @@ def sample_and_paste(
         xy_min = np.array([-10.0, -10.0])
         xy_max = np.array([10.0, 10.0])
 
-    singles: list[Rows] = []
-    appended: list[Rows] = []
+    singles: list[Block] = []
+    appended: list[Block] = []
     records: list[PasteRecord] = []
 
     for new_id in fresh_instance_ids(scan.labels, n):
@@ -566,19 +566,17 @@ def sample_and_paste(
         transform = RigidTransform(rot, target - rot @ pivot)
 
         cloud, k = entry.fused_cloud, entry.n_single
-        moved = PointCloud(apply_points(transform, cloud.points), cloud.remission)
+        moved = apply_points(transform, cloud.points)
         instance = np.full(len(cloud), new_id, dtype=np.uint16)
         relabelled = LabelSet(entry.fused_labels.semantic, instance)
-        singles.append((moved[:k], relabelled[:k]))
-        appended.append((moved[k:], relabelled[k:]))
-        records.append(
-            PasteRecord(key=entry.key, transform=transform, new_instance_id=new_id)
-        )
+        singles.append((moved[:k], cloud.remission[:k], relabelled[:k]))
+        appended.append((moved[k:], cloud.remission[k:], relabelled[k:]))
+        records.append(PasteRecord(entry.key, transform, new_id))
 
-    nc = scan.n_current
+    nc, current = scan.n_current, scan.cloud
     cloud, labels = _concat(
-        [(scan.cloud[:nc], scan.labels[:nc]), *singles, (scan.cloud[nc:], scan.labels[nc:])]
-        + appended
+        [(current.points[:nc], current.remission[:nc], scan.labels[:nc]), *singles]
+        + [(current.points[nc:], current.remission[nc:], scan.labels[nc:]), *appended]
     )
     n_pasted_appended = sum(len(rows[0]) for rows in appended)
 

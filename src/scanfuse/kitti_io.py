@@ -69,7 +69,8 @@ class _RowRecord:
     subclass, in order. Indexing selects rows of both columns: a slice gives
     views (a parsed scan's rows stay read-only views of its bytes), an index
     array or a mask gathered copies, an integer a one-row record. ``copy()``
-    returns writable arrays."""
+    returns writable arrays. Only an integer runs the constructor again: the
+    other selections and copies keep the checked columns' dtypes (``_of``)."""
 
     def _check_lengths(self) -> None:
         (a, first), (b, second) = vars(self).items()
@@ -85,13 +86,20 @@ class _RowRecord:
             return NotImplemented
         return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
+    def _of(self: R, fields: dict[str, np.ndarray]) -> R:
+        record = object.__new__(type(self))  # holding the columns as given
+        record.__dict__.update(fields)
+        return record
+
     def copy(self: R) -> R:
-        first, second = vars(self).values()
-        return type(self)(first.copy(), second.copy())
+        return self._of({name: column.copy() for name, column in vars(self).items()})
 
     def __getitem__(self: R, rows) -> R:
-        first, second = vars(self).values()
-        return type(self)(first[rows], second[rows])
+        (a, first), (b, second) = vars(self).items()
+        first, second = first[rows], second[rows]
+        if second.ndim != 1:  # an integer's row: the constructor reshapes it
+            return type(self)(first, second)
+        return self._of({a: first, b: second})
 
 
 @dataclass(eq=False)
@@ -297,7 +305,8 @@ def parse_scan(data: bytes) -> PointCloud:
             f"scan length {len(data)} is not a multiple of {SCAN_RECORD_BYTES}"
         )
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
-    if not np.isfinite(raw).all():
+    # NaN propagates to both extremes and an infinity is one: no (N, 4) temporary
+    if not (np.isfinite(raw.min(initial=0.0)) and np.isfinite(raw.max(initial=0.0))):
         raise MalformedScan("scan contains non-finite values")
     return PointCloud(points=raw[:, :3], remission=raw[:, 3])
 

@@ -289,20 +289,23 @@ def remap_semantic(semantic: np.ndarray, raw_to_train: dict[int, int]) -> np.nda
     """Train IDs of raw class IDs: the one raw->train lookup.
 
     A raw ID mapped to -1 stays -1 (ignored; only eval-miou drops such
-    points). InvalidConfig names every raw ID in ``semantic`` the map lacks;
-    a map entry outside raw 0..65535 or below train ID -1 raises it too.
+    points). InvalidConfig names every raw ID in ``semantic`` (a ``LabelSet``
+    column) the map lacks; a map entry outside raw 0..65535 or below train
+    ID -1 raises it too. The table reaches the largest raw ID present only.
     """
-    table = np.full(0x10000, -2, dtype=np.int64)  # -2: missing; train IDs are >= -1
+    semantic = np.asarray(semantic)
+    table = np.full(int(semantic.max(initial=0)) + 1, -2, np.int64)  # -2: missing
     for raw, train in raw_to_train.items():
         if not 0 <= raw <= 0xFFFF:
             raise InvalidConfig(f"raw class ID {raw} is outside the 16-bit range")
         if train < -1:
             raise InvalidConfig(f"raw class ID {raw} has train ID {train} below -1")
-        table[raw] = train
-    out = table[np.asarray(semantic, dtype=np.int64)]
+        if raw < len(table):
+            table[raw] = train
+    out = table[semantic]
     missing = out == -2
     if missing.any():
-        ids = sorted(set(np.asarray(semantic)[missing].tolist()))
+        ids = sorted(set(semantic[missing].tolist()))
         raise InvalidConfig(f"classes {ids} missing from the class map")
     return out
 

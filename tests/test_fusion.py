@@ -45,7 +45,7 @@ from scanfuse.synthetic import (
     make_synthetic_sequence,
 )
 
-from scenes import centroid_init, mixed_scene, shared_id_scene
+from scenes import centroid_init, mixed_scene, random_rigid_transform, shared_id_scene
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,9 @@ def scene():
 def rows(scene):
     """The instance index of every scan of ``scene``."""
     data, hard = scene.data, FusionConfig().hard_classes
-    return {s: _instance_index(*scan, hard) for s, scan in enumerate(zip(data.scans, data.labels))}
+    return {
+        s: _instance_index(*scan, hard)[0] for s, scan in enumerate(zip(data.scans, data.labels))
+    }
 
 
 def packed(obj) -> int:
@@ -86,8 +88,9 @@ def test_instance_index_slices_one_gather_of_each_instance(rows, seed, from_disk
     labels = LabelSet([sem for _, sem in rows], [inst for inst, _ in rows])
     hard = FusionConfig().hard_classes
     grouped, groups = instance_rows(labels, hard)
-    index = _instance_index(scan, labels, hard)
+    index, gathered = _instance_index(scan, labels, hard)
     assert list(index) == list(groups)
+    assert gathered.points.dtype == np.float64 and len(gathered) == len(grouped)
     for label, entry in index.items():
         idx = grouped[groups[label]]
         expected = (
@@ -101,6 +104,111 @@ def test_instance_index_slices_one_gather_of_each_instance(rows, seed, from_disk
         for got, want in zip(columns, expected, strict=True):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert entry.centroid.tobytes() == centroid(scan.points[idx]).tobytes()
+        assert entry.rows == groups[label] and entry.cloud == gathered[entry.rows]
+
+
+# The in-memory float64 scenes that the bit guards of the fast path run on.
+FLOAT64_SCENES = [
+    pytest.param(default_scene(n_scans=8), 7, id="default_scene(n_scans=8) at seed 7"),
+    pytest.param(default_scene(n_scans=8), 461, id="default_scene(n_scans=8) at seed 461"),
+    pytest.param(mixed_scene(yaw_rate=0.3), 11, id="turning mixed_scene at seed 11"),
+]
+
+
+@pytest.mark.parametrize("config, seed", FLOAT64_SCENES)
+def test_each_indexed_centroid_is_the_centroid_of_its_own_rows_by_bytes(config, seed):
+    data, hard = make_synthetic_sequence(config, seed).data, FusionConfig().hard_classes
+    for scan, labels in zip(data.scans, data.labels, strict=True):
+        assert scan.points.dtype == np.float64
+        rows, groups = instance_rows(labels, hard)
+        index, _ = _instance_index(scan, labels, hard)
+        assert list(index) == list(groups)
+        for label, entry in index.items():
+            want = centroid(scan.points[rows[groups[label]]])
+            assert entry.centroid.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("config, seed", FLOAT64_SCENES)
+def test_a_member_of_two_or_more_rows_is_its_slice_of_its_scans_transform(config, seed):
+    data, hard = make_synthetic_sequence(config, seed).data, FusionConfig().hard_classes
+    indexed = [_instance_index(*scan, hard) for scan in zip(data.scans, data.labels)]
+    checked = 0
+    for t in range(len(data)):
+        for s in range(max(0, t - 4), t):
+            transform = compose(invert(data.poses[t]), data.poses[s])
+            index, gathered = indexed[s]
+            moved = apply_points(transform, gathered.points)
+            for member in index.values():
+                if len(member.cloud) < 2:
+                    continue
+                alone = apply_points(transform, member.cloud.points)
+                assert moved[member.rows].tobytes() == alone.tobytes()
+                checked += 1
+    assert checked
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(2, 60), min_size=1, max_size=12),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_any_group_of_two_or_more_rows_moves_as_its_slice_of_the_whole(sizes, seed, snap):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(scale=30.0, size=(sum(sizes), 3))
+    if snap:  # float32 values widened, as a parsed scan's rows are
+        points = points.astype(np.float32).astype(np.float64)
+    transform = random_rigid_transform(rng, max_translation=50.0)
+    moved = apply_points(transform, points)
+    bounds = np.cumsum([0, *sizes]).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert moved[lo:hi].tobytes() == apply_points(transform, points[lo:hi]).tobytes()
+
+
+def per_instance_fusion(data: SequenceData, scan_t: int, config: FusionConfig) -> list:
+    """The columns ``fuse_scan`` gives a scene whose instances are all static,
+    with each past member moved by its own ``apply_points`` call."""
+    window = range(max(0, scan_t - config.window), scan_t + 1)
+    hard = config.hard_classes
+    index = {s: _instance_index(data.scans[s], data.labels[s], hard)[0] for s in window}
+    scan, labels = data.scans[scan_t], data.labels[scan_t]
+    columns = [[scan.points], [scan.remission], [labels.semantic], [labels.instance]]
+    for label in index[scan_t]:
+        for s in window[:-1]:
+            member = index[s].get(label)
+            if member is not None:
+                transform = compose(invert(data.poses[scan_t]), data.poses[s])
+                moved = apply_points(transform, member.cloud.points)
+                rows = (moved, member.cloud.remission, *vars(member.labels).values())
+                for column, part in zip(columns, rows, strict=True):
+                    column.append(part)
+    return [np.concatenate(parts) for parts in columns]
+
+
+def test_a_one_point_member_fuses_as_its_own_transform_moves_it():
+    # Scan 5 keeps one row of the sign at a time. Moved within the whole
+    # gather of scan 5, some of those rows take other bits than alone, so
+    # the fused scan matches only if a one-row member is moved by itself.
+    seq = make_synthetic_sequence(default_scene(n_scans=8), 7)
+    config = FusionConfig(moving_threshold=float("inf"))  # all static: no ICP
+    sign = seq.truth.objects[0].indices()
+    transform = compose(invert(seq.data.poses[7]), seq.data.poses[5])
+    whole_differs = []
+    for kept in sign[:4]:
+        labels = list(seq.data.labels)
+        labels[5] = labels[5].copy()
+        labels[5].instance[sign[sign != kept]] = 0
+        data = dataclasses.replace(seq.data, labels=labels)
+        index, gathered = _instance_index(data.scans[5], labels[5], config.hard_classes)
+        (member,) = (entry for entry in index.values() if len(entry.cloud) == 1)
+        whole = apply_points(transform, gathered.points)[member.rows]
+        alone = apply_points(transform, member.cloud.points)
+        whole_differs.append(whole.tobytes() != alone.tobytes())
+        fused = fuse_scan(data, 7, config)
+        got = (fused.cloud.points, fused.cloud.remission, *vars(fused.labels).values())
+        for column, want in zip(got, per_instance_fusion(data, 7, config), strict=True):
+            assert column.dtype == want.dtype and column.tobytes() == want.tobytes()
+    assert any(whole_differs)
 
 
 # --- gather_instance_track -------------------------------------------------------
@@ -128,7 +236,9 @@ def test_gather_holds_the_index_entries_and_none_where_absent():
     for s in (1, 3):
         data.labels[s].instance[seq.truth.objects[1].indices()] = 0
     hard = FusionConfig().hard_classes
-    index = {s: _instance_index(*scan, hard) for s, scan in enumerate(zip(data.scans, data.labels))}
+    index = {
+        s: _instance_index(*scan, hard)[0] for s, scan in enumerate(zip(data.scans, data.labels))
+    }
     track = gather_instance_track(index, 4, truck, window=4)
     assert track.scan_indices == [0, 1, 2, 3, 4]
     for s, member in zip(track.scan_indices, track.members, strict=True):
@@ -176,7 +286,8 @@ def test_motion_displacement_is_normalized_over_scan_gaps():
 
     def member(x: float) -> IndexedInstance:
         point = np.array([[x, 0.0, 0.0]])
-        return IndexedInstance(point[0], PointCloud(point, [0.0]), LabelSet([18], [1]))
+        cloud = PointCloud(point, [0.0])
+        return IndexedInstance(point[0], cloud, LabelSet([18], [1]), slice(0, 1))
 
     poses = [RigidTransform.identity() for _ in range(4)]
     track = InstanceTrack(

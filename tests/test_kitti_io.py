@@ -90,6 +90,29 @@ def test_parse_scan_rejects_non_finite():
         parse_scan(data)
 
 
+# Bit patterns of float32 edge values: quiet and signalling NaNs of either
+# sign, the infinities, -0.0, the smallest and largest subnormals, the
+# largest finite values and 1.0.
+F32_EDGE_BITS = [
+    0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFBFFFFF, 0x7F800000, 0xFF800000,
+    0x80000000, 0x00000001, 0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF, 0x3F800000,
+]  # fmt: skip
+F32_BITS = st.sampled_from(F32_EDGE_BITS) | st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(F32_BITS, min_size=4, max_size=4), max_size=12))
+@example([])  # an empty file
+@example([[0x3F800000] * 4] * 3 + [[0x3F800000] * 3 + [0x7F800000]])  # inf in the last row
+def test_parse_scan_raises_exactly_when_a_value_is_not_finite(rows):
+    raw = np.array(rows, dtype="<u4").reshape(-1, 4).view("<f4")
+    if np.isfinite(raw).all():
+        assert bytes(write_scan(parse_scan(raw.tobytes()))) == raw.tobytes()
+    else:
+        with pytest.raises(MalformedScan, match=r"^scan contains non-finite values$"):
+            parse_scan(raw.tobytes())
+
+
 def test_scan_bytes_roundtrip_random():
     rng = np.random.default_rng(10)
     for _ in range(200):
@@ -369,6 +392,45 @@ def test_record_rows_are_the_rows_of_each_column(kind, data, n, from_disk):
         assert len(picked) == len(getattr(record, columns[0])[rows])
     # an integer picks a one-row record, not a column
     assert len(cloud[0]) == len(labels[n - 1]) == 1
+
+
+@pytest.mark.parametrize(
+    "kind", ["slice with a step", "index array with repeats", "mask", "empty selection", "integer"]
+)
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 12),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    from_disk=st.booleans(),
+)
+def test_record_rows_and_copies_are_what_the_constructor_builds(kind, data, n, dtype, from_disk):
+    rng = np.random.default_rng(n)
+    cloud = PointCloud(rng.normal(size=(n, 3)).astype(dtype), rng.uniform(size=n).astype(dtype))
+    labels = LabelSet(rng.integers(0, 0x10000, n), rng.integers(0, 0x10000, n))
+    if from_disk:  # read-only float32 views of the bytes, as parsed
+        cloud, labels = parse_scan(write_scan(cloud)), parse_labels(write_labels(labels))
+    if kind == "integer":
+        rows = data.draw(st.integers(-n, n - 1))
+    else:
+        rows = draw_rows(data, kind, n)
+    for record in (cloud, labels):
+        columns = list(vars(record).values())
+        built_rows = type(record)(*(column[rows] for column in columns))
+        built_copy = type(record)(*(column.copy() for column in columns))
+        for got, want in ((record[rows], built_rows), (record.copy(), built_copy)):
+            assert type(got) is type(want) and list(vars(got)) == list(vars(want))
+            for column, expected in zip(vars(got).values(), vars(want).values(), strict=True):
+                assert column.dtype == expected.dtype and column.shape == expected.shape
+                assert column.tobytes() == expected.tobytes()
+                assert column.flags.writeable == expected.flags.writeable
+    if kind == "integer":
+        assert len(cloud[rows]) == len(labels[rows]) == 1
+    if from_disk and kind == "slice with a step":
+        # a parsed scan's slice stays a read-only view of the parsed bytes
+        for column, whole in zip(vars(cloud[rows]).values(), vars(cloud).values(), strict=True):
+            assert not column.flags.writeable
+            assert column.size == 0 or np.shares_memory(column, whole)
 
 
 @pytest.mark.parametrize("record", ["cloud", "labels"])

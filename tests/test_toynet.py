@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -6,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scanfuse import toynet
 from scanfuse.distill import (
@@ -774,6 +777,34 @@ def test_remap_semantic_keeps_ignored_ids_and_names_every_missing_one():
     semantic = np.array([5, 40, 9, 5, 0xFFFE, 7], dtype=np.uint16)
     with pytest.raises(InvalidConfig, match=r"classes \[5, 9, 65534\] missing from the class map"):
         remap_semantic(semantic, raw_to_train)
+
+
+RAW_IDS = [0, 1, 7, 40, 259, 0xFFFE, 0xFFFF]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(RAW_IDS), st.integers(-1, 6)),
+    st.lists(st.sampled_from(RAW_IDS) | st.integers(0, 0xFFFF), max_size=20),
+)
+@example({}, [])  # an empty array
+@example({0xFFFF: 3, 7: -1, 40: 0}, [0xFFFF, 7, 40, 0xFFFF])  # raw 65535; -1 stays -1
+@example({40: 0}, [0xFFFF, 5, 40, 5])  # each missing ID named once, ascending
+def test_remap_semantic_is_the_lookup_of_the_full_16_bit_table(raw_to_train, ids):
+    semantic = np.array(ids, dtype=np.uint16)
+    table = np.full(0x10000, -2, dtype=np.int64)  # -2: missing
+    for raw, train in raw_to_train.items():
+        table[raw] = train
+    want = table[semantic.astype(np.int64)]
+    missing = sorted(set(semantic[want == -2].tolist()))
+    if missing:
+        message = f"classes {missing} missing from the class map"
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+            remap_semantic(semantic, raw_to_train)
+        return
+    got = remap_semantic(semantic, raw_to_train)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_train_step_rejects_misaligned_map():
