@@ -3,14 +3,15 @@
     python3 scripts/output_digests.py [--src SRC] [--seeds 7 461 1515] [--scans 8]
 
 For each seed, in a new temporary directory, runs ``make-synthetic --seed S
---scans N``, then ``fuse --scan t`` for t = 0..N-1 and ``build-augdb`` on
-that sequence, ``loss-check --cases 20 --seed S`` and ``train-toy --seed S
---steps 3 --scans N``, with ``scanfuse`` imported from SRC (default: this
-checkout's ``src/``). Prints one ``sha256  name`` line per command's stdout
-and one per its stderr, in command order, and four for in-memory runs:
-the scene ``make_synthetic_sequence(default_scene(n_scans=N), S)`` (its
-float64 points, remission, labels and poses, and its truth bounds and
-centroids); ``fuse_scan`` of that scene at every scan (see
+--scans N``, then ``gen-instances`` on scan 0 for class 40 (road, many
+keypoints) and class 18 (a few), ``fuse --scan t`` for t = 0..N-1 and
+``build-augdb`` on that sequence, ``loss-check --cases 20 --seed S`` and
+``train-toy --seed S --steps 3 --scans N``, with ``scanfuse`` imported from
+SRC (default: this checkout's ``src/``). Prints one ``sha256  name`` line
+per command's stdout and one per its stderr, in command order, and four for
+in-memory runs: the scene ``make_synthetic_sequence(default_scene(n_scans=N),
+S)`` (its float64 points, remission, labels and poses, and its truth bounds
+and centroids); ``fuse_scan`` of that scene at every scan (see
 ``fusion_digest``); ``verify_gradients(20, S)`` as ``name float.hex passed``
 lines; and a paste-and-train run (see ``pipeline_digest``); then one per
 file written, sorted by path relative to the directory. Losses and gradient
@@ -142,6 +143,11 @@ def digests(seeds: list[int], scans: int) -> list[str]:
     for seed in seeds:
         seq = f"s{seed}/seq"
         commands = [["make-synthetic", "--seed", str(seed), "--scans", str(scans), "--out", seq]]
+        scan0 = [f"{seq}/velodyne/000000.bin", f"{seq}/labels/000000.label"]
+        commands += [
+            ["gen-instances", *scan0, "--class", str(c), "--out", f"s{seed}/000000.c{c}.label"]
+            for c in (40, 18)
+        ]
         commands += [
             ["fuse", "--seq", seq, "--scan", str(t), "--out", f"s{seed}/fused/{t:06d}"]
             for t in range(scans)

@@ -5,6 +5,10 @@ until the next sample would fall closer than ``stop_distance`` to the chosen
 set, cluster every kept point to its nearest keypoint, then hand each big
 enough cluster a fresh instance ID. Everything here is deterministic; ties
 resolve to the lowest index.
+
+Distances sum x², then y², then z² over the (3, N) coordinate columns, as
+``np.linalg.norm(..., axis=1)`` sums a row, so each has norm's bits; memory
+is O(N) per keypoint, never an (N, K) matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +46,26 @@ def filter_by_class(cloud: PointCloud, labels: LabelSet, class_id: int) -> np.nd
     return np.flatnonzero(labels.semantic == class_id)
 
 
+def _columns(points: np.ndarray) -> np.ndarray:
+    """The float64 (3, N) coordinate columns of (N, 3) ``points``; ShapeError
+    for any other shape."""
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ShapeError(f"points must be shaped (N, 3), got {points.shape}")
+    return np.ascontiguousarray(points.T, dtype=np.float64)
+
+
+def _distances(columns: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Distance from each point of the (3, N) ``columns`` to ``point``, with
+    the bits of ``np.linalg.norm(points - point, axis=1)``."""
+    delta = columns - point[:, None]
+    delta *= delta
+    dist, dy, dz = delta
+    dist += dy
+    dist += dz
+    return np.sqrt(dist, out=dist)
+
+
 def farthest_point_sample(points: np.ndarray, stop_distance: float) -> np.ndarray:
     """Greedy max-min sampling with a distance stop.
 
@@ -52,21 +76,19 @@ def farthest_point_sample(points: np.ndarray, stop_distance: float) -> np.ndarra
     """
     if not stop_distance > 0.0:
         raise InvalidConfig("stop_distance must be > 0")
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(points) == 0:
+    columns = _columns(points)
+    if columns.shape[1] == 0:
         raise EmptyInput("farthest_point_sample needs at least one point")
 
-    first = int(np.argmax(np.linalg.norm(points - centroid(points), axis=1)))
+    first = int(np.argmax(_distances(columns, centroid(points))))
     chosen = [first]
-    min_dist = np.linalg.norm(points - points[first], axis=1)
+    min_dist = _distances(columns, columns[:, first])
     while True:
         candidate = int(np.argmax(min_dist))
         if min_dist[candidate] < stop_distance:
             break
         chosen.append(candidate)
-        min_dist = np.minimum(
-            min_dist, np.linalg.norm(points - points[candidate], axis=1)
-        )
+        np.minimum(min_dist, _distances(columns, columns[:, candidate]), out=min_dist)
     return np.asarray(chosen, dtype=np.int64)
 
 
@@ -74,17 +96,22 @@ def cluster_by_keypoints(points: np.ndarray, keypoints: np.ndarray) -> np.ndarra
     """Assign every point to its nearest keypoint (ties: lowest keypoint index).
 
     Returns a cluster label per point; labels are positions in ``keypoints``.
+    Keeps a running nearest distance and label, so memory is O(N).
     """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    columns = _columns(points)
     keypoints = np.asarray(keypoints, dtype=np.int64).reshape(-1)
     if len(keypoints) == 0:
         raise EmptyInput("cluster_by_keypoints needs at least one keypoint")
-    if keypoints.min() < 0 or keypoints.max() >= len(points):
+    if keypoints.min() < 0 or keypoints.max() >= columns.shape[1]:
         raise ShapeError("keypoint index out of range")
-    # (N, K) distance matrix; argmin picks the first (lowest) index on ties.
-    diffs = points[:, None, :] - points[keypoints][None, :, :]
-    dists = np.linalg.norm(diffs, axis=2)
-    return np.argmin(dists, axis=1).astype(np.int64)
+    nearest = _distances(columns, columns[:, keypoints[0]])
+    label = np.zeros(columns.shape[1], dtype=np.int64)
+    for i in range(1, len(keypoints)):
+        dist = _distances(columns, columns[:, keypoints[i]])
+        # strict <: a tie keeps the lower keypoint, as argmin would
+        label[dist < nearest] = i
+        np.minimum(nearest, dist, out=nearest)
+    return label
 
 
 def generate_instance_ids(
@@ -94,7 +121,8 @@ def generate_instance_ids(
 
     Only target-class points change; the new IDs come from
     ``kitti_io.fresh_instance_ids``, one per cluster in keypoint order.
-    Clusters smaller than ``min_cluster_points`` are left untouched.
+    Clusters smaller than ``min_cluster_points`` are left untouched. One
+    lookup from cluster to new ID assigns every cluster at once.
     """
     indices = filter_by_class(cloud, labels, config.target_class)
     out = labels.copy()
@@ -105,8 +133,9 @@ def generate_instance_ids(
     keypoints = farthest_point_sample(class_points, config.stop_distance)
     assignment = cluster_by_keypoints(class_points, keypoints)
 
-    clusters = [indices[assignment == cluster] for cluster in range(len(keypoints))]
-    clusters = [members for members in clusters if len(members) >= config.min_cluster_points]
-    for members, new_id in zip(clusters, fresh_instance_ids(labels, len(clusters))):
-        out.instance[members] = new_id
+    kept = np.bincount(assignment, minlength=len(keypoints)) >= config.min_cluster_points
+    new_ids = np.zeros(len(keypoints), dtype=np.int64)
+    new_ids[kept] = fresh_instance_ids(labels, int(kept.sum()))
+    members = kept[assignment]
+    out.instance[indices[members]] = new_ids[assignment[members]]
     return out
